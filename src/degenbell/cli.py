@@ -36,8 +36,9 @@ from .core import (
     xpoly_pretty,
     xpoly_to_ascii,
 )
-from .identities import CATALOG, VerifyReport, verify, verify_all
+from .identities import verify, verify_all
 from .numbers import (
+    MAX_INDEX,
     bell_deg,
     bell_dobinski_numeric,
     bernoulli_deg,
@@ -95,6 +96,14 @@ RATIONAL = RationalParam()
 LAMBDA = LambdaParam()
 
 
+def _require_index(n: int, what: str, limit: int = MAX_INDEX) -> None:
+    """Exit 2 with one ``Error:`` line on stderr when n exceeds the limit."""
+    if n > limit:
+        error = click.ClickException(f"{what} {n} exceeds the limit {limit}")
+        error.exit_code = 2
+        raise error
+
+
 def _max_order_cap() -> int | None:
     raw = os.environ.get("DEGENBELL_MAX_ORDER")
     if raw is None:
@@ -140,6 +149,7 @@ def table(family: str, n_max: int, lam, fmt: str) -> None:
     with k ≤ n; bernoulli and bell(1) are one value per n and leave the
     k column empty.
     """
+    _require_index(n_max, "--n-max")
     rows: list[tuple[int, int | None, object]] = []
     if family in TRIANGULAR:
         fn = TRIANGULAR[family]
@@ -196,6 +206,7 @@ def table(family: str, n_max: int, lam, fmt: str) -> None:
               show_default=True)
 def eval_cmd(n: int, x: Rational, lam: Rational, dobinski_terms: int | None, fmt: str) -> None:
     """Evaluate Bel_{N,λ}(x) exactly."""
+    _require_index(n, "N")
     value = bell_deg(n).eval(x, lam)
     approx: float | None = None
     if dobinski_terms is not None:
@@ -244,6 +255,7 @@ def eval_cmd(n: int, x: Rational, lam: Rational, dobinski_terms: int | None, fmt
               show_default=True)
 def verify_cmd(identity: str, n_max: int, order: int | None, fmt: str) -> None:
     """Check one catalog IDENTITY (or 'all') exactly over its grid."""
+    _require_index(n_max, "--n-max", MAX_INDEX // 2)  # the grids read rows up to 2·n_max
     if order is None:
         order = n_max + 6
         cap = _max_order_cap()

@@ -373,29 +373,6 @@ XP_ONE = XPoly((LP_ONE,))
 XP_X = XPoly((LP_ZERO, LP_ONE))
 
 
-# -- free-function aliases for the dataclass methods ------------------
-
-def lambda_poly_eval(p: LambdaPoly, lam: ScalarLike) -> Fraction:
-    """Σ p_i · lam^i, exactly."""
-    return p.eval(lam)
-
-
-def xpoly_eval(p: XPoly, x0: ScalarLike, lam: ScalarLike) -> Fraction:
-    return p.eval(x0, lam)
-
-
-def xpoly_derivative(p: XPoly) -> XPoly:
-    return p.derivative()
-
-
-def xpoly_antiderivative(p: XPoly) -> XPoly:
-    return p.antiderivative()
-
-
-def lambda_scale(p: LambdaPoly, c: ScalarLike) -> LambdaPoly:
-    return p.scale_lambda(c)
-
-
 # -- textual rendering: canonical list forms with exact round-trip ----
 
 def lambda_poly_to_str(p: LambdaPoly) -> str:
@@ -572,6 +549,18 @@ def lambda_poly_to_ascii(p: LambdaPoly) -> str:
     return " ".join(parts)
 
 
+#: Largest exponent the ASCII parsers accept: they build a dense coefficient
+#: tuple as long as the highest exponent, so a larger one raises ValueError.
+MAX_ASCII_EXPONENT = 10_000
+
+
+def _ascii_exponent(digits: str | None, default: int) -> int:
+    power = int(digits) if digits else default
+    if power > MAX_ASCII_EXPONENT:
+        raise ValueError(f"exponent {power} exceeds the limit {MAX_ASCII_EXPONENT}")
+    return power
+
+
 _ASCII_LAMBDA_TERM = re.compile(
     r"(?:(?P<num>\d+(?:/\d+)?)(?:\*(?P<lam1>lambda(?:\^(?P<pow1>\d+))?))?"
     r"|(?P<lam2>lambda(?:\^(?P<pow2>\d+))?))$"
@@ -596,11 +585,9 @@ def lambda_poly_from_ascii(text: str) -> LambdaPoly:
         m = _ASCII_LAMBDA_TERM.fullmatch(term)
         if m is None or (m.group("num") is None and m.group("lam2") is None):
             raise ValueError(f"cannot parse λ-polynomial term {raw.strip()!r}")
-        value = Fraction(m.group("num")) if m.group("num") else Fraction(1)
-        if m.group("lam1") or m.group("lam2"):
-            power = int(m.group("pow1") or m.group("pow2") or 1)
-        else:
-            power = 0
+        value = parse_rational(m.group("num")) if m.group("num") else Fraction(1)
+        lam = m.group("lam1") or m.group("lam2")
+        power = _ascii_exponent(m.group("pow1") or m.group("pow2"), 1 if lam else 0)
         acc[power] = acc.get(power, Fraction(0)) + sign * value
     top = max(acc)
     return LambdaPoly(tuple(acc.get(i, Fraction(0)) for i in range(top + 1)))
@@ -692,21 +679,14 @@ def xpoly_from_ascii(text: str) -> XPoly:
         m = _ASCII_X_PAREN.fullmatch(term)
         if m is not None:
             coeff = lambda_poly_from_ascii(m.group("poly"))
-            if m.group("pow"):
-                degree = int(m.group("pow"))
-            else:
-                degree = 1 if term.endswith("*x") else 0
+            degree = _ascii_exponent(m.group("pow"), 1 if term.endswith("*x") else 0)
         else:
             m = _ASCII_X_SCALAR.fullmatch(term)
             if m is None or (m.group("num") is None and "x" not in term):
                 raise ValueError(f"cannot parse x-polynomial term {term!r}")
-            coeff = LambdaPoly.const(Fraction(m.group("num")) if m.group("num") else 1)
-            if m.group("powa"):
-                degree = int(m.group("powa"))
-            elif m.group("powb"):
-                degree = int(m.group("powb"))
-            else:
-                degree = 1 if ("x" in term and m.group("num") is None) or "*x" in term else 0
+            coeff = LambdaPoly.const(parse_rational(m.group("num")) if m.group("num") else 1)
+            x_term = ("x" in term and m.group("num") is None) or "*x" in term
+            degree = _ascii_exponent(m.group("powa") or m.group("powb"), 1 if x_term else 0)
         if sign < 0:
             coeff = -coeff
         acc[degree] = acc.get(degree, LP_ZERO) + coeff

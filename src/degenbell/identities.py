@@ -24,7 +24,6 @@ from .core import (
     LP_LAMBDA,
     LP_ONE,
     LP_ZERO,
-    XP_ONE,
     XP_X,
     XP_ZERO,
     LambdaPoly,
@@ -38,7 +37,6 @@ from .numbers import (
     bell_deg,
     bernoulli_deg,
     bracket_deg,
-    falling_classical,
     falling_deg,
     falling_deg_at,
     rising_classical,
@@ -52,7 +50,6 @@ from .opcalc import (
     d_dx,
     eval_at_x1_in_e_units,
     op_apply,
-    op_power,
     prop10_rhs,
     render,
     theorem3_rhs,
@@ -586,12 +583,17 @@ def _check_eq43(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
     return grid, None
 
 
+@lru_cache(maxsize=None)
+def _bracket_by_basis(n: int) -> tuple[LambdaPoly, ...]:
+    """[n k]_λ, k = 0..n, by basis elimination of ⟨x⟩_n: independent of the library."""
+    expanded = basis_expand(rising_classical(n), FactorialBasisId.RISING_DEGENERATE)
+    return tuple(expanded) + (LP_ZERO,) * (n + 1 - len(expanded))
+
+
 def _check_eq56(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
     grid = f"n=0..{n_max}, k=0..n (two bracket routes)"
     for n in range(n_max + 1):
-        expanded = basis_expand(rising_classical(n), FactorialBasisId.RISING_DEGENERATE)
-        while len(expanded) < n + 1:
-            expanded.append(LP_ZERO)
+        expanded = _bracket_by_basis(n)
         for k in range(n + 1):
             sign = 1 if (n - k) % 2 == 0 else -1
             lhs = stirling1_deg(n, k) * sign
@@ -653,11 +655,10 @@ def _check_eq60(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
 def _check_eq61(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
     grid = f"n=0..{n_max}, k=0..n+1"
     for n in range(n_max + 1):
+        row = (LP_ZERO,) + _bracket_by_basis(n) + (LP_ZERO,)  # row[k] = [n, k-1]
         for k in range(n + 2):
-            lhs = bracket_deg(n + 1, k)
-            rhs = bracket_deg(n, k - 1) + (
-                LambdaPoly((n,)) - LP_LAMBDA * k
-            ) * bracket_deg(n, k)
+            lhs = _bracket_by_basis(n + 1)[k]
+            rhs = row[k] + (LambdaPoly((n,)) - LP_LAMBDA * k) * row[k + 1]
             if lhs != rhs:
                 return grid, _ce({"n": n, "k": k}, lhs, rhs)
     return grid, None

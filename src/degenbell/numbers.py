@@ -5,16 +5,20 @@ Everything here is a polynomial identity in the deformation parameter λ:
 * ``falling_deg`` / ``rising_deg`` -- the deformed factorials
   (x)_{n,λ} = x(x-λ)···(x-(n-1)λ) and ⟨x⟩_{n,λ} = x(x+λ)···(x+(n-1)λ).
 * ``stirling2_deg`` -- S_{2,λ}(n,k), connecting (x)_{n,λ} to the classical
-  falling factorials; computed by the triangular recurrence
-  S(n+1,k) = S(n,k-1) + (k-nλ)S(n,k).
-* ``stirling1_deg`` -- S_{1,λ}(n,k), the inverse connection, computed by
-  basis elimination (an independent route, deliberately not the inverse
-  of the recurrence).
-* ``bracket_deg`` -- the unsigned variant [n k]_λ = (-1)^{n-k}S_{1,λ}(n,k),
-  cross-checked against its own basis expansion on every call.
-* ``bernoulli_deg`` -- β_{n,λ}, the coefficients of t/(e_λ(t)-1).
+  falling factorials, by S(n,k) = S(n-1,k-1) + (k-(n-1)λ)S(n-1,k).
+* ``bracket_deg`` -- [n k]_λ, connecting ⟨x⟩_n to the deformed rising
+  factorials, by [n k] = [n-1,k-1] + ((n-1)-kλ)[n-1,k].
+* ``stirling1_deg`` -- S_{1,λ}(n,k) = (-1)^{n-k}[n k]_λ, the inverse of S₂.
+* ``bernoulli_deg`` -- β_{n,λ}, the coefficients of t/(e_λ(t)-1), by the
+  recurrence that the product (t/(e_λ(t)-1))·((e_λ(t)-1)/t) = 1 gives.
 * ``bell_deg`` -- Bel_{n,λ}(x) = Σ_k S_{2,λ}(n,k)x^k, plus the
   Dobinski-style numeric evaluator and the e-unit values S_{n,λ}.
+
+Each table has one route: rows are stepped on integer λ-coefficient lists
+(β over one denominator per n) and each entry becomes a LambdaPoly once.
+Indices above ``MAX_INDEX`` raise ValueError before anything is built.
+``basis_expand`` and ``stirling2_alt_sum`` are independent second routes
+for the identity harness and the tests.
 
 At λ = 0 every family collapses to its classical counterpart; the classical
 values are exposed only through that evaluation, never as separate code.
@@ -27,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 from .core import (
     LP_LAMBDA,
@@ -149,67 +153,72 @@ def basis_expand(p: XPoly, basis: FactorialBasisId) -> list[LambdaPoly]:
 
 
 # ----------------------------------------------------------------------
-# Stirling families
+# Stirling, bracket, Bernoulli and Bell tables
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _stirling2_row(n: int) -> tuple[LambdaPoly, ...]:
-    if n == 0:
-        return (LP_ONE,)
-    prev = _stirling2_row(n - 1)  # row n-1, indices 0..n-1
-    row = []
-    for k in range(n + 1):
-        left = prev[k - 1] if k >= 1 else LP_ZERO
-        right = prev[k] * (LambdaPoly((k,)) - LP_LAMBDA * (n - 1)) if k < n else LP_ZERO
-        row.append(left + right)
-    return tuple(row)
+#: Largest row index n served by the S₂, S₁, bracket, Bel and β builders; their
+#: time and memory grow as n³ (β's time as n⁴), with figures in the README.
+MAX_INDEX = 200
+
+
+def require_index(n: int, what: str = "index") -> None:
+    """Raise ValueError unless 0 ≤ n ≤ MAX_INDEX."""
+    _require_nonneg(n, what)
+    if n > MAX_INDEX:
+        raise ValueError(f"{what} {n} exceeds the limit {MAX_INDEX}")
+
+
+def _add_linear_times(left: list[int], c: list[int], a: int, b: int) -> list[int]:
+    """left + (a + bλ)·c on integer λ-coefficient lists (trailing zeros allowed)."""
+    out = left + [0] * (len(c) + 1 - len(left))
+    for i, ci in enumerate(c):
+        out[i] += a * ci
+        out[i + 1] += b * ci
+    return out
+
+
+class _Triangle:
+    """Rows of T(n,k) = T(n-1,k-1) + (a + bλ)·T(n-1,k), with (a, b) = weight(n, k)."""
+
+    def __init__(self, weight):
+        self._weight = weight
+        self._last: list[list[int]] = [[1]]
+        self.rows: list[tuple[LambdaPoly, ...]] = [(LP_ONE,)]
+
+    def row(self, n: int) -> tuple[LambdaPoly, ...]:
+        require_index(n, "row index")
+        while len(self.rows) <= n:
+            m, prev = len(self.rows), self._last + [[]]
+            self._last = [
+                _add_linear_times(prev[k - 1] if k else [], prev[k], *self._weight(m, k))
+                for k in range(m + 1)
+            ]
+            self.rows.append(tuple(map(LambdaPoly, self._last)))
+        return self.rows[n]
+
+
+# S(n,k) = S(n-1,k-1) + (k - (n-1)λ)·S(n-1,k)
+_STIRLING2 = _Triangle(lambda n, k: (k, 1 - n))
+# [n k] = [n-1,k-1] + ((n-1) - kλ)·[n-1,k]
+_BRACKET = _Triangle(lambda n, k: (n - 1, -k))
 
 
 def stirling2_deg(n: int, k: int) -> LambdaPoly:
     """S_{2,λ}(n,k) by the triangular recurrence; zero outside 0 ≤ k ≤ n."""
-    _require_nonneg(n, "row index")
-    if k < 0 or k > n:
-        return LP_ZERO
-    return _stirling2_row(n)[k]
-
-
-@lru_cache(maxsize=None)
-def _stirling1_row(n: int) -> tuple[LambdaPoly, ...]:
-    coeffs = basis_expand(falling_classical(n), FactorialBasisId.FALLING_DEGENERATE)
-    while len(coeffs) < n + 1:
-        coeffs.append(LP_ZERO)
-    return tuple(coeffs)
-
-
-def stirling1_deg(n: int, k: int) -> LambdaPoly:
-    """S_{1,λ}(n,k): coefficient of (x)_{k,λ} in (x)_n; zero outside 0 ≤ k ≤ n."""
-    _require_nonneg(n, "row index")
-    if k < 0 or k > n:
-        return LP_ZERO
-    return _stirling1_row(n)[k]
-
-
-@lru_cache(maxsize=None)
-def _bracket_row(n: int) -> tuple[LambdaPoly, ...]:
-    # Route (i): sign-flipped first-kind numbers.
-    signed = tuple(
-        stirling1_deg(n, k) * ((-1) ** ((n - k) % 2)) for k in range(n + 1)
-    )
-    # Route (ii): expand ⟨x⟩_n in the deformed rising basis.
-    expanded = basis_expand(rising_classical(n), FactorialBasisId.RISING_DEGENERATE)
-    while len(expanded) < n + 1:
-        expanded.append(LP_ZERO)
-    if signed != tuple(expanded):
-        raise AssertionError(f"bracket routes disagree at row {n}")
-    return signed
+    row = _STIRLING2.row(n)
+    return row[k] if 0 <= k <= n else LP_ZERO
 
 
 def bracket_deg(n: int, k: int) -> LambdaPoly:
-    """[n k]_λ = (-1)^{n-k}·S_{1,λ}(n,k), cross-checked against the ⟨x⟩_n expansion."""
-    _require_nonneg(n, "row index")
-    if k < 0 or k > n:
-        return LP_ZERO
-    return _bracket_row(n)[k]
+    """[n k]_λ, the coefficient of ⟨x⟩_{k,λ} in ⟨x⟩_n, by its triangular recurrence."""
+    row = _BRACKET.row(n)
+    return row[k] if 0 <= k <= n else LP_ZERO
+
+
+def stirling1_deg(n: int, k: int) -> LambdaPoly:
+    """S_{1,λ}(n,k) = (-1)^{n-k}·[n k]_λ: coefficient of (x)_{k,λ} in (x)_n."""
+    c = bracket_deg(n, k)
+    return c if (n - k) % 2 == 0 else -c
 
 
 def stirling2_alt_sum(n: int, k: int) -> LambdaPoly:
@@ -227,35 +236,49 @@ def stirling2_alt_sum(n: int, k: int) -> LambdaPoly:
     return acc * Fraction(1, factorial(k))
 
 
-# ----------------------------------------------------------------------
-# Bernoulli and Bell families
-# ----------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _bernoulli_series(order: int) -> Series:
-    """t/(e_λ(t)-1) as a series: reciprocal of (e_λ(t)-1)/t."""
-    e = e_lambda_series(1, order + 1)
-    ratio = (e - Series.one(order + 1)).div_t()
-    return series_recip_unit(ratio)
+# β_n = num[n]/den[n] over integers; (1)_{m,λ} = 1·(1-λ)···(1-(m-1)λ) is kept
+# with exactly max(m, 1) coefficients, so that β_n fits in n + 1 slots.
+_BETA_NUM: list[list[int]] = [[1]]
+_BETA_DEN: list[int] = [1]
+_BETA: list[LambdaPoly] = [LP_ONE]
+_ONE_FALL: list[list[int]] = [[1], [1]]
 
 
 def bernoulli_deg(n: int) -> LambdaPoly:
-    """β_{n,λ}: the t^n/n! coefficient of t/(e_λ(t)-1)."""
-    _require_nonneg(n, "index")
-    coeff = _bernoulli_series(n).egf_coeff(n)
-    return coeff.eval_x(0)
+    """β_{n,λ}: the t^n/n! coefficient of t/(e_λ(t)-1).
+
+    Built by β_0 = 1, β_n = -Σ_{k<n} C(n,k)·β_k·(1)_{n-k+1,λ}/(n-k+1),
+    the t^n/n! coefficient of (t/(e_λ(t)-1))·((e_λ(t)-1)/t) = 1.
+    """
+    require_index(n)
+    num, den, fall = _BETA_NUM, _BETA_DEN, _ONE_FALL
+    for m in range(len(num), n + 1):
+        while len(fall) <= m + 1:
+            fall.append(_add_linear_times([], fall[-1], 1, 1 - len(fall)))
+        common = lcm(*(den[k] * (m - k + 1) for k in range(m)))
+        acc = [0] * (m + 1)
+        for k in range(m):
+            w = comb(m, k) * (common // (den[k] * (m - k + 1)))
+            for i, a in enumerate(num[k]):
+                for j, f in enumerate(fall[m - k + 1]):
+                    acc[i + j] -= w * a * f
+        g = gcd(common, *acc)
+        num.append([c // g for c in acc])
+        den.append(common // g)
+        _BETA.append(LambdaPoly(Fraction(c, den[m]) for c in num[m]))
+    return _BETA[n]
 
 
 def bernoulli_gf(order: int) -> Series:
-    """t/(e_λ(t)-1) truncated at the given order."""
+    """t/(e_λ(t)-1) truncated at the given order: reciprocal of (e_λ(t)-1)/t."""
     _require_nonneg(order, "order")
-    return _bernoulli_series(order).truncate(order)
+    e = e_lambda_series(1, order + 1)
+    return series_recip_unit((e - Series.one(order + 1)).div_t())
 
 
 def bell_deg(n: int) -> XPoly:
     """Bel_{n,λ}(x) = Σ_k S_{2,λ}(n,k)·x^k."""
-    _require_nonneg(n, "index")
-    return XPoly(_stirling2_row(n))
+    return XPoly(_STIRLING2.row(n))
 
 
 def bell_poly(n: int) -> XPoly:

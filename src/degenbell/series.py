@@ -27,7 +27,6 @@ from typing import Iterable, Sequence, Union
 from .core import (
     LP_LAMBDA,
     LP_ONE,
-    LP_ZERO,
     XP_ONE,
     XP_ZERO,
     LambdaLike,

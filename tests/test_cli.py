@@ -17,6 +17,7 @@ from degenbell.core import (
 )
 from degenbell.identities import FamilyTables
 from degenbell.numbers import (
+    MAX_INDEX,
     bell_deg,
     bernoulli_deg,
     bracket_deg,
@@ -100,6 +101,18 @@ def test_table_rejects_unknown_family_and_float_lambda(runner):
     assert invoke(runner, "table", "nosuch").exit_code == 2
     assert invoke(runner, "table", "bell", "--lambda", "0.5").exit_code == 2
     assert invoke(runner, "table", "bell", "--n-max", "-1").exit_code == 2
+
+
+def test_indices_above_the_limit_exit_2_with_one_line(runner):
+    n, half = MAX_INDEX + 1, MAX_INDEX // 2
+    for args, message in (
+        (("table", "stirling2", "--n-max", n), f"--n-max {n} exceeds the limit {MAX_INDEX}"),
+        (("eval", n, "--lambda", "0"), f"N {n} exceeds the limit {MAX_INDEX}"),
+        (("verify", "all", "--n-max", half + 1), f"--n-max {half + 1} exceeds the limit {half}"),
+    ):
+        result = invoke(runner, *map(str, args))
+        assert result.exit_code == 2
+        assert result.output == f"Error: {message}\n"
 
 
 # ----------------------------------------------------------------------

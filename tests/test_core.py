@@ -191,6 +191,37 @@ def test_ascii_parser_rejects_garbage():
         xpoly_from_ascii("((1)*x")
     with pytest.raises(ValueError):
         lambda_poly_from_ascii("")
+    with pytest.raises(ValueError):
+        lambda_poly_from_ascii("1/0")
+    with pytest.raises(ValueError):
+        xpoly_from_ascii("(1/0)*x")
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        lambda_poly_from_ascii("lambda^99999999999")
+    for text in ("x^99999999999", "(1)*x^99999999999", "(lambda^99999999999)*x"):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            xpoly_from_ascii(text)
+
+
+PARSERS = (
+    parse_rational,
+    lambda_poly_from_ascii,
+    xpoly_from_ascii,
+    lambda_poly_from_str,
+    xpoly_from_str,
+)
+# Text drawn from the parsers' own alphabet reaches deep into the grammar;
+# arbitrary unicode covers the rest.
+grammar_text = st.text(alphabet=list("0123456789/+-*^ ()[],lambdax"), max_size=30)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(), grammar_text))
+def test_parsers_raise_only_value_error(text):
+    for parse in PARSERS:
+        try:
+            parse(text)
+        except ValueError:
+            pass
 
 
 def test_pretty_rendering_examples():

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenbell.core import LP_LAMBDA, LP_ONE, LP_ZERO, LambdaPoly, XPoly
+from degenbell import numbers
+from degenbell.core import LP_ONE, LP_ZERO, LambdaPoly, XPoly
 from degenbell.numbers import (
+    MAX_INDEX,
     EUnitScalar,
     FactorialBasisId,
     basis_expand,
@@ -141,18 +143,22 @@ def test_stirling_inversion_is_exact():
 
 
 def test_bracket_is_sign_flipped_first_kind():
-    for n in range(9):
+    """[n k] = (-1)^{n-k}·S_{1,λ}(n,k), with S₁ from basis elimination of (x)_n."""
+    for n in range(11):
+        expanded = basis_expand(falling_classical(n), FactorialBasisId.FALLING_DEGENERATE)
+        expanded += [LP_ZERO] * (n + 1 - len(expanded))
         for k in range(n + 1):
-            assert bracket_deg(n, k) == stirling1_deg(n, k) * ((-1) ** (n - k))
+            assert stirling1_deg(n, k) == expanded[k], (n, k)
+            assert bracket_deg(n, k) == expanded[k] * ((-1) ** (n - k)), (n, k)
 
 
 def test_bracket_triangular_recurrence():
-    for n in range(10):
-        for k in range(n + 2):
-            expect = bracket_deg(n, k - 1) + (
-                LambdaPoly((n,)) - LP_LAMBDA * k
-            ) * bracket_deg(n, k)
-            assert bracket_deg(n + 1, k) == expect, (n, k)
+    """The recurrence-built brackets equal the independent basis expansion of ⟨x⟩_n."""
+    for n in range(11):
+        expanded = basis_expand(rising_classical(n), FactorialBasisId.RISING_DEGENERATE)
+        expanded += [LP_ZERO] * (n + 1 - len(expanded))
+        for k in range(n + 1):
+            assert bracket_deg(n, k) == expanded[k], (n, k)
 
 
 def test_out_of_range_and_errors():
@@ -163,6 +169,21 @@ def test_out_of_range_and_errors():
         stirling2_deg(-1, 0)
     with pytest.raises(ValueError):
         falling_deg(-2)
+
+
+def test_builders_refuse_indices_above_the_limit():
+    built = len(numbers._STIRLING2.rows), len(numbers._BRACKET.rows), len(numbers._BETA)
+    n = MAX_INDEX + 1
+    for build in (
+        lambda: stirling2_deg(n, 1),
+        lambda: stirling1_deg(n, 1),
+        lambda: bracket_deg(n, 1),
+        lambda: bell_deg(n),
+        lambda: bernoulli_deg(n),
+    ):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            build()
+    assert (len(numbers._STIRLING2.rows), len(numbers._BRACKET.rows), len(numbers._BETA)) == built
 
 
 def test_basis_expand_round_trips():
@@ -198,6 +219,12 @@ def test_bernoulli_gf_defining_equation():
     gf = bernoulli_gf(order)
     e1 = (e_lambda_series(1, order + 1) - Series.one(order + 1)).div_t()
     assert series_mul(gf, e1) == Series.one(order)
+
+
+def test_bernoulli_recurrence_matches_series_reciprocal():
+    gf = bernoulli_gf(24)
+    for n in range(25):
+        assert bernoulli_deg(n) == gf.egf_coeff(n).eval_x(0), n
 
 
 def test_first_bernoulli_values():

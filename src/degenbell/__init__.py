@@ -30,7 +30,6 @@ from .identities import (
 )
 from .numbers import (
     bell_deg,
-    bell_poly,
     bernoulli_deg,
     bracket_deg,
     falling_deg,
@@ -51,7 +50,6 @@ __all__ = [
     "VerifyReport",
     "XPoly",
     "bell_deg",
-    "bell_poly",
     "bernoulli_deg",
     "bracket_deg",
     "catalog_ids",

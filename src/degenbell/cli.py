@@ -36,31 +36,29 @@ from .core import (
     xpoly_pretty,
     xpoly_to_ascii,
 )
-from .identities import verify, verify_all
+from .identities import DEFAULT_ORDER_MARGIN, verify, verify_all
 from .numbers import (
     MAX_INDEX,
     bell_deg,
     bell_dobinski_numeric,
+    bell_gf,
     bernoulli_deg,
     bernoulli_gf,
     bracket_deg,
     stirling1_deg,
     stirling2_deg,
 )
-from .series import (
-    DEFAULT_ORDER,
-    Series,
-    e_lambda_series,
-    log_lambda_series,
-    series_exp,
-    series_to_json,
-)
-from .core import XP_X
+from .series import DEFAULT_ORDER, Series, e_lambda_series, log_lambda_series, series_to_json
 
 FORMATS = ("pretty", "csv", "json")
 TRIANGULAR = {"stirling1": stirling1_deg, "stirling2": stirling2_deg, "bracket": bracket_deg}
 LINEAR = {"bernoulli": bernoulli_deg, "bell": lambda n: bell_deg(n).eval_x(1)}
-SERIES_NAMES = ("elam", "loglam", "bellgf", "bernoulligf")
+SERIES = {
+    "elam": lambda order: e_lambda_series(1, order),
+    "loglam": log_lambda_series,
+    "bellgf": bell_gf,
+    "bernoulligf": bernoulli_gf,
+}
 
 
 class RationalParam(click.ParamType):
@@ -96,25 +94,31 @@ RATIONAL = RationalParam()
 LAMBDA = LambdaParam()
 
 
+def _refuse(message: str) -> click.ClickException:
+    """An error that exits 2 with one ``Error:`` line on stderr."""
+    error = click.ClickException(message)
+    error.exit_code = 2
+    return error
+
+
 def _require_index(n: int, what: str, limit: int = MAX_INDEX) -> None:
-    """Exit 2 with one ``Error:`` line on stderr when n exceeds the limit."""
+    """Exit 2 with one ``Error:`` line when n exceeds the limit."""
     if n > limit:
-        error = click.ClickException(f"{what} {n} exceeds the limit {limit}")
-        error.exit_code = 2
-        raise error
+        raise _refuse(f"{what} {n} exceeds the limit {limit}")
 
 
-def _max_order_cap() -> int | None:
+def _default_order(default: int, floor: int = 0) -> int:
+    """``default`` capped by DEGENBELL_MAX_ORDER, but never below ``floor``."""
     raw = os.environ.get("DEGENBELL_MAX_ORDER")
     if raw is None:
-        return None
+        return default
     try:
         cap = int(raw)
     except ValueError:
         raise click.UsageError(f"DEGENBELL_MAX_ORDER must be an integer, got {raw!r}")
     if cap < 0:
         raise click.UsageError(f"DEGENBELL_MAX_ORDER must be ≥ 0, got {cap}")
-    return cap
+    return max(min(default, cap), floor)
 
 
 def _csv_writer():
@@ -213,7 +217,7 @@ def eval_cmd(n: int, x: Rational, lam: Rational, dobinski_terms: int | None, fmt
         try:
             approx = bell_dobinski_numeric(n, x, lam, terms=dobinski_terms)
         except ValueError as exc:
-            raise click.UsageError(str(exc))
+            raise _refuse(str(exc))
 
     if fmt == "csv":
         w = _csv_writer()
@@ -257,11 +261,8 @@ def verify_cmd(identity: str, n_max: int, order: int | None, fmt: str) -> None:
     """Check one catalog IDENTITY (or 'all') exactly over its grid."""
     _require_index(n_max, "--n-max", MAX_INDEX // 2)  # the grids read rows up to 2·n_max
     if order is None:
-        order = n_max + 6
-        cap = _max_order_cap()
-        if cap is not None:
-            # never clamp below the series-based precondition
-            order = max(min(order, cap), n_max + 2)
+        # never clamp below the series-based precondition
+        order = _default_order(n_max + DEFAULT_ORDER_MARGIN, floor=n_max + 2)
     try:
         if identity == "all":
             reports = verify_all(n_max, order)
@@ -297,19 +298,6 @@ def verify_cmd(identity: str, n_max: int, order: int | None, fmt: str) -> None:
 # series
 # ----------------------------------------------------------------------
 
-def _build_series(which: str, order: int) -> Series:
-    if which == "elam":
-        return e_lambda_series(1, order)
-    if which == "loglam":
-        return log_lambda_series(order)
-    if which == "bellgf":
-        e = e_lambda_series(1, order)
-        return series_exp((e - Series.one(order)).scale(XP_X))
-    if which == "bernoulligf":
-        return bernoulli_gf(order)
-    raise AssertionError(which)
-
-
 def _pretty_series(s: Series) -> str:
     parts: list[str] = []
     for n in range(s.order + 1):
@@ -334,7 +322,7 @@ def _pretty_series(s: Series) -> str:
 
 
 @main.command("series")
-@click.argument("which", type=click.Choice(SERIES_NAMES))
+@click.argument("which", type=click.Choice(list(SERIES)))
 @click.option("--order", type=click.IntRange(min=0), default=None,
               help=f"Truncation order [default: {DEFAULT_ORDER}, "
                    "capped by DEGENBELL_MAX_ORDER].")
@@ -347,11 +335,8 @@ def series_cmd(which: str, order: int | None, fmt: str) -> None:
     bernoulligf = t/(e_λ(t)-1).
     """
     if order is None:
-        order = DEFAULT_ORDER
-        cap = _max_order_cap()
-        if cap is not None:
-            order = min(order, cap)
-    s = _build_series(which, order)
+        order = _default_order(DEFAULT_ORDER)
+    s = SERIES[which](order)
     if fmt == "json":
         click.echo(series_to_json(s))
     elif fmt == "csv":

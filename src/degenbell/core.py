@@ -15,6 +15,11 @@ keeping ``λ`` symbolic lets identities be checked exactly for all ``λ`` at
 once.  The zero polynomial is the empty coefficient sequence; nonzero
 polynomials never store a trailing zero coefficient, which makes equality
 structural.
+
+Two text forms round-trip exactly: the ASCII expressions of csv and json
+cells (``*_to_ascii`` / ``*_from_ascii``) and the nested lists of the series
+JSON schema and ``repr`` (``to_nested_lists`` / ``from_nested_lists``).  The
+``*_pretty`` unicode renderings are for display only.
 """
 
 from __future__ import annotations
@@ -373,27 +378,7 @@ XP_ONE = XPoly((LP_ONE,))
 XP_X = XPoly((LP_ZERO, LP_ONE))
 
 
-# -- textual rendering: canonical list forms with exact round-trip ----
-
-def lambda_poly_to_str(p: LambdaPoly) -> str:
-    """Coefficient list, lowest degree first, e.g. ``[5, -6, 2]``."""
-    return "[" + ", ".join(format_rational(c) for c in p.coeffs) + "]"
-
-
-def lambda_poly_from_str(text: str) -> LambdaPoly:
-    items = _split_list(text)
-    return LambdaPoly(parse_rational(item) for item in items)
-
-
-def xpoly_to_str(p: XPoly) -> str:
-    """Nested coefficient lists, e.g. ``[[0], [1, -1], [1]]``."""
-    return "[" + ", ".join(lambda_poly_to_str(c) for c in p.coeffs) + "]"
-
-
-def xpoly_from_str(text: str) -> XPoly:
-    items = _split_list(text)
-    return XPoly(lambda_poly_from_str(item) for item in items)
-
+# -- nested-list form: the series JSON coefficients and reprs ----
 
 def to_nested_lists(p: XPoly) -> list[list[str]]:
     """JSON-friendly rendering: one list of rational strings per x-power."""
@@ -402,31 +387,6 @@ def to_nested_lists(p: XPoly) -> list[list[str]]:
 
 def from_nested_lists(data: Sequence[Sequence[str]]) -> XPoly:
     return XPoly(LambdaPoly(parse_rational(s) for s in row) for row in data)
-
-
-def _split_list(text: str) -> list[str]:
-    """Split a bracketed list on top-level commas."""
-    s = text.strip()
-    if not (s.startswith("[") and s.endswith("]")):
-        raise ValueError(f"not a bracketed list: {text!r}")
-    body = s[1:-1].strip()
-    if not body:
-        return []
-    items, depth, start = [], 0, 0
-    for i, ch in enumerate(body):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced brackets in {text!r}")
-        elif ch == "," and depth == 0:
-            items.append(body[start:i])
-            start = i + 1
-    if depth != 0:
-        raise ValueError(f"unbalanced brackets in {text!r}")
-    items.append(body[start:])
-    return [item.strip() for item in items]
 
 
 # -- human-readable rendering (display only, no round-trip contract) --

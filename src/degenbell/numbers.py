@@ -2,23 +2,28 @@
 
 Everything here is a polynomial identity in the deformation parameter λ:
 
-* ``falling_deg`` / ``rising_deg`` -- the deformed factorials
-  (x)_{n,λ} = x(x-λ)···(x-(n-1)λ) and ⟨x⟩_{n,λ} = x(x+λ)···(x+(n-1)λ).
+* ``falling_deg`` / ``rising_deg`` / ``falling_classical`` /
+  ``rising_classical`` -- the factorial bases (x)_{n,λ} = x(x-λ)···(x-(n-1)λ),
+  ⟨x⟩_{n,λ}, (x)_n and ⟨x⟩_n, by one iterative cached product
+  P(n) = P(n-1)·(x + (n-1)·shift) with shift -λ, λ, -1 or 1.
 * ``stirling2_deg`` -- S_{2,λ}(n,k), connecting (x)_{n,λ} to the classical
   falling factorials, by S(n,k) = S(n-1,k-1) + (k-(n-1)λ)S(n-1,k).
 * ``bracket_deg`` -- [n k]_λ, connecting ⟨x⟩_n to the deformed rising
   factorials, by [n k] = [n-1,k-1] + ((n-1)-kλ)[n-1,k].
 * ``stirling1_deg`` -- S_{1,λ}(n,k) = (-1)^{n-k}[n k]_λ, the inverse of S₂.
 * ``bernoulli_deg`` -- β_{n,λ}, the coefficients of t/(e_λ(t)-1), by the
-  recurrence that the product (t/(e_λ(t)-1))·((e_λ(t)-1)/t) = 1 gives.
-* ``bell_deg`` -- Bel_{n,λ}(x) = Σ_k S_{2,λ}(n,k)x^k, plus the
+  recurrence that the product (t/(e_λ(t)-1))·((e_λ(t)-1)/t) = 1 gives;
+  ``bernoulli_gf`` is that generating function as a series reciprocal.
+* ``bell_deg`` -- Bel_{n,λ}(x) = Σ_k S_{2,λ}(n,k)x^k, and ``bell_gf``, its
+  generating function e^{x(e_λ(t)-1)} by ``series_exp``; plus the certified
   Dobinski-style numeric evaluator and the e-unit values S_{n,λ}.
 
 Each table has one route: rows are stepped on integer λ-coefficient lists
 (β over one denominator per n) and each entry becomes a LambdaPoly once.
 Indices above ``MAX_INDEX`` raise ValueError before anything is built.
-``basis_expand`` and ``stirling2_alt_sum`` are independent second routes
-for the identity harness and the tests.
+``basis_expand`` (given a basis builder such as ``falling_classical``) and
+``stirling2_alt_sum`` are independent second routes for the identity
+harness and the tests; the factorial bases never share the tables' code.
 
 At λ = 0 every family collapses to its classical counterpart; the classical
 values are exposed only through that evaluation, never as separate code.
@@ -26,12 +31,12 @@ values are exposed only through that evaluation, never as separate code.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
+from typing import Callable
 
 from .core import (
     LP_LAMBDA,
@@ -44,7 +49,7 @@ from .core import (
     ScalarLike,
     XPoly,
 )
-from .series import Series, e_lambda_series, series_recip_unit
+from .series import Series, e_lambda_series, series_exp, series_recip_unit
 
 
 def _require_nonneg(n: int, what: str) -> None:
@@ -56,40 +61,36 @@ def _require_nonneg(n: int, what: str) -> None:
 # Factorial families
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+_FACTORIALS: dict[LambdaPoly, list[XPoly]] = {}
+
+
+def _factorial(shift: LambdaPoly, n: int) -> XPoly:
+    """P(n) = P(n-1)·(x + (n-1)·shift), P(0) = 1, from a growing list per shift."""
+    _require_nonneg(n, "factorial index")
+    built = _FACTORIALS.setdefault(shift, [XP_ONE])
+    while len(built) <= n:
+        built.append(built[-1] * (XP_X + shift * (len(built) - 1)))
+    return built[n]
+
+
 def falling_deg(n: int) -> XPoly:
     """(x)_{n,λ} = x(x-λ)(x-2λ)···(x-(n-1)λ) as an XPoly, monic of degree n."""
-    _require_nonneg(n, "factorial index")
-    if n == 0:
-        return XP_ONE
-    return falling_deg(n - 1) * (XP_X - XPoly.const(LP_LAMBDA * (n - 1)))
+    return _factorial(-LP_LAMBDA, n)
 
 
-@lru_cache(maxsize=None)
 def rising_deg(n: int) -> XPoly:
     """⟨x⟩_{n,λ} = x(x+λ)(x+2λ)···(x+(n-1)λ) as an XPoly."""
-    _require_nonneg(n, "factorial index")
-    if n == 0:
-        return XP_ONE
-    return rising_deg(n - 1) * (XP_X + XPoly.const(LP_LAMBDA * (n - 1)))
+    return _factorial(LP_LAMBDA, n)
 
 
-@lru_cache(maxsize=None)
 def falling_classical(n: int) -> XPoly:
     """(x)_n = x(x-1)···(x-n+1)."""
-    _require_nonneg(n, "factorial index")
-    if n == 0:
-        return XP_ONE
-    return falling_classical(n - 1) * (XP_X - (n - 1))
+    return _factorial(-LP_ONE, n)
 
 
-@lru_cache(maxsize=None)
 def rising_classical(n: int) -> XPoly:
     """⟨x⟩_n = x(x+1)···(x+n-1)."""
-    _require_nonneg(n, "factorial index")
-    if n == 0:
-        return XP_ONE
-    return rising_classical(n - 1) * (XP_X + (n - 1))
+    return _factorial(LP_ONE, n)
 
 
 def falling_deg_at(w: LambdaLike, n: int) -> LambdaPoly:
@@ -111,29 +112,10 @@ def falling_classical_int(r: int, k: int) -> int:
     return acc
 
 
-class FactorialBasisId(enum.Enum):
-    """The four degree-graded monic bases used for coefficient extraction."""
+def basis_expand(p: XPoly, element: Callable[[int], XPoly]) -> list[LambdaPoly]:
+    """Coefficients c_0..c_d with p = Σ c_k·element(k).
 
-    FALLING_CLASSICAL = "falling-classical"
-    FALLING_DEGENERATE = "falling-degenerate"
-    RISING_CLASSICAL = "rising-classical"
-    RISING_DEGENERATE = "rising-degenerate"
-
-    def element(self, k: int) -> XPoly:
-        return _BASIS_ELEMENT[self](k)
-
-
-_BASIS_ELEMENT = {
-    FactorialBasisId.FALLING_CLASSICAL: falling_classical,
-    FactorialBasisId.FALLING_DEGENERATE: falling_deg,
-    FactorialBasisId.RISING_CLASSICAL: rising_classical,
-    FactorialBasisId.RISING_DEGENERATE: rising_deg,
-}
-
-
-def basis_expand(p: XPoly, basis: FactorialBasisId) -> list[LambdaPoly]:
-    """Coefficients c_0..c_d with p = Σ c_k·basis_k(x).
-
+    ``element`` is a basis builder such as ``falling_classical``.
     Descending-degree elimination: every basis element is monic of its
     degree, so the top coefficient of the remainder is read off directly
     and one subtraction strictly lowers the degree.  Exact for any p.
@@ -146,7 +128,7 @@ def basis_expand(p: XPoly, basis: FactorialBasisId) -> list[LambdaPoly]:
             coeffs.append(LP_ZERO)
         top = rem.coeff(d)
         coeffs[d] = top
-        rem = rem - basis.element(d) * XPoly.const(top)
+        rem = rem - element(d) * XPoly.const(top)
         if not rem.is_zero and rem.degree >= d:
             raise AssertionError("basis elimination failed to reduce degree")
     return coeffs
@@ -276,14 +258,20 @@ def bernoulli_gf(order: int) -> Series:
     return series_recip_unit((e - Series.one(order + 1)).div_t())
 
 
+@lru_cache(maxsize=None)
+def bell_gf(order: int) -> Series:
+    """e^{x(e_λ(t)-1)} truncated at the given order, with symbolic x.
+
+    Built as ``series_exp`` of x·(e_λ(t)-1) and memoised per order; its
+    t^n/n! coefficient is Bel_{n,λ}(x).
+    """
+    e = e_lambda_series(1, order)
+    return series_exp((e - Series.one(order)).scale(XP_X))
+
+
 def bell_deg(n: int) -> XPoly:
     """Bel_{n,λ}(x) = Σ_k S_{2,λ}(n,k)·x^k."""
     return XPoly(_STIRLING2.row(n))
-
-
-def bell_poly(n: int) -> XPoly:
-    """Alias of :func:`bell_deg`."""
-    return bell_deg(n)
 
 
 @dataclass(frozen=True)
@@ -320,6 +308,11 @@ def bell_dobinski_numeric(n: int, x: float, lam: float, terms: int) -> float:
     and rounded exactly once at the end — at n = 10, x = 2 the target is
     ≈ 4.4·10⁶, where 1e-9 is only a couple of ULPs, so any intermediate
     float rounding would eat the whole error budget.
+
+    Before that rounding the value is within 1e-9 of Bel_{n,λ}(x), or
+    ValueError is raised: e^{-x} is a Maclaurin sum of at least
+    max(terms, 40) terms, longer where x needs it, and both omitted tails
+    are bounded, each by half of 1e-9.
     """
     _require_nonneg(n, "index")
     if terms < 1:
@@ -330,6 +323,8 @@ def bell_dobinski_numeric(n: int, x: float, lam: float, terms: int) -> float:
     if xq <= 0:
         raise ValueError(f"x must be positive, got {x}")
     lamq = Fraction(lam)
+    half = Fraction(1, 2 * 10**9)
+    refusal = f"{terms} Dobinski terms cannot certify 1e-9 at x = {x}; use more terms"
 
     total = Fraction(0)
     x_pow = Fraction(1)  # x^k / k!, updated incrementally
@@ -340,12 +335,20 @@ def bell_dobinski_numeric(n: int, x: float, lam: float, terms: int) -> float:
         for i in range(n):
             fall *= k - i * lamq
         total += fall * x_pow
-    # e^{-x} by Maclaurin, far past the point where terms vanish at this scale
-    j_max = max(terms, 40)
-    exp_neg = Fraction(0)
-    term = Fraction(1)
-    for j in range(j_max):
-        if j:
-            term = term * (-xq) / j
+    # |(k)_{n,λ}|x^k/k! ≤ a_k = (k + n|λ|)^n·x^k/k!, and a_{k+1}/a_k falls as k
+    # grows, so Σ_{k≥terms} a_k ≤ a_terms/(1 - r) with r = a_{terms+1}/a_terms.
+    shift = n * abs(lamq)
+    ratio = ((terms + 1 + shift) / (terms + shift)) ** n * xq / (terms + 1)
+    if ratio >= 1:
+        raise ValueError(refusal)
+    sum_tail = (terms + shift) ** n * x_pow * xq / terms / (1 - ratio)
+    # e^{-x} by Maclaurin: once j + 1 > x the terms t_j = (-x)^j/j! alternate
+    # and shrink, so the omitted tail is at most |t_j|.
+    exp_neg, term, j = Fraction(0), Fraction(1), 0
+    while j < max(terms, 40) or j + 1 <= xq or abs(term * total) > half:
         exp_neg += term
+        j += 1
+        term = term * (-xq) / j
+    if (exp_neg + abs(term)) * sum_tail > half:
+        raise ValueError(refusal)
     return float(total * exp_neg)

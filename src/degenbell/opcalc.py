@@ -26,8 +26,6 @@ from typing import Iterable
 from .core import LambdaLike, LambdaPoly, ScalarLike, XPoly, lambda_poly_pretty
 from .numbers import EUnitScalar, falling_classical_int, stirling2_deg
 
-_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class ExpTerm:

@@ -151,12 +151,6 @@ class Series:
 
     # -- substitutions ------------------------------------------------
 
-    def subs_x(self, x0) -> "Series":
-        """Evaluate the coefficients at a rational x, keeping λ symbolic."""
-        return Series(
-            tuple(XPoly.const(c.eval_x(x0)) for c in self.coeffs), order=self.order
-        )
-
     def subs_lambda(self, lam) -> "Series":
         """Evaluate λ in every coefficient, keeping x symbolic."""
         return Series(
@@ -354,23 +348,6 @@ def binomial_power_series(
         s_pow = s_pow * s
         out.append(binom * s_pow)
     return Series(out, order=order)
-
-
-def xpoly_at_series(p: XPoly, s: Series) -> Series:
-    """Substitute the series s for x in a polynomial: Σ_j p_j(λ)·s^j.
-
-    Unlike composition, s may have a nonzero constant term — a polynomial
-    needs no convergence.  Used to form Bel_{n,λ}(a·e_λ(t)).
-    """
-    order = s.order
-    acc = Series.zero(order)
-    power = Series.one(order)
-    for j, pj in enumerate(p.coeffs):
-        if j > 0:
-            power = series_mul(power, s)
-        if not pj.is_zero:
-            acc = acc + power.scale(XPoly.const(pj))
-    return acc
 
 
 # ----------------------------------------------------------------------

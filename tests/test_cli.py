@@ -3,11 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
+import degenbell
 import degenbell.cli as climod
 from degenbell.cli import main
 from degenbell.core import (
@@ -165,6 +169,27 @@ def test_eval_dobinski_json_field(runner):
     assert abs(payload["dobinski"] - float(parse_rational(payload["value"]))) < 1e-9
 
 
+def test_eval_dobinski_certifies_large_x(runner):
+    result = invoke(
+        runner, "eval", "3", "--x", "30", "--lambda", "0", "--dobinski-terms", "200"
+    )
+    assert result.exit_code == 0
+    exact, approx = result.output.splitlines()
+    assert exact == "29730"
+    assert abs(float(approx.split("≈")[1]) - 29730) < 1e-9
+
+
+def test_eval_dobinski_refuses_too_few_terms_with_one_line(runner):
+    for terms in ("10", "80"):
+        result = invoke(
+            runner, "eval", "3", "--x", "30", "--lambda", "0", "--dobinski-terms", terms
+        )
+        assert result.exit_code == 2
+        assert result.output == (
+            f"Error: {terms} Dobinski terms cannot certify 1e-9 at x = 30; use more terms\n"
+        )
+
+
 def test_eval_rejects_bad_input(runner):
     assert invoke(runner, "eval", "2", "--x", "1", "--lambda", "0.5").exit_code == 2
     assert invoke(runner, "eval", "-3", "--lambda", "1/2").exit_code == 2
@@ -293,17 +318,32 @@ def test_bad_env_cap_is_a_usage_error(runner):
 # determinism
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ("table", "stirling2", "--n-max", "6", "--format", "csv"),
-        ("table", "bell", "--n-max", "6", "--format", "json"),
-        ("eval", "7", "--x", "2/3", "--lambda", "1/5", "--format", "json"),
-        ("verify", "eq43", "--n-max", "5", "--format", "json"),
-        ("series", "bellgf", "--order", "6", "--format", "csv"),
-    ],
-)
+REPEATED_ARGS = [
+    ("table", "stirling2", "--n-max", "6", "--format", "csv"),
+    ("table", "bell", "--n-max", "6", "--format", "json"),
+    ("eval", "7", "--x", "2/3", "--lambda", "1/5", "--format", "json"),
+    ("verify", "eq43", "--n-max", "5", "--format", "json"),
+    ("series", "bellgf", "--order", "6", "--format", "csv"),
+]
+
+
+@pytest.mark.parametrize("args", REPEATED_ARGS)
 def test_repeated_runs_are_byte_identical(runner, args):
     first = invoke(runner, *args).output
     second = invoke(runner, *args).output
     assert first == second
+
+
+@pytest.mark.parametrize("args", REPEATED_ARGS)
+def test_output_does_not_depend_on_the_hash_seed(args):
+    src = os.path.dirname(os.path.dirname(degenbell.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path, PYTHONIOENCODING="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "degenbell.cli", *args],
+            env=env, capture_output=True, timeout=120, check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

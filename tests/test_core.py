@@ -17,17 +17,13 @@ from degenbell.core import (
     format_rational,
     from_nested_lists,
     lambda_poly_from_ascii,
-    lambda_poly_from_str,
     lambda_poly_pretty,
     lambda_poly_to_ascii,
-    lambda_poly_to_str,
     parse_rational,
     to_nested_lists,
     xpoly_from_ascii,
-    xpoly_from_str,
     xpoly_pretty,
     xpoly_to_ascii,
-    xpoly_to_str,
 )
 
 from oracles import poly_mul_2d
@@ -147,16 +143,6 @@ def test_xpoly_scale_lambda_is_substitution(p, c, x0, lam):
 # Text forms
 # ----------------------------------------------------------------------
 
-@given(lpolys)
-def test_lambda_poly_str_round_trip(p):
-    assert lambda_poly_from_str(lambda_poly_to_str(p)) == p
-
-
-@given(xpolys)
-def test_xpoly_str_round_trip(p):
-    assert xpoly_from_str(xpoly_to_str(p)) == p
-
-
 @given(xpolys)
 def test_nested_list_round_trip(p):
     assert from_nested_lists(to_nested_lists(p)) == p
@@ -206,8 +192,6 @@ PARSERS = (
     parse_rational,
     lambda_poly_from_ascii,
     xpoly_from_ascii,
-    lambda_poly_from_str,
-    xpoly_from_str,
 )
 # Text drawn from the parsers' own alphabet reaches deep into the grammar;
 # arbitrary unicode covers the rest.

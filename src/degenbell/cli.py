@@ -269,7 +269,7 @@ def verify_cmd(identity: str, n_max: int, order: int | None, fmt: str) -> None:
         else:
             reports = [verify(identity, n_max, order)]
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise _refuse(str(exc))
 
     if fmt == "csv":
         w = _csv_writer()

@@ -16,6 +16,12 @@ once.  The zero polynomial is the empty coefficient sequence; nonzero
 polynomials never store a trailing zero coefficient, which makes equality
 structural.
 
+Products of λ-polynomials, x-polynomials and series (``series_mul``) run
+on integer numerators: each operand is brought over one common
+denominator, the numerators are convolved as plain ints, and each output
+coefficient becomes one reduced Fraction.  Sums, scalar multiples and
+evaluation work on the Fractions directly.
+
 Two text forms round-trip exactly: the ASCII expressions of csv and json
 cells (``*_to_ascii`` / ``*_from_ascii``) and the nested lists of the series
 JSON schema and ``repr`` (``to_nested_lists`` / ``from_nested_lists``).  The
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -33,6 +40,8 @@ Rational = Fraction
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 ScalarLike = Union[int, Fraction]
+
+_ZERO = Fraction(0)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -61,6 +70,46 @@ def _as_fraction(value: ScalarLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
+
+
+# -- the integer product kernel ---------------------------------------
+
+def _cells(coeffs: Sequence[Fraction], offset: int) -> list[tuple[int, int, int]]:
+    """(index, numerator, denominator) cells of λ-coefficients placed from ``offset``."""
+    return [(offset + i, c.numerator, c.denominator) for i, c in enumerate(coeffs)]
+
+
+def _product(a: list, b: list, size: int, stride: int) -> list["LambdaPoly"]:
+    """Exact product of two operands packed as cells, cut to ``size`` indices.
+
+    The cells of each operand are in increasing index order.  Each operand's
+    coefficients are brought to integer numerators over its one common
+    denominator, the numerators are convolved as plain ints, and each output
+    coefficient becomes one reduced Fraction over the product of the two
+    denominators.  Returns one LambdaPoly per ``stride`` indices.
+    """
+    da = lcm(*[q for _, _, q in a])
+    db = lcm(*[q for _, _, q in b])
+    na = [(i, p * (da // q)) for i, p, q in a if p]
+    nb = [(j, p * (db // q)) for j, p, q in b if p]
+    out = [0] * size
+    for i, x in na:
+        for j, y in nb:
+            k = i + j
+            if k >= size:
+                break
+            out[k] += x * y
+    d = da * db
+    polys = []
+    for start in range(0, size, stride):
+        block = out[start : start + stride]
+        while block and not block[-1]:
+            block.pop()
+        # Reduced and stripped already: skip the normalising constructor.
+        poly = object.__new__(LambdaPoly)
+        object.__setattr__(poly, "coeffs", tuple([Fraction(c, d) if c else _ZERO for c in block]))
+        polys.append(poly)
+    return polys
 
 
 class LambdaPoly:
@@ -154,13 +203,8 @@ class LambdaPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return LP_ZERO
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] += x * y
-        return LambdaPoly(out)
+        size = len(a) + len(b) - 1
+        return _product(_cells(a, 0), _cells(b, 0), size, size)[0]
 
     __rmul__ = __mul__
 
@@ -305,13 +349,7 @@ class XPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return XP_ZERO
-        out = [LP_ZERO] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if not x.is_zero:
-                for j, y in enumerate(b):
-                    if not y.is_zero:
-                        out[i + j] = out[i + j] + x * y
-        return XPoly(out)
+        return _xpoly_products((self,), (other,), 1)[0]
 
     __rmul__ = __mul__
 
@@ -376,6 +414,36 @@ XLike = Union[XPoly, LambdaPoly, int, Fraction]
 XP_ZERO = XPoly(())
 XP_ONE = XPoly((LP_ONE,))
 XP_X = XPoly((LP_ZERO, LP_ONE))
+
+
+def _xpoly_products(a: Sequence[XPoly], b: Sequence[XPoly], count: int) -> list[XPoly]:
+    """Σ_{i+j=n} a[i]·b[j] for n = 0 … count-1: the truncated Cauchy product.
+
+    One kernel call for the whole product.  Term t^n·x^r·λ^i of an operand
+    is packed at index n·block + r·stride + i, where stride and
+    block/stride are the λ- and x-widths of the product, so packed indices
+    add exactly as the exponents do and no term spills into another block.
+    """
+    a, b = a[:count], b[:count]
+    wa = _width(p.coeffs for q in a for p in q.coeffs)
+    wb = _width(p.coeffs for q in b for p in q.coeffs)
+    if not wa or not wb:
+        return [XP_ZERO] * count
+    stride = wa + wb - 1
+    rows = _width(q.coeffs for q in a) + _width(q.coeffs for q in b) - 1
+    block = rows * stride
+    cells_a, cells_b = [], []
+    for cells, operand in ((cells_a, a), (cells_b, b)):
+        for n, q in enumerate(operand):
+            for r, p in enumerate(q.coeffs):
+                cells += _cells(p.coeffs, n * block + r * stride)
+    polys = _product(cells_a, cells_b, count * block, stride)
+    return [XPoly(polys[n * rows : (n + 1) * rows]) for n in range(count)]
+
+
+def _width(tuples: Iterable[tuple]) -> int:
+    """The longest of ``tuples`` (0 if there are none)."""
+    return max(map(len, tuples), default=0)
 
 
 # -- nested-list form: the series JSON coefficients and reprs ----

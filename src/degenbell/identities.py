@@ -173,6 +173,7 @@ class FamilyTables:
         self._overrides = dict(stirling2_overrides or {})
         self._bell: dict[int, XPoly] = {}
         self._bell_neg: dict[int, XPoly] = {}
+        self._bell_at_one: dict[int, LambdaPoly] = {}
 
     @classmethod
     def with_bump(cls, n: int, k: int, delta: int = 1) -> "FamilyTables":
@@ -192,7 +193,10 @@ class FamilyTables:
         return self._bell[n]
 
     def bell_at_one(self, n: int) -> LambdaPoly:
-        return self.bell(n).eval_x(1)
+        """Bel_{n,λ}(1)."""
+        if n not in self._bell_at_one:
+            self._bell_at_one[n] = self.bell(n).eval_x(1)
+        return self._bell_at_one[n]
 
     def bell_neg(self, n: int) -> XPoly:
         """Bel_{n,λ}(-x)."""
@@ -395,22 +399,23 @@ def _check_thm11_exp(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
     return grid, None
 
 
-def _tele(j: int, m: int, s: int) -> LambdaPoly:
-    """Π_{i=m}^{m+s-1}(j - iλ): the telescoped (j)_{m+s,λ}/(j)_{m,λ}.
+def _tele(j: int, m: int, s_max: int) -> list[LambdaPoly]:
+    """[Π_{i=m}^{m+s-1}(j - iλ) for s = 0 … s_max]: the telescoped (j)_{m+s,λ}/(j)_{m,λ}.
 
     Kept as a product on purpose — an actual division would be undefined
     at the j = iλ roots even though the quotient is a polynomial.
     """
-    acc = LP_ONE
-    for i in range(m, m + s):
-        acc = acc * LambdaPoly((j, -i))
-    return acc
+    out = [LP_ONE]
+    for i in range(m, m + s_max):
+        out.append(out[-1] * LambdaPoly((j, -i)))
+    return out
 
 
 def _check_thm12(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
     cap = min(n_max, DOUBLE_INDEX_CAP)
     grid = f"m,n=0..{cap} (symbolic x)"
     for m in range(cap + 1):
+        tele = [_tele(j, m, cap) for j in range(m + 1)]
         for n in range(cap + 1):
             lhs = tb.bell(n + m)
             rhs = XP_ZERO
@@ -420,7 +425,7 @@ def _check_thm12(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
                     continue
                 inner = XP_ZERO
                 for k in range(n + 1):
-                    inner = inner + tb.bell(k) * (_tele(j, m, n - k) * comb(n, k))
+                    inner = inner + tb.bell(k) * (tele[j][n - k] * comb(n, k))
                 rhs = rhs + XPoly.monomial(j, s2) * inner
             if lhs != rhs:
                 return grid, _ce({"m": m, "n": n}, lhs, rhs)
@@ -430,6 +435,7 @@ def _check_thm12(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
 def _check_thm12_x1(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
     grid = f"m,n=0..{n_max} (x=1)"
     for m in range(n_max + 1):
+        tele = [_tele(j, m, n_max) for j in range(m + 1)]
         for n in range(n_max + 1):
             lhs = tb.bell_at_one(n + m)
             rhs = LP_ZERO
@@ -438,7 +444,7 @@ def _check_thm12_x1(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
                 if s2.is_zero:
                     continue
                 for k in range(n + 1):
-                    rhs = rhs + s2 * tb.bell_at_one(k) * (_tele(j, m, n - k) * comb(n, k))
+                    rhs = rhs + s2 * tb.bell_at_one(k) * (tele[j][n - k] * comb(n, k))
             if lhs != rhs:
                 return grid, _ce({"m": m, "n": n}, lhs, rhs)
     return grid, None

@@ -33,6 +33,7 @@ from .core import (
     LambdaPoly,
     XLike,
     XPoly,
+    _xpoly_products,
     from_nested_lists,
     to_nested_lists,
 )
@@ -202,16 +203,7 @@ class Series:
 def series_mul(a: Series, b: Series) -> Series:
     """Cauchy product truncated to the smaller order."""
     n = min(a.order, b.order)
-    out = [XP_ZERO] * (n + 1)
-    for i in range(n + 1):
-        ai = a.coeffs[i]
-        if ai.is_zero:
-            continue
-        for j in range(n + 1 - i):
-            bj = b.coeffs[j]
-            if not bj.is_zero:
-                out[i + j] = out[i + j] + ai * bj
-    return Series(out, order=n)
+    return Series(_xpoly_products(a.coeffs, b.coeffs, n + 1), order=n)
 
 
 def series_pow(a: Series, k: int) -> Series:

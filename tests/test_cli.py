@@ -19,7 +19,7 @@ from degenbell.core import (
     parse_rational,
     xpoly_from_ascii,
 )
-from degenbell.identities import FamilyTables
+from degenbell.identities import CATALOG, FamilyTables
 from degenbell.numbers import (
     MAX_INDEX,
     bell_deg,
@@ -107,12 +107,16 @@ def test_table_rejects_unknown_family_and_float_lambda(runner):
     assert invoke(runner, "table", "bell", "--n-max", "-1").exit_code == 2
 
 
-def test_indices_above_the_limit_exit_2_with_one_line(runner):
+def test_refusals_exit_2_with_one_line(runner):
     n, half = MAX_INDEX + 1, MAX_INDEX // 2
     for args, message in (
         (("table", "stirling2", "--n-max", n), f"--n-max {n} exceeds the limit {MAX_INDEX}"),
         (("eval", n, "--lambda", "0"), f"N {n} exceeds the limit {MAX_INDEX}"),
         (("verify", "all", "--n-max", half + 1), f"--n-max {half + 1} exceeds the limit {half}"),
+        (("verify", "lemma1", "--n-max", 6, "--order", 3),
+         "order must be ≥ n_max + 2 for series-based identities, got 3"),
+        (("verify", "nope", "--n-max", 2),
+         f"unknown identity 'nope'; valid keys: {', '.join(CATALOG)}"),
     ):
         result = invoke(runner, *map(str, args))
         assert result.exit_code == 2

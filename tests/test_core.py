@@ -2,12 +2,14 @@
 exact polynomial layer."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenbell.core import (
+    LP_LAMBDA,
     LP_ONE,
     LP_ZERO,
     XP_X,
@@ -26,7 +28,7 @@ from degenbell.core import (
     xpoly_to_ascii,
 )
 
-from oracles import poly_mul_2d
+from oracles import pmul, poly_mul_2d
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 lpolys = st.lists(rationals, max_size=5).map(LambdaPoly)
@@ -79,6 +81,46 @@ def test_lambda_poly_is_immutable():
     p = LambdaPoly((1, 2))
     with pytest.raises(AttributeError):
         p.coeffs = (3,)
+
+
+# Denominators from 1 to 16! mixed within one polynomial, and zeros between
+# nonzero coefficients, so the common-denominator products see both.
+wide_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(
+        Fraction,
+        st.integers(-(10**20), 10**20),
+        st.one_of(st.integers(1, 16).map(factorial), st.integers(1, 60)),
+    ),
+)
+wide_lpolys = st.lists(wide_rationals, max_size=8).map(LambdaPoly)
+
+
+@given(wide_lpolys, wide_lpolys)
+def test_lambda_product_matches_oracle(p, q):
+    product = p * q
+    assert product.coeffs == pmul(p.coeffs, q.coeffs)
+    assert hash(product) == hash(LambdaPoly(pmul(p.coeffs, q.coeffs)))
+
+
+def test_products_that_cancel_store_canonical_coefficients():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    p = LambdaPoly((half, third))
+    q = LambdaPoly((2, Fraction(-3, 2)))
+    assert (p * q).coeffs == pmul(p.coeffs, q.coeffs) == (1, Fraction(-1, 12), -half)
+    one_plus, one_minus = LambdaPoly((1, 1)), LambdaPoly((1, -1))
+    assert (one_plus * one_minus).coeffs == (1, 0, -1)
+    # (x + λ)(x - λ) = x² - λ²: the x¹ coefficient cancels to the zero polynomial.
+    x_plus, x_minus = XPoly((LP_LAMBDA, LP_ONE)), XPoly((-LP_LAMBDA, LP_ONE))
+    product = x_plus * x_minus
+    assert [lp.coeffs for lp in product.coeffs] == [(0, 0, -1), (), (1,)]
+    assert hash(product) == hash(XPoly(((0, 0, -1), (), (1,))))
+    # (x/6 + λ/10)(x/6 - λ/10) = x²/36 - λ²/100, over the denominators 6 and 10.
+    p6 = XPoly((LambdaPoly((0, Fraction(1, 10))), Fraction(1, 6)))
+    q6 = XPoly((LambdaPoly((0, Fraction(-1, 10))), Fraction(1, 6)))
+    product = p6 * q6
+    assert [lp.coeffs for lp in product.coeffs] == [(0, 0, Fraction(-1, 100)), (), (Fraction(1, 36),)]
+    assert _as_2d(product) == poly_mul_2d(_as_2d(p6), _as_2d(q6))
 
 
 def test_trailing_zeros_are_normalized():

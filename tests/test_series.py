@@ -25,7 +25,7 @@ from degenbell.series import (
     series_to_json,
 )
 
-from oracles import cauchy, pstrip, revert_series
+from oracles import cauchy, conv_trunc, poly_mul_2d, pstrip, revert_series
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 scalar_series = st.lists(rationals, min_size=1, max_size=7).map(
@@ -53,6 +53,50 @@ def _scalars(s: Series) -> list[Fraction]:
 @given(scalar_series, scalar_series)
 def test_mul_matches_naive_cauchy(a, b):
     assert _scalars(series_mul(a, b)) == cauchy(_scalars(a), _scalars(b))
+
+
+lambda_coeffs = st.lists(rationals, max_size=4).map(pstrip)
+lambda_series = st.lists(lambda_coeffs, min_size=1, max_size=6)
+xpoly_coeffs = st.lists(st.lists(rationals, max_size=3), max_size=3).map(XPoly)
+xpoly_series = st.lists(xpoly_coeffs, min_size=1, max_size=5)
+
+
+@given(lambda_series, lambda_series)
+def test_mul_with_lambda_coefficients_matches_oracle(a, b):
+    order = min(len(a), len(b)) - 1
+    product = series_mul(
+        Series((XPoly.const(LambdaPoly(c)) for c in a), order=len(a) - 1),
+        Series((XPoly.const(LambdaPoly(c)) for c in b), order=len(b) - 1),
+    )
+    assert [c.coeff(0).coeffs for c in product.coeffs] == conv_trunc(a, b, order)
+
+
+def _as_2d(p: XPoly) -> dict:
+    return {(i, j): c for i, lp in enumerate(p.coeffs) for j, c in enumerate(lp.coeffs) if c}
+
+
+@given(xpoly_series, xpoly_series)
+def test_mul_with_x_coefficients_matches_oracle(a, b):
+    order = min(len(a), len(b)) - 1
+    expect = []
+    for n in range(order + 1):
+        acc: dict = {}
+        for i in range(n + 1):
+            for key, c in poly_mul_2d(_as_2d(a[i]), _as_2d(b[n - i])).items():
+                acc[key] = acc.get(key, 0) + c
+        expect.append({key: c for key, c in acc.items() if c})
+    product = series_mul(Series(a), Series(b))
+    assert product.order == order
+    assert [_as_2d(c) for c in product.coeffs] == expect
+
+
+def test_mul_cancellation_leaves_zero_coefficients():
+    # (1 + λt)(1 - λt) = 1 - λ²t²
+    plus = Series((1, LP_LAMBDA), order=2)
+    minus = Series((1, -LP_LAMBDA), order=2)
+    product = series_mul(plus, minus)
+    assert [[lp.coeffs for lp in c.coeffs] for c in product.coeffs] == [[(1,)], [], [(0, 0, -1)]]
+    assert hash(product) == hash(Series((1, 0, LambdaPoly((0, 0, -1))), order=2))
 
 
 @given(scalar_series, scalar_series, scalar_series)

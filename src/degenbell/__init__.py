@@ -11,6 +11,11 @@ than spot checks.  Public surface:
 * :mod:`degenbell.opcalc` -- the x^(1-λ)·d/dx operator calculus.
 * :mod:`degenbell.identities` -- the named-identity verification harness.
 * :mod:`degenbell.cli` -- the ``degenbell`` command-line tool.
+
+The package namespace re-exports the core types, ``Series`` and the family
+builders.  ``opcalc`` and ``identities`` are imported as submodules
+(``from degenbell.identities import verify``), so ``import degenbell`` and
+the ``table``, ``eval`` and ``series`` commands do not load them.
 """
 
 from .core import (
@@ -19,14 +24,6 @@ from .core import (
     XPoly,
     format_rational,
     parse_rational,
-)
-from .identities import (
-    Counterexample,
-    FamilyTables,
-    VerifyReport,
-    catalog_ids,
-    verify,
-    verify_all,
 )
 from .numbers import (
     bell_deg,
@@ -37,32 +34,22 @@ from .numbers import (
     stirling1_deg,
     stirling2_deg,
 )
-from .opcalc import ExpExpr, op_apply, op_power
 from .series import Series
 
 __all__ = [
-    "Counterexample",
-    "ExpExpr",
-    "FamilyTables",
     "LambdaPoly",
     "Rational",
     "Series",
-    "VerifyReport",
     "XPoly",
     "bell_deg",
     "bernoulli_deg",
     "bracket_deg",
-    "catalog_ids",
     "falling_deg",
     "format_rational",
-    "op_apply",
-    "op_power",
     "parse_rational",
     "rising_deg",
     "stirling1_deg",
     "stirling2_deg",
-    "verify",
-    "verify_all",
 ]
 
 __version__ = "0.1.0"

@@ -11,16 +11,14 @@ json cells use the ASCII expression forms from :mod:`degenbell.core`
 exactly), except ``series --format json`` which emits the series-engine
 JSON schema understood by :func:`degenbell.series.series_from_json`.
 
-The ``DEGENBELL_MAX_ORDER`` environment variable caps the *default*
-series order used by ``series`` and ``verify``; an explicit ``--order``
-always wins.
+Each command loads only what it uses: the identity harness (and with it
+the operator calculus) is imported inside ``verify``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -36,7 +34,6 @@ from .core import (
     xpoly_pretty,
     xpoly_to_ascii,
 )
-from .identities import DEFAULT_ORDER_MARGIN, verify, verify_all
 from .numbers import (
     MAX_INDEX,
     bell_deg,
@@ -105,20 +102,6 @@ def _require_index(n: int, what: str, limit: int = MAX_INDEX) -> None:
     """Exit 2 with one ``Error:`` line when n exceeds the limit."""
     if n > limit:
         raise _refuse(f"{what} {n} exceeds the limit {limit}")
-
-
-def _default_order(default: int, floor: int = 0) -> int:
-    """``default`` capped by DEGENBELL_MAX_ORDER, but never below ``floor``."""
-    raw = os.environ.get("DEGENBELL_MAX_ORDER")
-    if raw is None:
-        return default
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise click.UsageError(f"DEGENBELL_MAX_ORDER must be an integer, got {raw!r}")
-    if cap < 0:
-        raise click.UsageError(f"DEGENBELL_MAX_ORDER must be ≥ 0, got {cap}")
-    return max(min(default, cap), floor)
 
 
 def _csv_writer():
@@ -254,15 +237,14 @@ def eval_cmd(n: int, x: Rational, lam: Rational, dobinski_terms: int | None, fmt
 @click.option("--n-max", type=click.IntRange(min=1), default=6, show_default=True)
 @click.option("--order", type=click.IntRange(min=0), default=None,
               help="Series truncation order for series-based identities "
-                   "[default: n_max + 6, capped by DEGENBELL_MAX_ORDER].")
+                   "[default: n_max + 6].")
 @click.option("--format", "fmt", type=click.Choice(FORMATS), default="pretty",
               show_default=True)
 def verify_cmd(identity: str, n_max: int, order: int | None, fmt: str) -> None:
     """Check one catalog IDENTITY (or 'all') exactly over its grid."""
     _require_index(n_max, "--n-max", MAX_INDEX // 2)  # the grids read rows up to 2·n_max
-    if order is None:
-        # never clamp below the series-based precondition
-        order = _default_order(n_max + DEFAULT_ORDER_MARGIN, floor=n_max + 2)
+    from .identities import verify, verify_all  # only this command needs the harness
+
     try:
         if identity == "all":
             reports = verify_all(n_max, order)
@@ -323,19 +305,16 @@ def _pretty_series(s: Series) -> str:
 
 @main.command("series")
 @click.argument("which", type=click.Choice(list(SERIES)))
-@click.option("--order", type=click.IntRange(min=0), default=None,
-              help=f"Truncation order [default: {DEFAULT_ORDER}, "
-                   "capped by DEGENBELL_MAX_ORDER].")
+@click.option("--order", type=click.IntRange(min=0), default=DEFAULT_ORDER,
+              show_default=True, help="Truncation order.")
 @click.option("--format", "fmt", type=click.Choice(FORMATS), default="pretty",
               show_default=True)
-def series_cmd(which: str, order: int | None, fmt: str) -> None:
+def series_cmd(which: str, order: int, fmt: str) -> None:
     """Dump a truncated generating function.
 
     elam = e_λ(t); loglam = log_λ(1+t); bellgf = e^{x(e_λ(t)-1)};
     bernoulligf = t/(e_λ(t)-1).
     """
-    if order is None:
-        order = _default_order(DEFAULT_ORDER)
     s = SERIES[which](order)
     if fmt == "json":
         click.echo(series_to_json(s))

@@ -208,18 +208,6 @@ class LambdaPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LambdaPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = LP_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     # -- evaluation and calculus ---------------------------------------
 
     def eval(self, lam: ScalarLike) -> Fraction:
@@ -353,18 +341,6 @@ class XPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "XPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = XP_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     # -- evaluation and calculus --------------------------------------
 
     def eval(self, x0: ScalarLike, lam: ScalarLike) -> Fraction:
@@ -383,13 +359,6 @@ class XPoly:
             acc = acc * x0 + c
         return acc
 
-    def subst_x(self, inner: "XPoly") -> "XPoly":
-        """Substitute another polynomial for x (Horner composition)."""
-        acc = XP_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * inner + XPoly.const(c)
-        return acc
-
     def derivative(self) -> "XPoly":
         """Formal d/dx."""
         return XPoly(tuple(c * (j + 1) for j, c in enumerate(self.coeffs[1:], start=0)))
@@ -402,10 +371,6 @@ class XPoly:
         for j, c in enumerate(self.coeffs):
             out.append(c * Fraction(1, j + 1))
         return XPoly(out)
-
-    def scale_lambda(self, factor: ScalarLike) -> "XPoly":
-        """Substitute λ → factor·λ in every coefficient."""
-        return XPoly(tuple(c.scale_lambda(factor) for c in self.coeffs))
 
 
 CoeffLike = Union[LambdaPoly, int, Fraction]

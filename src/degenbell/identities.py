@@ -111,21 +111,6 @@ class VerifyReport:
         }
 
 
-def report_from_json_dict(data: dict) -> VerifyReport:
-    """Inverse of :meth:`VerifyReport.to_json_dict`."""
-    ce = data.get("counterexample")
-    return VerifyReport(
-        identity=data["identity"],
-        grid=data["grid"],
-        status=data["status"],
-        counterexample=(
-            None
-            if ce is None
-            else Counterexample(params=tuple(ce["params"]), lhs=ce["lhs"], rhs=ce["rhs"])
-        ),
-    )
-
-
 def _show(value) -> str:
     """Render any comparable object fully for a counterexample."""
     if isinstance(value, LambdaPoly):
@@ -518,7 +503,7 @@ def _check_eq23(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
     grid = f"n=0..{n_max} (x=1, e-units)"
     expr = ExpExpr.exp_x(1, 1)
     for n in range(n_max + 1):
-        lhs = eval_at_x1_in_e_units(expr).coeff
+        lhs = eval_at_x1_in_e_units(expr)
         rhs = tb.bell_at_one(n)
         if lhs != rhs:
             return grid, _ce({"n": n}, lhs, rhs)
@@ -731,10 +716,6 @@ SERIES_BASED: frozenset[str] = frozenset(
 )
 
 DEFAULT_ORDER_MARGIN = 6
-
-
-def catalog_ids() -> tuple[str, ...]:
-    return tuple(CATALOG)
 
 
 def verify(

@@ -16,7 +16,7 @@ Everything here is a polynomial identity in the deformation parameter λ:
   ``bernoulli_gf`` is that generating function as a series reciprocal.
 * ``bell_deg`` -- Bel_{n,λ}(x) = Σ_k S_{2,λ}(n,k)x^k, and ``bell_gf``, its
   generating function e^{x(e_λ(t)-1)} by ``series_exp``; plus the certified
-  Dobinski-style numeric evaluator and the e-unit values S_{n,λ}.
+  Dobinski-style numeric evaluator.
 
 Each table has one route: rows are stepped on integer λ-coefficient lists
 (β over one denominator per n) and each entry becomes a LambdaPoly once.
@@ -32,7 +32,6 @@ values are exposed only through that evaluation, never as separate code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
@@ -46,7 +45,6 @@ from .core import (
     XP_X,
     LambdaLike,
     LambdaPoly,
-    ScalarLike,
     XPoly,
 )
 from .series import Series, e_lambda_series, series_exp, series_recip_unit
@@ -272,32 +270,6 @@ def bell_gf(order: int) -> Series:
 def bell_deg(n: int) -> XPoly:
     """Bel_{n,λ}(x) = Σ_k S_{2,λ}(n,k)·x^k."""
     return XPoly(_STIRLING2.row(n))
-
-
-@dataclass(frozen=True)
-class EUnitScalar:
-    """An exact multiple of Euler's number: coeff·e, with e kept symbolic."""
-
-    coeff: LambdaPoly
-
-    def __add__(self, other: "EUnitScalar") -> "EUnitScalar":
-        return EUnitScalar(self.coeff + other.coeff)
-
-    def __sub__(self, other: "EUnitScalar") -> "EUnitScalar":
-        return EUnitScalar(self.coeff - other.coeff)
-
-    def scale(self, factor: LambdaLike) -> "EUnitScalar":
-        return EUnitScalar(self.coeff * LambdaPoly.coerce(factor))
-
-    def numeric(self, lam: ScalarLike) -> float:
-        """Display-time float value coeff(λ)·e; exactness ends here."""
-        return float(self.coeff.eval(lam)) * math.e
-
-
-def s_n_lambda(n: int) -> EUnitScalar:
-    """S_{n,λ} = e·Bel_{n,λ}(1), kept as an exact multiple of e."""
-    _require_nonneg(n, "index")
-    return EUnitScalar(bell_deg(n).eval_x(1))
 
 
 def bell_dobinski_numeric(n: int, x: float, lam: float, terms: int) -> float:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .core import LambdaLike, LambdaPoly, ScalarLike, XPoly, lambda_poly_pretty
-from .numbers import EUnitScalar, falling_classical_int, stirling2_deg
+from .numbers import falling_classical_int, stirling2_deg
 
 
 @dataclass(frozen=True)
@@ -299,14 +299,14 @@ def theorem11_apply_monomial(n: int, r: int) -> ExpExpr:
     return out
 
 
-def eval_at_x1_in_e_units(e: ExpExpr) -> EUnitScalar:
-    """Substitute x = 1 in a pure-e^x expression, returning (Σ coeffs)·e."""
+def eval_at_x1_in_e_units(e: ExpExpr) -> LambdaPoly:
+    """Substitute x = 1 in a pure-e^x expression, whose value is c·e; return c = Σ coeffs."""
     total = LambdaPoly(())
     for t in e.terms:
         if t.exp_coeff != 1 or t.exp_power != 1:
             raise ValueError("not a pure e^x expression")
         total = total + t.coeff
-    return EUnitScalar(total)
+    return total
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .core import (
     LP_LAMBDA,
@@ -152,16 +152,6 @@ class Series:
 
     # -- substitutions ------------------------------------------------
 
-    def subs_lambda(self, lam) -> "Series":
-        """Evaluate λ in every coefficient, keeping x symbolic."""
-        return Series(
-            tuple(
-                XPoly(tuple(LambdaPoly.const(lp.eval(lam)) for lp in c.coeffs))
-                for c in self.coeffs
-            ),
-            order=self.order,
-        )
-
     def scale_t(self, factor: LambdaLike) -> "Series":
         """Substitute t → factor·t (factor free of t and x)."""
         f = LambdaPoly.coerce(factor)
@@ -183,10 +173,6 @@ class Series:
             order=self.order - 1,
         )
 
-    def mul_t(self) -> "Series":
-        """Multiply by t; the order grows by one (no information is lost)."""
-        return Series((XP_ZERO,) + self.coeffs, order=self.order + 1)
-
     def div_t(self) -> "Series":
         """Divide by t; requires zero constant term, order drops by one."""
         if not self.coeffs[0].is_zero:
@@ -204,20 +190,6 @@ def series_mul(a: Series, b: Series) -> Series:
     """Cauchy product truncated to the smaller order."""
     n = min(a.order, b.order)
     return Series(_xpoly_products(a.coeffs, b.coeffs, n + 1), order=n)
-
-
-def series_pow(a: Series, k: int) -> Series:
-    """a^k by repeated multiplication (k ≥ 0)."""
-    if k < 0:
-        raise ValueError("negative series power; use series_recip_unit")
-    result = Series.one(a.order)
-    base = a
-    while k:
-        if k & 1:
-            result = series_mul(result, base)
-        base = series_mul(base, base) if k > 1 else base
-        k >>= 1
-    return result
 
 
 def _unit_constant(a: Series) -> Fraction:
@@ -355,7 +327,26 @@ def series_to_json(s: Series) -> str:
 
 
 def series_from_json(text: str) -> Series:
-    payload = json.loads(text)
-    order = payload["order"]
-    coeffs: Sequence = payload["coeffs"]
+    """Inverse of :func:`series_to_json`; a malformed payload raises ``ValueError``.
+
+    The payload must be an object with an integer ``order`` ≥ 0 and
+    ``coeffs``, exactly ``order + 1`` coefficients, each a list of lists of
+    rational strings (one inner list of λ-coefficients per x-power).
+    """
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("series JSON is nested too deeply") from None
+    if not isinstance(payload, dict):
+        raise ValueError("series JSON must be an object")
+    order, coeffs = payload.get("order"), payload.get("coeffs")
+    if type(order) is not int or order < 0:
+        raise ValueError(f"series order must be an integer ≥ 0, got {order!r}")
+    if not isinstance(coeffs, list) or len(coeffs) != order + 1:
+        raise ValueError(f"series of order {order} needs a list of {order + 1} coefficients")
+    for c in coeffs:
+        if not (isinstance(c, list) and all(
+            isinstance(row, list) and all(isinstance(s, str) for s in row) for row in c
+        )):
+            raise ValueError(f"series coefficient is not a list of lists of strings: {c!r}")
     return Series((from_nested_lists(c) for c in coeffs), order=order)

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import degenbell
-import degenbell.cli as climod
+from degenbell import identities
 from degenbell.cli import main
 from degenbell.core import (
     lambda_poly_from_ascii,
@@ -249,25 +249,25 @@ def test_verify_csv_and_json_agree(runner):
 
 
 def test_verify_failure_exits_1_with_counterexample(runner, monkeypatch):
-    real = climod.verify_all
+    real = identities.verify_all
 
     def broken(n_max, order):
         return real(n_max, order, FamilyTables.with_bump(3, 2))
 
-    monkeypatch.setattr(climod, "verify_all", broken)
+    monkeypatch.setattr(identities, "verify_all", broken)
     result = runner.invoke(main, ["verify", "all", "--n-max", "4"])
     assert result.exit_code == 1
     assert "FAIL" in result.output
     assert "lhs:" in result.output and "rhs:" in result.output
 
 
-def test_verify_respects_env_order_cap(runner):
-    result = invoke(
-        runner, "verify", "eq59", "--n-max", "4",
-        env={"DEGENBELL_MAX_ORDER": "6"},
-    )
+def test_default_orders(runner):
+    """series defaults to DEFAULT_ORDER; verify leaves the order to the harness's n_max + 6."""
+    out = invoke(runner, "series", "elam").output
+    assert "t¹⁶" in out and "t¹⁷" not in out
+    result = invoke(runner, "verify", "eq59", "--n-max", "4")
     assert result.exit_code == 0
-    assert "order 6" in result.output
+    assert "order 10" in result.output
 
 
 # ----------------------------------------------------------------------
@@ -300,22 +300,8 @@ def test_series_csv_round_trips(runner):
         assert xpoly_from_ascii(value) == gf.coeff(int(n_str))
 
 
-def test_series_env_cap_applies_to_default_order_only(runner):
-    capped = invoke(runner, "series", "elam", env={"DEGENBELL_MAX_ORDER": "4"})
-    assert "t⁴" in capped.output and "t⁵" not in capped.output
-    explicit = invoke(
-        runner, "series", "elam", "--order", "6", env={"DEGENBELL_MAX_ORDER": "4"}
-    )
-    assert "t⁶" in explicit.output
-
-
 def test_series_rejects_unknown_name(runner):
     assert invoke(runner, "series", "nosuch").exit_code == 2
-
-
-def test_bad_env_cap_is_a_usage_error(runner):
-    result = invoke(runner, "series", "elam", env={"DEGENBELL_MAX_ORDER": "many"})
-    assert result.exit_code == 2
 
 
 # ----------------------------------------------------------------------
@@ -338,16 +324,34 @@ def test_repeated_runs_are_byte_identical(runner, args):
     assert first == second
 
 
-@pytest.mark.parametrize("args", REPEATED_ARGS)
-def test_output_does_not_depend_on_the_hash_seed(args):
+def _subprocess_env(**extra: str) -> dict[str, str]:
+    """The environment for a child interpreter that imports this checkout's degenbell."""
     src = os.path.dirname(os.path.dirname(degenbell.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, PYTHONIOENCODING="utf-8", **extra)
+
+
+@pytest.mark.parametrize("args", REPEATED_ARGS)
+def test_output_does_not_depend_on_the_hash_seed(args):
     outputs = []
     for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path, PYTHONIOENCODING="utf-8")
         proc = subprocess.run(
             [sys.executable, "-m", "degenbell.cli", *args],
-            env=env, capture_output=True, timeout=120, check=True,
+            env=_subprocess_env(PYTHONHASHSEED=seed), capture_output=True, timeout=120,
+            check=True,
         )
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+def test_cli_import_leaves_the_harness_unloaded():
+    """Only ``verify`` needs the identity harness and the operator calculus."""
+    code = "import degenbell.cli, sys; print(*sorted(m for m in sys.modules if 'degenbell' in m))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120, check=True,
+    )
+    loaded = proc.stdout.split()
+    assert "degenbell.cli" in loaded
+    assert "degenbell.identities" not in loaded
+    assert "degenbell.opcalc" not in loaded

@@ -1,7 +1,6 @@
 """Number families against brute-force oracles and their own recurrences."""
 
 import inspect
-import math
 import sys
 from fractions import Fraction
 
@@ -13,7 +12,6 @@ from degenbell import numbers
 from degenbell.core import LP_ONE, LP_ZERO, LambdaPoly, XPoly
 from degenbell.numbers import (
     MAX_INDEX,
-    EUnitScalar,
     basis_expand,
     bell_deg,
     bell_dobinski_numeric,
@@ -26,7 +24,6 @@ from degenbell.numbers import (
     falling_deg_at,
     rising_classical,
     rising_deg,
-    s_n_lambda,
     stirling1_deg,
     stirling2_alt_sum,
     stirling2_deg,
@@ -270,16 +267,6 @@ def test_bell_coefficients_are_the_stirling_row():
 def test_bell_at_lambda_zero_counts_partitions():
     for n in range(9):
         assert bell_deg(n).eval(1, 0) == bell_count(n), n
-
-
-def test_bell_number_scalars_carry_the_e_unit():
-    s2 = s_n_lambda(2)
-    s3 = s_n_lambda(3)
-    assert s2.coeff == LambdaPoly((2, -1))
-    assert s3.coeff == LambdaPoly((5, -6, 2))
-    combined = (s2 + s3).scale(2)
-    assert combined.coeff == LambdaPoly((14, -14, 4))
-    assert s2.numeric(0) == pytest.approx(2 * math.e)
 
 
 def test_dobinski_converges_to_exact():

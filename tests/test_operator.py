@@ -104,7 +104,7 @@ def test_evaluation_at_one_in_e_units():
     expr = ExpExpr.exp_x(1, 1)
     values = []
     for n in range(5):
-        values.append(eval_at_x1_in_e_units(expr).coeff)
+        values.append(eval_at_x1_in_e_units(expr))
         expr = op_apply(expr)
     assert values[0] == LP_ONE
     assert values[2] == LambdaPoly((2, -1))

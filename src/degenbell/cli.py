@@ -26,6 +26,7 @@ import click
 
 from . import __version__
 from .core import (
+    PRETTY,
     Rational,
     format_rational,
     lambda_poly_pretty,
@@ -243,6 +244,8 @@ def eval_cmd(n: int, x: Rational, lam: Rational, dobinski_terms: int | None, fmt
 def verify_cmd(identity: str, n_max: int, order: int | None, fmt: str) -> None:
     """Check one catalog IDENTITY (or 'all') exactly over its grid."""
     _require_index(n_max, "--n-max", MAX_INDEX // 2)  # the grids read rows up to 2·n_max
+    if order is not None:
+        _require_index(order, "--order")  # the t^n/n! coefficient is row n of a family
     from .identities import verify, verify_all  # only this command needs the harness
 
     try:
@@ -295,10 +298,7 @@ def _pretty_series(s: Series) -> str:
         if n == 0:
             term = coeff_part.rstrip("·") or "1"
         else:
-            t_part = "t" if n == 1 else "t" + str(n).translate(
-                str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
-            )
-            term = f"{coeff_part}{t_part}" + ("" if n == 1 else f"/{n}!")
+            term = coeff_part + PRETTY.power("t", n) + ("" if n == 1 else f"/{n}!")
         parts.append(term)
     return " + ".join(parts) if parts else "0"
 
@@ -315,6 +315,7 @@ def series_cmd(which: str, order: int, fmt: str) -> None:
     elam = e_λ(t); loglam = log_λ(1+t); bellgf = e^{x(e_λ(t)-1)};
     bernoulligf = t/(e_λ(t)-1).
     """
+    _require_index(order, "--order")  # the t^n/n! coefficient is row n of a family
     s = SERIES[which](order)
     if fmt == "json":
         click.echo(series_to_json(s))

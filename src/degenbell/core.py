@@ -22,10 +22,15 @@ denominator, the numerators are convolved as plain ints, and each output
 coefficient becomes one reduced Fraction.  Sums, scalar multiples and
 evaluation work on the Fractions directly.
 
-Two text forms round-trip exactly: the ASCII expressions of csv and json
-cells (``*_to_ascii`` / ``*_from_ascii``) and the nested lists of the series
-JSON schema and ``repr`` (``to_nested_lists`` / ``from_nested_lists``).  The
-``*_pretty`` unicode renderings are for display only.
+Polynomials print in two notations by one renderer per type: the unicode
+display form (``*_pretty``, e.g. ``2λ² - (1/2)λ``) and the ASCII form of csv
+and json cells (``*_to_ascii``, e.g. ``2*lambda^2 - 1/2*lambda``).  A
+notation record gives the spelling of λ, of a power, of a fraction and of
+the coefficient–power product; everything else, term order and signs
+included, is shared.  Both ASCII parsers (``*_from_ascii``) read terms with
+one monomial grammar, ``c``, ``c*v^k`` or ``v^k``, and round-trip the ASCII
+form exactly.  The nested lists of the series JSON schema and ``repr``
+(``to_nested_lists`` / ``from_nested_lists``) round-trip too.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 Rational = Fraction
 
@@ -422,124 +427,96 @@ def from_nested_lists(data: Sequence[Sequence[str]]) -> XPoly:
     return XPoly(LambdaPoly(parse_rational(s) for s in row) for row in data)
 
 
-# -- human-readable rendering (display only, no round-trip contract) --
+# -- the two text forms: one renderer, two notations, one monomial grammar --
 
 _SUPERSCRIPTS = str.maketrans("0123456789-", "⁰¹²³⁴⁵⁶⁷⁸⁹⁻")
 
 
-def _power_str(var: str, exponent: int) -> str:
-    if exponent == 1:
-        return var
-    return var + str(exponent).translate(_SUPERSCRIPTS)
+class _Notation(NamedTuple):
+    """How one text form spells λ, a power, a non-integer scalar and c·v^k."""
+
+    lam: str
+    exponent: Callable[[int], str]
+    fraction: str
+    joiner: str
+
+    def power(self, var: str, k: int) -> str:
+        return var if k == 1 else var + self.exponent(k)
+
+    def scalar(self, c: Fraction) -> str:
+        return str(c) if c.denominator == 1 else self.fraction.format(c)
+
+    def term(self, c: Fraction, var: str, k: int) -> str:
+        """|c|·var^k, the unit coefficient of a power left out."""
+        mag = abs(c)
+        if k == 0:
+            return self.scalar(mag)
+        if mag == 1:
+            return self.power(var, k)
+        return self.scalar(mag) + self.joiner + self.power(var, k)
 
 
-def _coeff_prefix(c: Fraction) -> str:
-    if c == 1:
-        return ""
-    if c == -1:
-        return "-"
-    if c.denominator == 1:
-        return str(c)
-    return f"({c})"
+#: The unicode display form (``2λ² - (1/2)λ``) and the ASCII cell form
+#: (``2*lambda^2 - 1/2*lambda``), which parses back exactly.
+PRETTY = _Notation("λ", lambda k: str(k).translate(_SUPERSCRIPTS), "({})", "")
+_ASCII = _Notation("lambda", lambda k: f"^{k}", "{}", "*")
 
 
-def lambda_poly_pretty(p: LambdaPoly, var: str = "λ") -> str:
-    """Unicode display form, e.g. ``2λ² - 6λ + 5``.
+def _join(terms: Iterable[tuple[bool, str]]) -> str:
+    """Sign-joined ``(negative, body)`` terms: ``-a + b - c``, or ``0`` for none."""
+    text = ""
+    for negative, body in terms:
+        if text:
+            text += " - " if negative else " + "
+        elif negative:
+            text = "-"
+        text += body
+    return text or "0"
 
-    Powers are listed descending when the leading coefficient is positive
-    and ascending otherwise, so a polynomial never opens with a bare minus
-    (``1 - λ`` instead of ``-λ + 1``) — matching how such expressions are
-    conventionally written.
-    """
-    if p.is_zero:
-        return "0"
-    indices = range(len(p.coeffs) - 1, -1, -1) if p.coeffs[-1] > 0 else range(len(p.coeffs))
-    parts: list[str] = []
-    for i in indices:
-        c = p.coeffs[i]
-        if c == 0:
-            continue
-        if i == 0:
-            term = str(abs(c)) if c.denominator == 1 else f"({abs(c)})"
-        else:
-            prefix = _coeff_prefix(abs(c))
-            term = prefix + _power_str(var, i)
-        if not parts:
-            sign = "-" if c < 0 else ""
-            parts.append(sign + term)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + term)
-    return " ".join(parts)
+
+def _lambda_text(p: LambdaPoly, form: _Notation) -> str:
+    """Powers descend when the leading coefficient is positive and ascend
+    otherwise, so a polynomial never opens with a bare minus (``1 - λ``, not
+    ``-λ + 1``)."""
+    cs = p.coeffs
+    order = range(len(cs) - 1, -1, -1) if cs and cs[-1] > 0 else range(len(cs))
+    return _join((cs[i] < 0, form.term(cs[i], form.lam, i)) for i in order if cs[i])
+
+
+def _xpoly_text(p: XPoly, form: _Notation) -> str:
+    """Descending powers of x.  A scalar coefficient attaches directly; a
+    λ-polynomial one is parenthesized with its sign inside."""
+    terms = []
+    for j in range(len(p.coeffs) - 1, -1, -1):
+        c = p.coeffs[j]
+        if c.degree == 0:
+            terms.append((c.coeffs[0] < 0, form.term(c.coeffs[0], "x", j)))
+        elif c:
+            x = form.joiner + form.power("x", j) if j else ""
+            terms.append((False, f"({_lambda_text(c, form)}){x}"))
+    return _join(terms)
+
+
+def lambda_poly_pretty(p: LambdaPoly) -> str:
+    """Unicode display form, e.g. ``2λ² - 6λ + 5`` or ``1 - λ``."""
+    return _lambda_text(p, PRETTY)
 
 
 def xpoly_pretty(p: XPoly) -> str:
     """Unicode display form in x, e.g. ``x² + (1 - λ)x``."""
-    if p.is_zero:
-        return "0"
-    parts: list[str] = []
-    for j in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[j]
-        if c.is_zero:
-            continue
-        if c.degree == 0:
-            scalar = c.coeffs[0]
-            if j == 0:
-                term = str(abs(scalar)) if scalar.denominator == 1 else f"({abs(scalar)})"
-            else:
-                term = _coeff_prefix(abs(scalar)) + _power_str("x", j)
-            negative = scalar < 0
-        else:
-            body = lambda_poly_pretty(c)
-            term = f"({body})" + ("" if j == 0 else _power_str("x", j))
-            negative = False
-        if not parts:
-            parts.append(("-" if negative else "") + term)
-        else:
-            parts.append(("- " if negative else "+ ") + term)
-    return " ".join(parts)
-
-
-# ----------------------------------------------------------------------
-# ASCII expression forms (used in CSV/JSON cells; exact round-trip)
-# ----------------------------------------------------------------------
-
-def _ascii_power(var: str, exponent: int) -> str:
-    if exponent == 1:
-        return var
-    return f"{var}^{exponent}"
+    return _xpoly_text(p, PRETTY)
 
 
 def lambda_poly_to_ascii(p: LambdaPoly) -> str:
-    """Plain-ASCII form, e.g. ``2*lambda^2 - 6*lambda + 5``.
+    """Plain-ASCII form, e.g. ``2*lambda^2 - 6*lambda + 5``; the inverse,
+    :func:`lambda_poly_from_ascii`, accepts any term order."""
+    return _lambda_text(p, _ASCII)
 
-    Coefficients render as exact rationals and a unit coefficient before
-    ``lambda`` is omitted.  Term order follows the same rule as the pretty
-    renderer (descending powers unless that would open with a minus), and
-    the inverse, :func:`lambda_poly_from_ascii`, accepts any term order.
-    """
-    if p.is_zero:
-        return "0"
-    if p.coeffs[-1] > 0:
-        order = range(len(p.coeffs) - 1, -1, -1)
-    else:
-        order = range(len(p.coeffs))
-    parts: list[str] = []
-    for i in order:
-        c = p.coeffs[i]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
-        elif mag == 1:
-            body = _ascii_power("lambda", i)
-        else:
-            body = f"{mag}*{_ascii_power('lambda', i)}"
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(parts)
+
+def xpoly_to_ascii(p: XPoly) -> str:
+    """Plain-ASCII form in x, e.g. ``x^2 + (1 - lambda)*x``; the inverse is
+    :func:`xpoly_from_ascii`."""
+    return _xpoly_text(p, _ASCII)
 
 
 #: Largest exponent the ASCII parsers accept: they build a dense coefficient
@@ -554,10 +531,21 @@ def _ascii_exponent(digits: str | None, default: int) -> int:
     return power
 
 
-_ASCII_LAMBDA_TERM = re.compile(
-    r"(?:(?P<num>\d+(?:/\d+)?)(?:\*(?P<lam1>lambda(?:\^(?P<pow1>\d+))?))?"
-    r"|(?P<lam2>lambda(?:\^(?P<pow2>\d+))?))$"
-)
+#: One unsigned monomial in v: ``c``, ``c*v^k`` or ``v^k``, where c is p or p/q
+#: and ``^k`` may be left out; the ``*`` comes exactly when c precedes v.
+_MONOMIAL = {
+    v: re.compile(rf"(?=.)(?P<num>\d+(?:/\d+)?)?(?:(?(num)\*)(?P<var>{v})(?:\^(?P<pow>\d+))?)?")
+    for v in ("lambda", "x")
+}
+
+
+def _read_monomial(term: str, var: str) -> tuple[Fraction, int]:
+    """The (coefficient, power) of one unsigned monomial term in ``var``."""
+    m = _MONOMIAL[var].fullmatch(term)
+    if m is None:
+        raise ValueError(f"cannot parse term {term!r} as a monomial in {var}")
+    value = parse_rational(m["num"]) if m["num"] else Fraction(1)
+    return value, _ascii_exponent(m["pow"], 1 if m["var"] else 0)
 
 
 def lambda_poly_from_ascii(text: str) -> LambdaPoly:
@@ -567,58 +555,14 @@ def lambda_poly_from_ascii(text: str) -> LambdaPoly:
         raise ValueError("empty λ-polynomial expression")
     if s == "0":
         return LP_ZERO
-    s = s.replace(" - ", " + -")
     acc: dict[int, Fraction] = {}
-    for raw in s.split(" + "):
+    for raw in s.replace(" - ", " + -").split(" + "):
         term = raw.strip()
-        sign = 1
-        if term.startswith("-"):
-            sign = -1
-            term = term[1:].strip()
-        m = _ASCII_LAMBDA_TERM.fullmatch(term)
-        if m is None or (m.group("num") is None and m.group("lam2") is None):
-            raise ValueError(f"cannot parse λ-polynomial term {raw.strip()!r}")
-        value = parse_rational(m.group("num")) if m.group("num") else Fraction(1)
-        lam = m.group("lam1") or m.group("lam2")
-        power = _ascii_exponent(m.group("pow1") or m.group("pow2"), 1 if lam else 0)
-        acc[power] = acc.get(power, Fraction(0)) + sign * value
-    top = max(acc)
-    return LambdaPoly(tuple(acc.get(i, Fraction(0)) for i in range(top + 1)))
-
-
-def xpoly_to_ascii(p: XPoly) -> str:
-    """Plain-ASCII form in x, e.g. ``x^2 + (1 - lambda)*x``.
-
-    λ-polynomial coefficients are parenthesized with their sign inside;
-    scalar coefficients attach directly.  The inverse is
-    :func:`xpoly_from_ascii`.
-    """
-    if p.is_zero:
-        return "0"
-    parts: list[str] = []
-    for j in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[j]
-        if c.is_zero:
-            continue
-        if c.degree == 0:
-            scalar = c.coeffs[0]
-            mag = abs(scalar)
-            if j == 0:
-                body = str(mag)
-            elif mag == 1:
-                body = _ascii_power("x", j)
-            else:
-                body = f"{mag}*{_ascii_power('x', j)}"
-            negative = scalar < 0
-        else:
-            inner = lambda_poly_to_ascii(c)
-            body = f"({inner})" if j == 0 else f"({inner})*{_ascii_power('x', j)}"
-            negative = False
-        if not parts:
-            parts.append(("-" if negative else "") + body)
-        else:
-            parts.append(("- " if negative else "+ ") + body)
-    return " ".join(parts)
+        sign = -1 if term.startswith("-") else 1
+        term = term.removeprefix("-").strip()
+        value, power = _read_monomial(term, "lambda")
+        acc[power] = acc.get(power, _ZERO) + sign * value
+    return LambdaPoly(tuple(acc.get(i, _ZERO) for i in range(max(acc) + 1)))
 
 
 def _split_ascii_terms(s: str) -> list[tuple[int, str]]:
@@ -653,9 +597,6 @@ def _split_ascii_terms(s: str) -> list[tuple[int, str]]:
 
 
 _ASCII_X_PAREN = re.compile(r"\((?P<poly>[^()]*)\)(?:\*x(?:\^(?P<pow>\d+))?)?$")
-_ASCII_X_SCALAR = re.compile(
-    r"(?:(?P<num>\d+(?:/\d+)?)(?:\*x(?:\^(?P<powa>\d+))?)?|x(?:\^(?P<powb>\d+))?)$"
-)
 
 
 def xpoly_from_ascii(text: str) -> XPoly:
@@ -667,21 +608,12 @@ def xpoly_from_ascii(text: str) -> XPoly:
         return XP_ZERO
     acc: dict[int, LambdaPoly] = {}
     for sign, term in _split_ascii_terms(s):
-        if not term:
-            raise ValueError(f"cannot parse x-polynomial term in {text!r}")
         m = _ASCII_X_PAREN.fullmatch(term)
         if m is not None:
             coeff = lambda_poly_from_ascii(m.group("poly"))
             degree = _ascii_exponent(m.group("pow"), 1 if term.endswith("*x") else 0)
         else:
-            m = _ASCII_X_SCALAR.fullmatch(term)
-            if m is None or (m.group("num") is None and "x" not in term):
-                raise ValueError(f"cannot parse x-polynomial term {term!r}")
-            coeff = LambdaPoly.const(parse_rational(m.group("num")) if m.group("num") else 1)
-            x_term = ("x" in term and m.group("num") is None) or "*x" in term
-            degree = _ascii_exponent(m.group("powa") or m.group("powb"), 1 if x_term else 0)
-        if sign < 0:
-            coeff = -coeff
-        acc[degree] = acc.get(degree, LP_ZERO) + coeff
-    top = max(acc)
-    return XPoly(tuple(acc.get(j, LP_ZERO) for j in range(top + 1)))
+            value, degree = _read_monomial(term, "x")
+            coeff = LambdaPoly.const(value)
+        acc[degree] = acc.get(degree, LP_ZERO) + sign * coeff
+    return XPoly(tuple(acc.get(j, LP_ZERO) for j in range(max(acc) + 1)))

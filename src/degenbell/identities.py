@@ -53,7 +53,6 @@ from .opcalc import (
     op_apply,
     prop10_rhs,
     render,
-    theorem3_rhs,
     theorem11_apply_monomial,
 )
 from .series import (
@@ -492,7 +491,7 @@ def _check_eq17(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
     for a in A_GRID:
         expr = ExpExpr.exp_x(a, 1)
         for n in range(n_max + 1):
-            rhs = theorem3_rhs(n, a)
+            rhs = prop10_rhs(n, a, 1)
             if expr != rhs:
                 return grid, _ce({"n": n, "a": a}, expr, rhs)
             expr = op_apply(expr)

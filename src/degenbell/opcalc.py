@@ -239,29 +239,6 @@ def op_power(e: ExpExpr, n: int) -> ExpExpr:
     return e
 
 
-def theorem3_rhs(n: int, scale: ScalarLike) -> ExpExpr:
-    """Σ_k S_{2,λ}(n,k)·scale^k · x^(k - nλ) · e^(scale·x).
-
-    The closed form that n-fold application of the operator to e^(scale·x)
-    must reproduce: x^(-nλ)·Bel_{n,λ}(scale·x)·e^(scale·x).
-    """
-    if n < 0:
-        raise ValueError(f"power must be nonnegative, got {n}")
-    a = Fraction(scale)
-    if a == 0:
-        raise ValueError("degenerate exponential argument")
-    return ExpExpr(
-        _term(
-            stirling2_deg(n, k) * a**k,
-            x_int=k,
-            x_lam=-n,
-            exp_coeff=a,
-            exp_power=1,
-        )
-        for k in range(n + 1)
-    )
-
-
 def prop10_rhs(n: int, a: ScalarLike, p: int) -> ExpExpr:
     """p^n · Σ_k S_{2,λ/p}(n,k)·a^k · x^(pk - nλ) · e^(a·x^p)."""
     if n < 0:

@@ -117,6 +117,9 @@ def test_refusals_exit_2_with_one_line(runner):
          "order must be ≥ n_max + 2 for series-based identities, got 3"),
         (("verify", "nope", "--n-max", 2),
          f"unknown identity 'nope'; valid keys: {', '.join(CATALOG)}"),
+        (("series", "elam", "--order", n), f"--order {n} exceeds the limit {MAX_INDEX}"),
+        (("verify", "eq59", "--n-max", 2, "--order", n),
+         f"--order {n} exceeds the limit {MAX_INDEX}"),
     ):
         result = invoke(runner, *map(str, args))
         assert result.exit_code == 2

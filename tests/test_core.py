@@ -266,6 +266,30 @@ def test_pretty_rendering_examples():
     assert xpoly_pretty(XP_ZERO) == "0"
 
 
+NOTATION_CASES = [
+    (LambdaPoly((0, -1)), "-λ", "-lambda"),
+    (LambdaPoly((Fraction(1, 2), 0, Fraction(-1, 3))), "(1/2) - (1/3)λ²", "1/2 - 1/3*lambda^2"),
+    (LambdaPoly((-1,)), "-1", "-1"),
+    (XPoly([[-1], [Fraction(-1, 2)], [1]]), "x² - (1/2)x - 1", "x^2 - 1/2*x - 1"),
+    (XPoly([[1, -1]]), "(1 - λ)", "(1 - lambda)"),
+    (XPoly([[], [0, 1]]), "(λ)x", "(lambda)*x"),
+    (XPoly([[2], [], [Fraction(1, 3)]]), "(1/3)x² + 2", "1/3*x^2 + 2"),
+]
+
+
+@pytest.mark.parametrize(
+    "poly,pretty,ascii_form", NOTATION_CASES, ids=[case[2] for case in NOTATION_CASES]
+)
+def test_both_notations_on_sign_fraction_and_parenthesized_terms(poly, pretty, ascii_form):
+    """A leading minus, fractions, unit and constant terms in both notations."""
+    if isinstance(poly, LambdaPoly):
+        assert (lambda_poly_pretty(poly), lambda_poly_to_ascii(poly)) == (pretty, ascii_form)
+        assert lambda_poly_from_ascii(ascii_form) == poly
+    else:
+        assert (xpoly_pretty(poly), xpoly_to_ascii(poly)) == (pretty, ascii_form)
+        assert xpoly_from_ascii(ascii_form) == poly
+
+
 # ----------------------------------------------------------------------
 # Rational parsing
 # ----------------------------------------------------------------------

@@ -14,7 +14,6 @@ from degenbell.opcalc import (
     op_power,
     prop10_rhs,
     render,
-    theorem3_rhs,
     theorem11_apply_monomial,
 )
 
@@ -59,7 +58,7 @@ def test_scaled_exponential_closed_form():
     for a in (1, -1, 2, Fraction(1, 2)):
         expr = ExpExpr.exp_x(a, 1)
         for n in range(7):
-            assert expr == theorem3_rhs(n, a), (a, n)
+            assert expr == prop10_rhs(n, a, 1), (a, n)
             expr = op_apply(expr)
 
 
@@ -132,7 +131,7 @@ def test_exponential_merge_rules():
 
 def test_zero_scale_degenerate_exponential_rejected():
     with pytest.raises(ValueError):
-        theorem3_rhs(2, 0)
+        prop10_rhs(2, 0, 1)
     with pytest.raises(ValueError):
         prop10_rhs(2, 0, 2)
     with pytest.raises(ValueError):

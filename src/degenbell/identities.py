@@ -4,6 +4,9 @@ Every entry in the catalog compares two *independently computed* exact
 objects — XPoly, LambdaPoly, Series, or ExpExpr — over a parameter grid.
 Identities in one symbolic variable are compared as XPoly values, which
 proves them for all x and λ at once; nothing is ever sampled numerically.
+Each entry is a generator that yields its (params, lhs, rhs) cases in grid
+order, registered with ``_identity``; one shared checker compares the two
+sides and reports the first mismatch.
 
 Checks draw their Stirling/Bell values from a :class:`FamilyTables`
 context.  The default context is the library itself; a context with a
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .core import (
     LP_LAMBDA,
@@ -203,94 +206,108 @@ def _one_fall(j: int) -> LambdaPoly:
 @lru_cache(maxsize=None)
 def _exp_xt(order: int) -> Series:
     """e^{xt}: coefficient of t^n is x^n/n!."""
-    return Series(
-        (XPoly.monomial(n, Fraction(1, factorial(n))) for n in range(order + 1)),
-        order=order,
-    )
+    return Series(XPoly.monomial(n, Fraction(1, factorial(n))) for n in range(order + 1))
+
+
+@lru_cache(maxsize=None)
+def _bell_gf_by_exp(order: int) -> Series:
+    """e^{x(e_λ(t)-1)} by ``series_exp``: a second route to ``numbers.bell_gf``."""
+    e = e_lambda_series(1, order)
+    return series_exp((e - Series.one(order)).scale(XP_X))
 
 
 # ----------------------------------------------------------------------
-# Catalog checks.  Each returns (grid description, first counterexample).
+# Catalog: one generator of (params, lhs, rhs) cases per identity
 # ----------------------------------------------------------------------
 
 CheckResult = tuple[str, Optional[Counterexample]]
 Checker = Callable[[int, int, FamilyTables], CheckResult]
+Cases = Iterator[tuple[dict, object, object]]
+
+CATALOG: dict[str, tuple[str, Checker]] = {}
+
+#: Identities whose check compares truncated series, requiring order headroom.
+SERIES_BASED: set[str] = set()
 
 
-def _check_thm2(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
-    grid = f"n=0..{n_max} (x=1)"
+def _identity(key: str, description: str, grid: str, series: bool = False):
+    """Register a generator of (params, lhs, rhs) cases as catalog entry ``key``.
+
+    ``grid`` is formatted with ``n_max``, ``order`` and ``cap`` (n_max capped at
+    DOUBLE_INDEX_CAP).  The registered checker is the one comparison: it reports the
+    first case whose two sides differ and computes no case after it.
+    """
+
+    def register(cases: Callable[[int, int, FamilyTables], Cases]):
+        def check(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
+            text = grid.format(n_max=n_max, order=order, cap=min(n_max, DOUBLE_INDEX_CAP))
+            for params, lhs, rhs in cases(n_max, order, tb):
+                if lhs != rhs:
+                    return text, _ce(params, lhs, rhs)
+            return text, None
+
+        CATALOG[key] = (description, check)
+        if series:
+            SERIES_BASED.add(key)
+        return cases
+
+    return register
+
+
+@_identity("thm2", "Bell-number recurrence at x=1", "n=0..{n_max} (x=1)")
+def _thm2(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for n in range(n_max + 1):
-        lhs = tb.bell_at_one(n + 1)
         rhs = LP_ZERO
         for m in range(n + 1):
             rhs = rhs + tb.bell_at_one(m) * _one_fall(n - m + 1) * comb(n, m)
-        if lhs != rhs:
-            return grid, _ce({"n": n}, lhs, rhs)
-    return grid, None
+        yield {"n": n}, tb.bell_at_one(n + 1), rhs
 
 
-def _check_thm4(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
-    grid = f"n=0..{n_max} (symbolic x)"
+@_identity("thm4", "three-term recurrence via derivative", "n=0..{n_max} (symbolic x)")
+def _thm4(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for n in range(n_max + 1):
         b = tb.bell(n)
-        lhs = tb.bell(n + 1)
-        rhs = XP_X * (b.derivative() + b) - b * (LP_LAMBDA * n)
-        if lhs != rhs:
-            return grid, _ce({"n": n}, lhs, rhs)
-    return grid, None
+        yield {"n": n}, tb.bell(n + 1), XP_X * (b.derivative() + b) - b * (LP_LAMBDA * n)
 
 
-def _check_thm5(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
-    grid = f"n=0..{n_max} (symbolic x)"
+@_identity("thm5", "binomial recurrence with (1)_{n-m+1,λ}", "n=0..{n_max} (symbolic x)")
+def _thm5(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for n in range(n_max + 1):
-        lhs = tb.bell(n + 1)
         acc = XP_ZERO
         for m in range(n + 1):
             acc = acc + tb.bell(m) * (_one_fall(n - m + 1) * comb(n, m))
-        rhs = XP_X * acc
-        if lhs != rhs:
-            return grid, _ce({"n": n}, lhs, rhs)
-    return grid, None
+        yield {"n": n}, tb.bell(n + 1), XP_X * acc
 
 
-def _check_remark6a(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
-    grid = f"n=0..{n_max} (symbolic x)"
+@_identity("remark6a", "combined recurrence, weight (1)_{n-m,λ}(1-(n-m)λ)",
+           "n=0..{n_max} (symbolic x)")
+def _remark6a(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for n in range(n_max + 1):
-        lhs = tb.bell(n + 1)
         acc = XP_ZERO
         for m in range(n + 1):
             weight = _one_fall(n - m) * (LP_ONE - LP_LAMBDA * (n - m)) * comb(n, m)
             acc = acc + tb.bell(m) * weight
-        rhs = XP_X * acc
-        if lhs != rhs:
-            return grid, _ce({"n": n}, lhs, rhs)
-    return grid, None
+        yield {"n": n}, tb.bell(n + 1), XP_X * acc
 
 
-def _check_remark6b(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
-    grid = f"n=0..{n_max} (symbolic x)"
+@_identity("remark6b", "n·Bel identity with weight (n-m)(1)_{n-m,λ}",
+           "n=0..{n_max} (symbolic x)")
+def _remark6b(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for n in range(n_max + 1):
-        lhs = tb.bell(n) * n
         acc = XP_ZERO
         for m in range(n + 1):
             acc = acc + tb.bell(m) * (_one_fall(n - m) * (comb(n, m) * (n - m)))
-        rhs = XP_X * acc
-        if lhs != rhs:
-            return grid, _ce({"n": n}, lhs, rhs)
-    return grid, None
+        yield {"n": n}, tb.bell(n) * n, XP_X * acc
 
 
-def _check_cor7(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
-    grid = f"n=1..{n_max} (symbolic x)"
+@_identity("cor7", "x·dBel/dx expansion", "n=1..{n_max} (symbolic x)")
+def _cor7(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for n in range(1, n_max + 1):
-        lhs = XP_X * tb.bell(n).derivative()
         acc = XP_ZERO
         for m in range(n):
             acc = acc + tb.bell(m) * (_one_fall(n + 1 - m) * comb(n, m))
         rhs = XP_X * acc + tb.bell(n) * (LP_LAMBDA * n)
-        if lhs != rhs:
-            return grid, _ce({"n": n}, lhs, rhs)
-    return grid, None
+        yield {"n": n}, XP_X * tb.bell(n).derivative(), rhs
 
 
 def _bivariate(entries) -> dict[tuple[int, int], LambdaPoly]:
@@ -305,8 +322,8 @@ def _bivariate(entries) -> dict[tuple[int, int], LambdaPoly]:
     return out
 
 
-def _check_thm8(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
-    grid = f"n=0..{n_max} (bivariate x,y)"
+@_identity("thm8", "binomial convolution of Bel(x+y)", "n=0..{n_max} (bivariate x,y)")
+def _thm8(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for n in range(n_max + 1):
         lhs = _bivariate(
             ((i, k - i), tb.stirling2(n, k) * comb(k, i))
@@ -321,52 +338,41 @@ def _check_thm8(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
             for i in range(len(bl.coeffs))
             for j in range(len(bm.coeffs))
         )
-        if lhs != rhs:
-            return grid, _ce({"n": n}, lhs, rhs)
-    return grid, None
+        yield {"n": n}, lhs, rhs
 
 
-def _check_thm9(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
-    grid = f"n=0..{n_max} (symbolic x)"
+@_identity("thm9", "antiderivative via Bernoulli convolution", "n=0..{n_max} (symbolic x)")
+def _thm9(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for n in range(n_max + 1):
-        lhs = tb.bell(n).antiderivative()
         acc = XP_ZERO
         for k in range(1, n + 2):
             acc = acc + tb.bell(k) * (tb.bernoulli(n + 1 - k) * comb(n + 1, k))
-        rhs = acc * Fraction(1, n + 1)
-        if lhs != rhs:
-            return grid, _ce({"n": n}, lhs, rhs)
-    return grid, None
+        yield {"n": n}, tb.bell(n).antiderivative(), acc * Fraction(1, n + 1)
 
 
-def _check_prop10(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
+@_identity("prop10", "operator power on e^(a·x^p), λ→λ/p scaling",
+           "n=0..{cap}, a∈{{1,-1,2,1/2}}, p∈{{1,2,3}}")
+def _prop10(n_max: int, order: int, tb: FamilyTables) -> Cases:
     cap = min(n_max, DOUBLE_INDEX_CAP)
-    grid = f"n=0..{cap}, a∈{{1,-1,2,1/2}}, p∈{{1,2,3}}"
     for p in P_GRID:
         for a in A_GRID:
             expr = ExpExpr.exp_x(a, p)
             for n in range(cap + 1):
-                rhs = prop10_rhs(n, a, p)
-                if expr != rhs:
-                    return grid, _ce({"n": n, "a": a, "p": p}, expr, rhs)
+                yield {"n": n, "a": a, "p": p}, expr, prop10_rhs(n, a, p)
                 expr = op_apply(expr)
-    return grid, None
 
 
-def _check_thm11_monomial(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
-    grid = f"n,r=0..{n_max}"
+@_identity("thm11-monomial", "operator expansion on x^r", "n,r=0..{n_max}")
+def _thm11_monomial(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for r in range(n_max + 1):
         expr = ExpExpr.monomial(r)
         for n in range(n_max + 1):
-            rhs = theorem11_apply_monomial(n, r)
-            if expr != rhs:
-                return grid, _ce({"n": n, "r": r}, expr, rhs)
+            yield {"n": n, "r": r}, expr, theorem11_apply_monomial(n, r)
             expr = op_apply(expr)
-    return grid, None
 
 
-def _check_thm11_exp(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
-    grid = f"n=0..{n_max} (f = e^x)"
+@_identity("thm11-exp", "operator expansion on e^x via k-fold D", "n=0..{n_max} (f = e^x)")
+def _thm11_exp(n_max: int, order: int, tb: FamilyTables) -> Cases:
     derivs = [ExpExpr.exp_x(1, 1)]
     for _ in range(n_max):
         derivs.append(d_dx(derivs[-1]))
@@ -377,10 +383,8 @@ def _check_thm11_exp(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
             s = tb.stirling2(n, k)
             if not s.is_zero:
                 acc = acc + derivs[k].mul_monomial(k, -n).scale(s)
-        if lhs != acc:
-            return grid, _ce({"n": n}, lhs, acc)
+        yield {"n": n}, lhs, acc
         lhs = op_apply(lhs)
-    return grid, None
 
 
 def _tele(j: int, m: int, s_max: int) -> list[LambdaPoly]:
@@ -395,13 +399,13 @@ def _tele(j: int, m: int, s_max: int) -> list[LambdaPoly]:
     return out
 
 
-def _check_thm12(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
+@_identity("thm12", "double-sum recurrence with telescoped factorial quotient",
+           "m,n=0..{cap} (symbolic x)")
+def _thm12(n_max: int, order: int, tb: FamilyTables) -> Cases:
     cap = min(n_max, DOUBLE_INDEX_CAP)
-    grid = f"m,n=0..{cap} (symbolic x)"
     for m in range(cap + 1):
         tele = [_tele(j, m, cap) for j in range(m + 1)]
         for n in range(cap + 1):
-            lhs = tb.bell(n + m)
             rhs = XP_ZERO
             for j in range(m + 1):
                 s2 = tb.stirling2(m, j)
@@ -411,17 +415,14 @@ def _check_thm12(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
                 for k in range(n + 1):
                     inner = inner + tb.bell(k) * (tele[j][n - k] * comb(n, k))
                 rhs = rhs + XPoly.monomial(j, s2) * inner
-            if lhs != rhs:
-                return grid, _ce({"m": m, "n": n}, lhs, rhs)
-    return grid, None
+            yield {"m": m, "n": n}, tb.bell(n + m), rhs
 
 
-def _check_thm12_x1(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
-    grid = f"m,n=0..{n_max} (x=1)"
+@_identity("thm12-x1", "x=1 specialization of the double-sum recurrence", "m,n=0..{n_max} (x=1)")
+def _thm12_x1(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for m in range(n_max + 1):
         tele = [_tele(j, m, n_max) for j in range(m + 1)]
         for n in range(n_max + 1):
-            lhs = tb.bell_at_one(n + m)
             rhs = LP_ZERO
             for j in range(m + 1):
                 s2 = tb.stirling2(m, j)
@@ -429,14 +430,12 @@ def _check_thm12_x1(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
                     continue
                 for k in range(n + 1):
                     rhs = rhs + s2 * tb.bell_at_one(k) * (tele[j][n - k] * comb(n, k))
-            if lhs != rhs:
-                return grid, _ce({"m": m, "n": n}, lhs, rhs)
-    return grid, None
+            yield {"m": m, "n": n}, tb.bell_at_one(n + m), rhs
 
 
-def _check_thm13(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
+@_identity("thm13", "Bel(x)/Bel(-x) convolution identity", "m,n=0..{cap} (symbolic x)")
+def _thm13(n_max: int, order: int, tb: FamilyTables) -> Cases:
     cap = min(n_max, DOUBLE_INDEX_CAP)
-    grid = f"m,n=0..{cap} (symbolic x)"
     for m in range(cap + 1):
         # G(s) = Σ_j C(s,j)·(mλ)_{j,λ}·Bel_{s-j,λ}(-x); (mλ)_{j,λ} = λ^j·m(m-1)···
         g: list[XPoly] = []
@@ -455,13 +454,12 @@ def _check_thm13(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
             rhs = XP_ZERO
             for k in range(n + 1):
                 rhs = rhs + tb.bell(m + k) * g[n - k] * comb(n, k)
-            if lhs != rhs:
-                return grid, _ce({"m": m, "n": n}, lhs, rhs)
-    return grid, None
+            yield {"m": m, "n": n}, lhs, rhs
 
 
-def _check_lemma1(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
-    grid = f"n=0..{n_max}, a∈{{1,-1,2,1/2}}, series order {order}"
+@_identity("lemma1", "n-th t-derivative of e^(a·e_λ(t))",
+           "n=0..{n_max}, a∈{{1,-1,2,1/2}}, series order {order}", series=True)
+def _lemma1(n_max: int, order: int, tb: FamilyTables) -> Cases:
     e = e_lambda_series(1, order)
     for a in A_GRID:
         ea = e.scale(a)
@@ -479,91 +477,68 @@ def _check_lemma1(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
             rhs = series_mul(
                 series_mul(binomial_power_series(LP_LAMBDA, -n, order), bel_at_ea), f
             )
-            if lhs != rhs.truncate(lhs.order):
-                return grid, _ce({"n": n, "a": a}, lhs, rhs.truncate(lhs.order))
+            yield {"n": n, "a": a}, lhs, rhs.truncate(lhs.order)
             if n < n_max:
                 lhs = lhs.derivative()
-    return grid, None
 
 
-def _check_eq17(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
-    grid = f"n=0..{n_max}, a∈{{1,-1,2,1/2}}"
+@_identity("eq17", "operator power on e^(a·x)", "n=0..{n_max}, a∈{{1,-1,2,1/2}}")
+def _eq17(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for a in A_GRID:
         expr = ExpExpr.exp_x(a, 1)
         for n in range(n_max + 1):
-            rhs = prop10_rhs(n, a, 1)
-            if expr != rhs:
-                return grid, _ce({"n": n, "a": a}, expr, rhs)
+            yield {"n": n, "a": a}, expr, prop10_rhs(n, a, 1)
             expr = op_apply(expr)
-    return grid, None
 
 
-def _check_eq23(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
-    grid = f"n=0..{n_max} (x=1, e-units)"
+@_identity("eq23", "operator evaluation at x=1 in e-units", "n=0..{n_max} (x=1, e-units)")
+def _eq23(n_max: int, order: int, tb: FamilyTables) -> Cases:
     expr = ExpExpr.exp_x(1, 1)
     for n in range(n_max + 1):
-        lhs = eval_at_x1_in_e_units(expr)
-        rhs = tb.bell_at_one(n)
-        if lhs != rhs:
-            return grid, _ce({"n": n}, lhs, rhs)
+        yield {"n": n}, eval_at_x1_in_e_units(expr), tb.bell_at_one(n)
         expr = op_apply(expr)
-    return grid, None
 
 
-def _check_eq29(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
-    grid = f"n=1..{n_max} (symbolic x)"
+@_identity("eq29", "derivative of Bel as binomial sum", "n=1..{n_max} (symbolic x)")
+def _eq29(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for n in range(1, n_max + 1):
-        lhs = tb.bell(n).derivative()
         rhs = XP_ZERO
         for m in range(n):
             rhs = rhs + tb.bell(m) * (_one_fall(n - m) * comb(n, m))
-        if lhs != rhs:
-            return grid, _ce({"n": n}, lhs, rhs)
-    return grid, None
+        yield {"n": n}, tb.bell(n).derivative(), rhs
 
 
-def _check_eq34(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
-    grid = f"n=0..{n_max}"
+@_identity("eq34", "one-step promotion of x^(-nλ)Bel_n(x)e^x", "n=0..{n_max}")
+def _eq34(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for n in range(n_max + 1):
         lhs = op_apply(ExpExpr.from_xpoly(tb.bell(n), x_lam=-n, exp_coeff=1))
         rhs = ExpExpr.from_xpoly(tb.bell(n + 1), x_lam=-(n + 1), exp_coeff=1)
-        if lhs != rhs:
-            return grid, _ce({"n": n}, lhs, rhs)
-    return grid, None
+        yield {"n": n}, lhs, rhs
 
 
-def _check_eq39(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
-    grid = f"n,k=0..{n_max} (zero cases n<k included)"
+@_identity("eq39", "alternating sum vs table, zero cases included",
+           "n,k=0..{n_max} (zero cases n<k included)")
+def _eq39(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for n in range(n_max + 1):
         for k in range(n_max + 1):
-            lhs = tb.stirling2(n, k)
-            rhs = stirling2_alt_sum(n, k)
-            if lhs != rhs:
-                return grid, _ce({"n": n, "k": k}, lhs, rhs)
-    return grid, None
+            yield {"n": n, "k": k}, tb.stirling2(n, k), stirling2_alt_sum(n, k)
 
 
-def _check_eq43(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
-    grid = f"n=0..{n_max}, k=0..n (recurrence + basis-conversion anchor)"
+@_identity("eq43", "triangular recurrence + basis-conversion anchor",
+           "n=0..{n_max}, k=0..n (recurrence + basis-conversion anchor)")
+def _eq43(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for n in range(n_max + 1):
         expanded = basis_expand(falling_deg(n), falling_classical)
-        while len(expanded) < n + 1:
-            expanded.append(LP_ZERO)
+        expanded += [LP_ZERO] * (n + 1 - len(expanded))
         for k in range(n + 1):
-            lhs = tb.stirling2(n, k)
-            if lhs != expanded[k]:
-                return grid, _ce({"n": n, "k": k, "route": "basis"}, lhs, expanded[k])
+            yield {"n": n, "k": k, "route": "basis"}, tb.stirling2(n, k), expanded[k]
         if n < n_max:
             for k in range(n + 2):
                 lhs = tb.stirling2(n + 1, k)
                 rhs = tb.stirling2(n, k - 1) + (
                     LambdaPoly((k,)) - LP_LAMBDA * n
                 ) * tb.stirling2(n, k)
-                if lhs != rhs:
-                    return grid, _ce(
-                        {"n": n + 1, "k": k, "route": "recurrence"}, lhs, rhs
-                    )
-    return grid, None
+                yield {"n": n + 1, "k": k, "route": "recurrence"}, lhs, rhs
 
 
 @lru_cache(maxsize=None)
@@ -573,148 +548,86 @@ def _bracket_by_basis(n: int) -> tuple[LambdaPoly, ...]:
     return tuple(expanded) + (LP_ZERO,) * (n + 1 - len(expanded))
 
 
-def _check_eq56(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
-    grid = f"n=0..{n_max}, k=0..n (two bracket routes)"
+@_identity("eq56", "bracket = sign-flipped first kind, two routes",
+           "n=0..{n_max}, k=0..n (two bracket routes)")
+def _eq56(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for n in range(n_max + 1):
         expanded = _bracket_by_basis(n)
         for k in range(n + 1):
             sign = 1 if (n - k) % 2 == 0 else -1
-            lhs = stirling1_deg(n, k) * sign
-            if lhs != expanded[k]:
-                return grid, _ce({"n": n, "k": k}, lhs, expanded[k])
-    return grid, None
+            yield {"n": n, "k": k}, stirling1_deg(n, k) * sign, expanded[k]
 
 
-def _check_eq57(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
-    grid = f"series order {order} (symbolic x), plus ⟨x⟩_n/n! coefficient anchor"
+@_identity("eq57", "(1-t)^(-x) = e_λ^(-x)(log_λ(1-t))",
+           "series order {order} (symbolic x), plus ⟨x⟩_n/n! coefficient anchor", series=True)
+def _eq57(n_max: int, order: int, tb: FamilyTables) -> Cases:
     lhs = binomial_power_series(-1, -XP_X, order)
     rhs = series_compose(
         e_lambda_series(-XP_X, order), log_lambda_series(order).scale_t(-1)
     )
-    if lhs != rhs:
-        return grid, _ce({"order": order}, lhs, rhs)
+    yield {"order": order}, lhs, rhs
     for n in range(order + 1):
-        anchor = rising_classical(n) * Fraction(1, factorial(n))
-        if lhs.coeff(n) != anchor:
-            return grid, _ce({"n": n}, lhs.coeff(n), anchor)
-    return grid, None
+        yield {"n": n}, lhs.coeff(n), rising_classical(n) * Fraction(1, factorial(n))
 
 
-def _check_eq58(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
-    grid = f"n=0..{n_max} (symbolic x)"
+@_identity("eq58", "⟨x⟩_n expanded in the deformed rising basis", "n=0..{n_max} (symbolic x)")
+def _eq58(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for n in range(n_max + 1):
-        lhs = rising_classical(n)
         rhs = XP_ZERO
         for k in range(n + 1):
             sign = 1 if (n - k) % 2 == 0 else -1
             rhs = rhs + rising_deg(k) * (stirling1_deg(n, k) * sign)
-        if lhs != rhs:
-            return grid, _ce({"n": n}, lhs, rhs)
-    return grid, None
+        yield {"n": n}, rising_classical(n), rhs
 
 
-def _check_eq59(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
-    grid = f"series order {order} (symbolic x)"
+@_identity("eq59", "Bell GF composed with log_λ gives e^(xt)",
+           "series order {order} (symbolic x)", series=True)
+def _eq59(n_max: int, order: int, tb: FamilyTables) -> Cases:
     lhs = _exp_xt(order)
-    rhs = series_compose(bell_gf(order), log_lambda_series(order))
-    if lhs != rhs:
-        return grid, _ce({"order": order}, lhs, rhs)
-    return grid, None
+    yield {"order": order}, lhs, series_compose(bell_gf(order), log_lambda_series(order))
 
 
-def _check_eq60(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
-    grid = f"n=0..{n_max} (symbolic x)"
+@_identity("eq60", "x^n via Bell polynomials and brackets", "n=0..{n_max} (symbolic x)")
+def _eq60(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for n in range(n_max + 1):
-        lhs = XPoly.monomial(n)
         rhs = XP_ZERO
         for k in range(n + 1):
             sign = 1 if (n - k) % 2 == 0 else -1
             rhs = rhs + tb.bell(k) * (bracket_deg(n, k) * sign)
-        if lhs != rhs:
-            return grid, _ce({"n": n}, lhs, rhs)
-    return grid, None
+        yield {"n": n}, XPoly.monomial(n), rhs
 
 
-def _check_eq61(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
-    grid = f"n=0..{n_max}, k=0..n+1"
+@_identity("eq61", "bracket triangular recurrence", "n=0..{n_max}, k=0..n+1")
+def _eq61(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for n in range(n_max + 1):
         row = (LP_ZERO,) + _bracket_by_basis(n) + (LP_ZERO,)  # row[k] = [n, k-1]
         for k in range(n + 2):
-            lhs = _bracket_by_basis(n + 1)[k]
             rhs = row[k] + (LambdaPoly((n,)) - LP_LAMBDA * k) * row[k + 1]
-            if lhs != rhs:
-                return grid, _ce({"n": n, "k": k}, lhs, rhs)
-    return grid, None
+            yield {"n": n, "k": k}, _bracket_by_basis(n + 1)[k], rhs
 
 
-def _check_eq12_vs_eq14(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
-    grid = f"n=0..{min(n_max, order)}, series order {order}"
-    gf = bell_gf(order)
-    for n in range(min(n_max, order) + 1):
-        lhs = tb.bell(n)
-        rhs = gf.egf_coeff(n)
-        if lhs != rhs:
-            return grid, _ce({"n": n}, lhs, rhs)
-    return grid, None
+@_identity("eq12-vs-eq14", "GF coefficients vs S₂ sums",
+           "n=0..{n_max}, series order {order}", series=True)
+def _eq12_vs_eq14(n_max: int, order: int, tb: FamilyTables) -> Cases:
+    gf = _bell_gf_by_exp(order)
+    for n in range(n_max + 1):
+        yield {"n": n}, tb.bell(n), gf.egf_coeff(n)
 
 
-def _check_gf_log_roundtrip(n_max: int, order: int, tb: FamilyTables) -> CheckResult:
-    grid = f"series order {order}, both compositions"
+@_identity("gf-log-roundtrip", "e_λ and log_λ are compositional inverses",
+           "series order {order}, both compositions", series=True)
+def _gf_log_roundtrip(n_max: int, order: int, tb: FamilyTables) -> Cases:
     e = e_lambda_series(1, order)
     log = log_lambda_series(order)
     forward = series_compose(e, log)
-    one_plus_t = Series.one(order) + Series.t(order)
-    if forward != one_plus_t:
-        return grid, _ce({"direction": "e_λ∘log_λ"}, forward, one_plus_t)
+    yield {"direction": "e_λ∘log_λ"}, forward, Series.one(order) + Series.t(order)
     backward = series_compose(log, e - Series.one(order))
-    t = Series.t(order)
-    if backward != t:
-        return grid, _ce({"direction": "log_λ∘(e_λ-1)"}, backward, t)
-    return grid, None
+    yield {"direction": "log_λ∘(e_λ-1)"}, backward, Series.t(order)
 
-
-# ----------------------------------------------------------------------
-# Catalog
-# ----------------------------------------------------------------------
-
-CATALOG: dict[str, tuple[str, Checker]] = {
-    "thm2": ("Bell-number recurrence at x=1", _check_thm2),
-    "thm4": ("three-term recurrence via derivative", _check_thm4),
-    "thm5": ("binomial recurrence with (1)_{n-m+1,λ}", _check_thm5),
-    "remark6a": ("combined recurrence, weight (1)_{n-m,λ}(1-(n-m)λ)", _check_remark6a),
-    "remark6b": ("n·Bel identity with weight (n-m)(1)_{n-m,λ}", _check_remark6b),
-    "cor7": ("x·dBel/dx expansion", _check_cor7),
-    "thm8": ("binomial convolution of Bel(x+y)", _check_thm8),
-    "thm9": ("antiderivative via Bernoulli convolution", _check_thm9),
-    "prop10": ("operator power on e^(a·x^p), λ→λ/p scaling", _check_prop10),
-    "thm11-monomial": ("operator expansion on x^r", _check_thm11_monomial),
-    "thm11-exp": ("operator expansion on e^x via k-fold D", _check_thm11_exp),
-    "thm12": ("double-sum recurrence with telescoped factorial quotient", _check_thm12),
-    "thm12-x1": ("x=1 specialization of the double-sum recurrence", _check_thm12_x1),
-    "thm13": ("Bel(x)/Bel(-x) convolution identity", _check_thm13),
-    "lemma1": ("n-th t-derivative of e^(a·e_λ(t))", _check_lemma1),
-    "eq17": ("operator power on e^(a·x)", _check_eq17),
-    "eq23": ("operator evaluation at x=1 in e-units", _check_eq23),
-    "eq29": ("derivative of Bel as binomial sum", _check_eq29),
-    "eq34": ("one-step promotion of x^(-nλ)Bel_n(x)e^x", _check_eq34),
-    "eq39": ("alternating sum vs table, zero cases included", _check_eq39),
-    "eq43": ("triangular recurrence + basis-conversion anchor", _check_eq43),
-    "eq56": ("bracket = sign-flipped first kind, two routes", _check_eq56),
-    "eq57": ("(1-t)^(-x) = e_λ^(-x)(log_λ(1-t))", _check_eq57),
-    "eq58": ("⟨x⟩_n expanded in the deformed rising basis", _check_eq58),
-    "eq59": ("Bell GF composed with log_λ gives e^(xt)", _check_eq59),
-    "eq60": ("x^n via Bell polynomials and brackets", _check_eq60),
-    "eq61": ("bracket triangular recurrence", _check_eq61),
-    "eq12-vs-eq14": ("GF coefficients vs S₂ sums", _check_eq12_vs_eq14),
-    "gf-log-roundtrip": ("e_λ and log_λ are compositional inverses", _check_gf_log_roundtrip),
-}
-
-#: Identities whose check compares truncated series, requiring order headroom.
-SERIES_BASED: frozenset[str] = frozenset(
-    {"lemma1", "eq57", "eq59", "eq12-vs-eq14", "gf-log-roundtrip"}
-)
 
 DEFAULT_ORDER_MARGIN = 6
+
+
 
 
 def verify(

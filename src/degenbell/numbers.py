@@ -15,8 +15,8 @@ Everything here is a polynomial identity in the deformation parameter λ:
   recurrence that the product (t/(e_λ(t)-1))·((e_λ(t)-1)/t) = 1 gives;
   ``bernoulli_gf`` is that generating function as a series reciprocal.
 * ``bell_deg`` -- Bel_{n,λ}(x) = Σ_k S_{2,λ}(n,k)x^k, and ``bell_gf``, its
-  generating function e^{x(e_λ(t)-1)} by ``series_exp``; plus the certified
-  Dobinski-style numeric evaluator.
+  generating function e^{x(e_λ(t)-1)}, read from the S₂ table as
+  Σ_n Bel_{n,λ}(x)tⁿ/n!; plus the certified Dobinski-style numeric evaluator.
 
 Each table has one route: rows are stepped on integer λ-coefficient lists
 (β over one denominator per n) and each entry becomes a LambdaPoly once.
@@ -24,6 +24,8 @@ Indices above ``MAX_INDEX`` raise ValueError before anything is built.
 ``basis_expand`` (given a basis builder such as ``falling_classical``) and
 ``stirling2_alt_sum`` are independent second routes for the identity
 harness and the tests; the factorial bases never share the tables' code.
+The ``series_exp`` route to the Bell GF lives in the harness too
+(``identities._bell_gf_by_exp``, checked against ``bell_gf`` by eq12-vs-eq14).
 
 At λ = 0 every family collapses to its classical counterpart; the classical
 values are exposed only through that evaluation, never as separate code.
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 from typing import Callable
 
@@ -47,7 +48,7 @@ from .core import (
     LambdaPoly,
     XPoly,
 )
-from .series import Series, e_lambda_series, series_exp, series_recip_unit
+from .series import Series, e_lambda_series, series_recip_unit
 
 
 def _require_nonneg(n: int, what: str) -> None:
@@ -256,15 +257,13 @@ def bernoulli_gf(order: int) -> Series:
     return series_recip_unit((e - Series.one(order + 1)).div_t())
 
 
-@lru_cache(maxsize=None)
 def bell_gf(order: int) -> Series:
     """e^{x(e_λ(t)-1)} truncated at the given order, with symbolic x.
 
-    Built as ``series_exp`` of x·(e_λ(t)-1) and memoised per order; its
-    t^n/n! coefficient is Bel_{n,λ}(x).
+    Read from the S₂ table, which is its memo: the t^n/n! coefficient is
+    Bel_{n,λ}(x).
     """
-    e = e_lambda_series(1, order)
-    return series_exp((e - Series.one(order)).scale(XP_X))
+    return Series(bell_deg(n) * Fraction(1, factorial(n)) for n in range(order + 1))
 
 
 def bell_deg(n: int) -> XPoly:

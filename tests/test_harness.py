@@ -64,6 +64,10 @@ def test_double_index_identities_cap_their_own_grid():
     assert "m,n=0..8" in r.grid
     r = verify("thm13", 3, 6)
     assert "m,n=0..3" in r.grid
+    r = verify("prop10", 10)
+    assert r.grid == "n=0..8, a∈{1,-1,2,1/2}, p∈{1,2,3}"
+    r = verify("eq12-vs-eq14", 6, order=8)
+    assert r.grid == "n=0..6, series order 8"
 
 
 def test_default_order_is_nmax_plus_six():

@@ -2,6 +2,7 @@
 
 import inspect
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from degenbell.numbers import (
     basis_expand,
     bell_deg,
     bell_dobinski_numeric,
+    bell_gf,
     bernoulli_deg,
     bernoulli_gf,
     bracket_deg,
@@ -267,6 +269,16 @@ def test_bell_coefficients_are_the_stirling_row():
 def test_bell_at_lambda_zero_counts_partitions():
     for n in range(9):
         assert bell_deg(n).eval(1, 0) == bell_count(n), n
+
+
+def test_bell_gf_reaches_order_100_within_budget():
+    """bell_gf reads the S₂ table: order 100 is served in seconds, < 20 s."""
+    t0 = time.perf_counter()
+    gf = bell_gf(100)
+    for n in (0, 1, 50, 100):
+        assert gf.egf_coeff(n) == bell_deg(n), n
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 20.0
 
 
 def test_dobinski_converges_to_exact():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenbell.core import LP_LAMBDA, LP_ONE, XP_X, LambdaPoly, XPoly
-from degenbell.numbers import falling_deg_at, stirling2_deg
+from degenbell.numbers import bell_gf, falling_deg_at, stirling2_deg
 from degenbell.series import (
     DEFAULT_ORDER,
     Series,
@@ -220,16 +220,20 @@ def test_stirling2_generating_function():
 
 
 def test_bell_generating_function_satisfies_its_ode():
-    """(1+λt)·d/dt e^{x(e_λ(t)-1)} = x·e_λ(t)·e^{x(e_λ(t)-1)}."""
+    """(1+λt)·d/dt e^{x(e_λ(t)-1)} = x·e_λ(t)·e^{x(e_λ(t)-1)}.
+
+    Checked on the GF built by ``series_exp`` and on the library's
+    ``bell_gf``, which reads it from the S₂ table.
+    """
     order = 9
     e = e_lambda_series(1, order)
-    gf = series_exp((e - Series.one(order)).scale(XP_X))
     one_plus_lt = Series.one(order - 1) + Series.t(order - 1).scale(
         XPoly.const(LP_LAMBDA)
     )
-    lhs = series_mul(one_plus_lt, gf.derivative())
-    rhs = series_mul(e, gf).truncate(order - 1).scale(XP_X)
-    assert lhs == rhs
+    for gf in (series_exp((e - Series.one(order)).scale(XP_X)), bell_gf(order)):
+        lhs = series_mul(one_plus_lt, gf.derivative())
+        rhs = series_mul(e, gf).truncate(order - 1).scale(XP_X)
+        assert lhs == rhs
 
 
 def test_e_lambda_derivative_identity():

@@ -16,11 +16,17 @@ once.  The zero polynomial is the empty coefficient sequence; nonzero
 polynomials never store a trailing zero coefficient, which makes equality
 structural.
 
-Products of λ-polynomials, x-polynomials and series (``series_mul``) run
-on integer numerators: each operand is brought over one common
-denominator, the numerators are convolved as plain ints, and each output
-coefficient becomes one reduced Fraction.  Sums, scalar multiples and
-evaluation work on the Fractions directly.
+Products and sums of products run on integer numerators in one
+multiply-accumulate kernel that computes Σ wᵢ·aᵢ·bᵢ: each operand is
+brought over its one common denominator, each scalar weight wᵢ becomes an
+integer multiplier and a factor of that term's denominator, all terms are
+brought to one common denominator D (the lcm of theirs) and convolved into
+one int buffer, and each output coefficient becomes one reduced Fraction
+over D.  ``LambdaPoly``, ``XPoly`` and series products (``series_mul``)
+are its one-term case; :func:`sum_of_products` is the weighted sum that
+series recurrences and the identity harness use instead of adding
+products one at a time.  Plain sums, scalar multiples and evaluation work
+on the Fractions directly.
 
 Polynomials print in two notations by one renderer per type: the unicode
 display form (``*_pretty``, e.g. ``2λ² - (1/2)λ``) and the ASCII form of csv
@@ -77,34 +83,48 @@ def _as_fraction(value: ScalarLike) -> Fraction:
     raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
 
 
-# -- the integer product kernel ---------------------------------------
+# -- the integer multiply-accumulate kernel ---------------------------
 
 def _cells(coeffs: Sequence[Fraction], offset: int) -> list[tuple[int, int, int]]:
     """(index, numerator, denominator) cells of λ-coefficients placed from ``offset``."""
     return [(offset + i, c.numerator, c.denominator) for i, c in enumerate(coeffs)]
 
 
-def _product(a: list, b: list, size: int, stride: int) -> list["LambdaPoly"]:
-    """Exact product of two operands packed as cells, cut to ``size`` indices.
+def _numerators(cells: list) -> tuple[list[tuple[int, int]], int]:
+    """The nonzero (index, numerator) pairs of ``cells`` over their one common denominator."""
+    d = lcm(*[q for _, _, q in cells])
+    return [(i, p * (d // q)) for i, p, q in cells if p], d
 
-    The cells of each operand are in increasing index order.  Each operand's
-    coefficients are brought to integer numerators over its one common
-    denominator, the numerators are convolved as plain ints, and each output
-    coefficient becomes one reduced Fraction over the product of the two
-    denominators.  Returns one LambdaPoly per ``stride`` indices.
+
+def _multiply_accumulate(terms: list, size: int, stride: int) -> list["LambdaPoly"]:
+    """Exact Σ w·a·b over ``(w, a, b)`` terms packed as cells, cut to ``size`` indices.
+
+    The cells of each operand are in increasing index order and the weight
+    w is an int or a Fraction.  Each operand's coefficients are brought to
+    integer numerators over its one common denominator; w's numerator
+    becomes an integer multiplier and its denominator joins the term's.  All
+    terms are brought to one common denominator D, the lcm of theirs, their
+    numerators are convolved into one int buffer, and each output
+    coefficient becomes one reduced Fraction over D.  Returns one LambdaPoly
+    per ``stride`` indices.
     """
-    da = lcm(*[q for _, _, q in a])
-    db = lcm(*[q for _, _, q in b])
-    na = [(i, p * (da // q)) for i, p, q in a if p]
-    nb = [(j, p * (db // q)) for j, p, q in b if p]
+    scaled, dens = [], []
+    for w, a, b in terms:
+        na, da = _numerators(a)
+        nb, db = _numerators(b)
+        scaled.append((w.numerator, na, nb))
+        dens.append(w.denominator * da * db)
+    d = lcm(*dens)
     out = [0] * size
-    for i, x in na:
-        for j, y in nb:
-            k = i + j
-            if k >= size:
-                break
-            out[k] += x * y
-    d = da * db
+    for (wp, na, nb), den in zip(scaled, dens):
+        m = wp * (d // den)
+        for i, x in na:
+            x *= m
+            for j, y in nb:
+                k = i + j
+                if k >= size:
+                    break
+                out[k] += x * y
     polys = []
     for start in range(0, size, stride):
         block = out[start : start + stride]
@@ -209,7 +229,7 @@ class LambdaPoly:
         if not a or not b:
             return LP_ZERO
         size = len(a) + len(b) - 1
-        return _product(_cells(a, 0), _cells(b, 0), size, size)[0]
+        return _multiply_accumulate([(1, _cells(a, 0), _cells(b, 0))], size, size)[0]
 
     __rmul__ = __mul__
 
@@ -339,10 +359,7 @@ class XPoly:
             return XPoly(tuple(c * a for a in self.coeffs))
         if not isinstance(other, XPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return XP_ZERO
-        return _xpoly_products((self,), (other,), 1)[0]
+        return _xpoly_products([(1, (self,), (other,))], 1)[0]
 
     __rmul__ = __mul__
 
@@ -386,29 +403,50 @@ XP_ONE = XPoly((LP_ONE,))
 XP_X = XPoly((LP_ZERO, LP_ONE))
 
 
-def _xpoly_products(a: Sequence[XPoly], b: Sequence[XPoly], count: int) -> list[XPoly]:
-    """Σ_{i+j=n} a[i]·b[j] for n = 0 … count-1: the truncated Cauchy product.
+def _xpoly_products(terms: Sequence[tuple], count: int) -> list[XPoly]:
+    """Σ_i w_i·Σ_{j+k=n} a_i[j]·b_i[k] for n = 0 … count-1, over ``(w_i, a_i, b_i)``.
 
-    One kernel call for the whole product.  Term t^n·x^r·λ^i of an operand
-    is packed at index n·block + r·stride + i, where stride and
-    block/stride are the λ- and x-widths of the product, so packed indices
-    add exactly as the exponents do and no term spills into another block.
+    Each term is a scalar weight and two sequences of XPoly: the truncated
+    Cauchy products of the pairs, weighted and summed.  One kernel call for
+    the whole sum.  Term t^n·x^r·λ^i of an operand is packed at index
+    n·block + r·stride + i, where stride and block/stride are the largest λ-
+    and x-widths of a product, so packed indices add exactly as the
+    exponents do and no term spills into another block.
     """
-    a, b = a[:count], b[:count]
-    wa = _width(p.coeffs for q in a for p in q.coeffs)
-    wb = _width(p.coeffs for q in b for p in q.coeffs)
-    if not wa or not wb:
+    stride = rows = 0
+    packed = []
+    for w, a, b in terms:
+        a, b = a[:count], b[:count]
+        wa = _width(p.coeffs for q in a for p in q.coeffs)
+        wb = _width(p.coeffs for q in b for p in q.coeffs)
+        if w and wa and wb:
+            stride = max(stride, wa + wb - 1)
+            rows = max(rows, _width(q.coeffs for q in a) + _width(q.coeffs for q in b) - 1)
+            packed.append((w, a, b))
+    if not packed:
         return [XP_ZERO] * count
-    stride = wa + wb - 1
-    rows = _width(q.coeffs for q in a) + _width(q.coeffs for q in b) - 1
     block = rows * stride
-    cells_a, cells_b = [], []
-    for cells, operand in ((cells_a, a), (cells_b, b)):
-        for n, q in enumerate(operand):
-            for r, p in enumerate(q.coeffs):
-                cells += _cells(p.coeffs, n * block + r * stride)
-    polys = _product(cells_a, cells_b, count * block, stride)
+    cells = []
+    for w, a, b in packed:
+        cells_a, cells_b = [], []
+        for out, operand in ((cells_a, a), (cells_b, b)):
+            for n, q in enumerate(operand):
+                for r, p in enumerate(q.coeffs):
+                    out += _cells(p.coeffs, n * block + r * stride)
+        cells.append((w, cells_a, cells_b))
+    polys = _multiply_accumulate(cells, count * block, stride)
     return [XPoly(polys[n * rows : (n + 1) * rows]) for n in range(count)]
+
+
+def sum_of_products(terms: Iterable[tuple[ScalarLike, XLike, XLike]]) -> XPoly:
+    """Σ w·a·b over ``(w, a, b)`` terms, exactly, with one Fraction per output coefficient.
+
+    The weight w is an int or a Fraction; a and b are XPoly, LambdaPoly or
+    scalars.  λ-only callers read ``.coeff(0)`` of the result.
+    """
+    return _xpoly_products(
+        [(w, (XPoly.coerce(a),), (XPoly.coerce(b),)) for w, a, b in terms], 1
+    )[0]
 
 
 def _width(tuples: Iterable[tuple]) -> int:

@@ -28,10 +28,10 @@ from .core import (
     LP_ONE,
     LP_ZERO,
     XP_X,
-    XP_ZERO,
     LambdaPoly,
     XPoly,
     lambda_poly_pretty,
+    sum_of_products,
     xpoly_pretty,
 )
 from .numbers import (
@@ -257,10 +257,10 @@ def _identity(key: str, description: str, grid: str, series: bool = False):
 @_identity("thm2", "Bell-number recurrence at x=1", "n=0..{n_max} (x=1)")
 def _thm2(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for n in range(n_max + 1):
-        rhs = LP_ZERO
-        for m in range(n + 1):
-            rhs = rhs + tb.bell_at_one(m) * _one_fall(n - m + 1) * comb(n, m)
-        yield {"n": n}, tb.bell_at_one(n + 1), rhs
+        rhs = sum_of_products(
+            (comb(n, m), tb.bell_at_one(m), _one_fall(n - m + 1)) for m in range(n + 1)
+        )
+        yield {"n": n}, tb.bell_at_one(n + 1), rhs.coeff(0)
 
 
 @_identity("thm4", "three-term recurrence via derivative", "n=0..{n_max} (symbolic x)")
@@ -273,9 +273,9 @@ def _thm4(n_max: int, order: int, tb: FamilyTables) -> Cases:
 @_identity("thm5", "binomial recurrence with (1)_{n-m+1,λ}", "n=0..{n_max} (symbolic x)")
 def _thm5(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for n in range(n_max + 1):
-        acc = XP_ZERO
-        for m in range(n + 1):
-            acc = acc + tb.bell(m) * (_one_fall(n - m + 1) * comb(n, m))
+        acc = sum_of_products(
+            (comb(n, m), tb.bell(m), _one_fall(n - m + 1)) for m in range(n + 1)
+        )
         yield {"n": n}, tb.bell(n + 1), XP_X * acc
 
 
@@ -283,10 +283,10 @@ def _thm5(n_max: int, order: int, tb: FamilyTables) -> Cases:
            "n=0..{n_max} (symbolic x)")
 def _remark6a(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for n in range(n_max + 1):
-        acc = XP_ZERO
-        for m in range(n + 1):
-            weight = _one_fall(n - m) * (LP_ONE - LP_LAMBDA * (n - m)) * comb(n, m)
-            acc = acc + tb.bell(m) * weight
+        acc = sum_of_products(
+            (comb(n, m), tb.bell(m), _one_fall(n - m) * (LP_ONE - LP_LAMBDA * (n - m)))
+            for m in range(n + 1)
+        )
         yield {"n": n}, tb.bell(n + 1), XP_X * acc
 
 
@@ -294,18 +294,16 @@ def _remark6a(n_max: int, order: int, tb: FamilyTables) -> Cases:
            "n=0..{n_max} (symbolic x)")
 def _remark6b(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for n in range(n_max + 1):
-        acc = XP_ZERO
-        for m in range(n + 1):
-            acc = acc + tb.bell(m) * (_one_fall(n - m) * (comb(n, m) * (n - m)))
+        acc = sum_of_products(
+            (comb(n, m) * (n - m), tb.bell(m), _one_fall(n - m)) for m in range(n + 1)
+        )
         yield {"n": n}, tb.bell(n) * n, XP_X * acc
 
 
 @_identity("cor7", "x·dBel/dx expansion", "n=1..{n_max} (symbolic x)")
 def _cor7(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for n in range(1, n_max + 1):
-        acc = XP_ZERO
-        for m in range(n):
-            acc = acc + tb.bell(m) * (_one_fall(n + 1 - m) * comb(n, m))
+        acc = sum_of_products((comb(n, m), tb.bell(m), _one_fall(n + 1 - m)) for m in range(n))
         rhs = XP_X * acc + tb.bell(n) * (LP_LAMBDA * n)
         yield {"n": n}, XP_X * tb.bell(n).derivative(), rhs
 
@@ -344,10 +342,11 @@ def _thm8(n_max: int, order: int, tb: FamilyTables) -> Cases:
 @_identity("thm9", "antiderivative via Bernoulli convolution", "n=0..{n_max} (symbolic x)")
 def _thm9(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for n in range(n_max + 1):
-        acc = XP_ZERO
-        for k in range(1, n + 2):
-            acc = acc + tb.bell(k) * (tb.bernoulli(n + 1 - k) * comb(n + 1, k))
-        yield {"n": n}, tb.bell(n).antiderivative(), acc * Fraction(1, n + 1)
+        rhs = sum_of_products(
+            (Fraction(comb(n + 1, k), n + 1), tb.bell(k), tb.bernoulli(n + 1 - k))
+            for k in range(1, n + 2)
+        )
+        yield {"n": n}, tb.bell(n).antiderivative(), rhs
 
 
 @_identity("prop10", "operator power on e^(a·x^p), λ→λ/p scaling",
@@ -399,6 +398,12 @@ def _tele(j: int, m: int, s_max: int) -> list[LambdaPoly]:
     return out
 
 
+def _thm12_inner(bell: Callable, tele: list[LambdaPoly], n: int) -> XPoly:
+    """Σ_k C(n,k)·bell(k)·tele[n-k], the inner k-sum of thm12 (``bell`` = ``tb.bell``)
+    and of thm12-x1 (``tb.bell_at_one``)."""
+    return sum_of_products((comb(n, k), bell(k), tele[n - k]) for k in range(n + 1))
+
+
 @_identity("thm12", "double-sum recurrence with telescoped factorial quotient",
            "m,n=0..{cap} (symbolic x)")
 def _thm12(n_max: int, order: int, tb: FamilyTables) -> Cases:
@@ -406,15 +411,11 @@ def _thm12(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for m in range(cap + 1):
         tele = [_tele(j, m, cap) for j in range(m + 1)]
         for n in range(cap + 1):
-            rhs = XP_ZERO
-            for j in range(m + 1):
-                s2 = tb.stirling2(m, j)
-                if s2.is_zero:
-                    continue
-                inner = XP_ZERO
-                for k in range(n + 1):
-                    inner = inner + tb.bell(k) * (tele[j][n - k] * comb(n, k))
-                rhs = rhs + XPoly.monomial(j, s2) * inner
+            rhs = sum_of_products(
+                (1, XPoly.monomial(j, s2), _thm12_inner(tb.bell, tele[j], n))
+                for j in range(m + 1)
+                if not (s2 := tb.stirling2(m, j)).is_zero
+            )
             yield {"m": m, "n": n}, tb.bell(n + m), rhs
 
 
@@ -423,14 +424,12 @@ def _thm12_x1(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for m in range(n_max + 1):
         tele = [_tele(j, m, n_max) for j in range(m + 1)]
         for n in range(n_max + 1):
-            rhs = LP_ZERO
-            for j in range(m + 1):
-                s2 = tb.stirling2(m, j)
-                if s2.is_zero:
-                    continue
-                for k in range(n + 1):
-                    rhs = rhs + s2 * tb.bell_at_one(k) * (tele[j][n - k] * comb(n, k))
-            yield {"m": m, "n": n}, tb.bell_at_one(n + m), rhs
+            rhs = sum_of_products(
+                (1, s2, _thm12_inner(tb.bell_at_one, tele[j], n))
+                for j in range(m + 1)
+                if not (s2 := tb.stirling2(m, j)).is_zero
+            )
+            yield {"m": m, "n": n}, tb.bell_at_one(n + m), rhs.coeff(0)
 
 
 @_identity("thm13", "Bel(x)/Bel(-x) convolution identity", "m,n=0..{cap} (symbolic x)")
@@ -438,22 +437,19 @@ def _thm13(n_max: int, order: int, tb: FamilyTables) -> Cases:
     cap = min(n_max, DOUBLE_INDEX_CAP)
     for m in range(cap + 1):
         # G(s) = Σ_j C(s,j)·(mλ)_{j,λ}·Bel_{s-j,λ}(-x); (mλ)_{j,λ} = λ^j·m(m-1)···
-        g: list[XPoly] = []
-        for s in range(cap + 1):
-            acc = XP_ZERO
-            for j in range(min(s, m) + 1):
-                w = falling_deg_at(LP_LAMBDA * m, j) * comb(s, j)
-                if not w.is_zero:
-                    acc = acc + tb.bell_neg(s - j) * w
-            g.append(acc)
+        g = [
+            sum_of_products(
+                (comb(s, j), tb.bell_neg(s - j), falling_deg_at(LP_LAMBDA * m, j))
+                for j in range(min(s, m) + 1)
+            )
+            for s in range(cap + 1)
+        ]
         for n in range(cap + 1):
             lhs = XPoly(
                 tb.stirling2(m, k) * falling_deg_at(Fraction(k), n)
                 for k in range(m + 1)
             )
-            rhs = XP_ZERO
-            for k in range(n + 1):
-                rhs = rhs + tb.bell(m + k) * g[n - k] * comb(n, k)
+            rhs = sum_of_products((comb(n, k), tb.bell(m + k), g[n - k]) for k in range(n + 1))
             yield {"m": m, "n": n}, lhs, rhs
 
 
@@ -461,6 +457,8 @@ def _thm13(n_max: int, order: int, tb: FamilyTables) -> Cases:
            "n=0..{n_max}, a∈{{1,-1,2,1/2}}, series order {order}", series=True)
 def _lemma1(n_max: int, order: int, tb: FamilyTables) -> Cases:
     e = e_lambda_series(1, order)
+    # (1 + λt)^{-n}, the same for every a
+    binomials = [binomial_power_series(LP_LAMBDA, -n, order) for n in range(n_max + 1)]
     for a in A_GRID:
         ea = e.scale(a)
         f = series_exp(ea - Series.const(a, order))  # e^{a·e_λ(t)} / e^a
@@ -470,13 +468,15 @@ def _lemma1(n_max: int, order: int, tb: FamilyTables) -> Cases:
             powers.append(series_mul(powers[-1], ea))
         lhs = f
         for n in range(n_max + 1):
-            bel_at_ea = Series.zero(order)
-            for k, c in enumerate(tb.bell(n).coeffs):
-                if not c.is_zero:
-                    bel_at_ea = bel_at_ea + powers[k].scale(XPoly.const(c))
-            rhs = series_mul(
-                series_mul(binomial_power_series(LP_LAMBDA, -n, order), bel_at_ea), f
+            bel = tb.bell(n).coeffs
+            bel_at_ea = Series(
+                [
+                    sum_of_products((1, c, powers[k].coeffs[i]) for k, c in enumerate(bel))
+                    for i in range(order + 1)
+                ],
+                order=order,
             )
+            rhs = series_mul(series_mul(binomials[n], bel_at_ea), f)
             yield {"n": n, "a": a}, lhs, rhs.truncate(lhs.order)
             if n < n_max:
                 lhs = lhs.derivative()
@@ -502,9 +502,7 @@ def _eq23(n_max: int, order: int, tb: FamilyTables) -> Cases:
 @_identity("eq29", "derivative of Bel as binomial sum", "n=1..{n_max} (symbolic x)")
 def _eq29(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for n in range(1, n_max + 1):
-        rhs = XP_ZERO
-        for m in range(n):
-            rhs = rhs + tb.bell(m) * (_one_fall(n - m) * comb(n, m))
+        rhs = sum_of_products((comb(n, m), tb.bell(m), _one_fall(n - m)) for m in range(n))
         yield {"n": n}, tb.bell(n).derivative(), rhs
 
 
@@ -573,10 +571,9 @@ def _eq57(n_max: int, order: int, tb: FamilyTables) -> Cases:
 @_identity("eq58", "⟨x⟩_n expanded in the deformed rising basis", "n=0..{n_max} (symbolic x)")
 def _eq58(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for n in range(n_max + 1):
-        rhs = XP_ZERO
-        for k in range(n + 1):
-            sign = 1 if (n - k) % 2 == 0 else -1
-            rhs = rhs + rising_deg(k) * (stirling1_deg(n, k) * sign)
+        rhs = sum_of_products(
+            ((-1) ** (n - k), rising_deg(k), stirling1_deg(n, k)) for k in range(n + 1)
+        )
         yield {"n": n}, rising_classical(n), rhs
 
 
@@ -590,10 +587,9 @@ def _eq59(n_max: int, order: int, tb: FamilyTables) -> Cases:
 @_identity("eq60", "x^n via Bell polynomials and brackets", "n=0..{n_max} (symbolic x)")
 def _eq60(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for n in range(n_max + 1):
-        rhs = XP_ZERO
-        for k in range(n + 1):
-            sign = 1 if (n - k) % 2 == 0 else -1
-            rhs = rhs + tb.bell(k) * (bracket_deg(n, k) * sign)
+        rhs = sum_of_products(
+            ((-1) ** (n - k), tb.bell(k), bracket_deg(n, k)) for k in range(n + 1)
+        )
         yield {"n": n}, XPoly.monomial(n), rhs
 
 
@@ -626,8 +622,6 @@ def _gf_log_roundtrip(n_max: int, order: int, tb: FamilyTables) -> Cases:
 
 
 DEFAULT_ORDER_MARGIN = 6
-
-
 
 
 def verify(

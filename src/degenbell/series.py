@@ -35,6 +35,7 @@ from .core import (
     XPoly,
     _xpoly_products,
     from_nested_lists,
+    sum_of_products,
     to_nested_lists,
 )
 
@@ -189,7 +190,7 @@ class Series:
 def series_mul(a: Series, b: Series) -> Series:
     """Cauchy product truncated to the smaller order."""
     n = min(a.order, b.order)
-    return Series(_xpoly_products(a.coeffs, b.coeffs, n + 1), order=n)
+    return Series(_xpoly_products([(1, a.coeffs, b.coeffs)], n + 1), order=n)
 
 
 def _unit_constant(a: Series) -> Fraction:
@@ -203,16 +204,10 @@ def _unit_constant(a: Series) -> Fraction:
 
 def series_recip_unit(a: Series) -> Series:
     """Multiplicative inverse of a series whose constant term is an invertible rational."""
-    c0 = _unit_constant(a)
-    inv0 = Fraction(1) / c0
+    inv0 = 1 / _unit_constant(a)
     out = [XPoly.const(inv0)]
     for n in range(1, a.order + 1):
-        acc = XP_ZERO
-        for k in range(1, n + 1):
-            ak = a.coeffs[k]
-            if not ak.is_zero:
-                acc = acc + ak * out[n - k]
-        out.append(acc * (-inv0))
+        out.append(sum_of_products((-inv0, a.coeffs[k], out[n - k]) for k in range(1, n + 1)))
     return Series(out, order=a.order)
 
 
@@ -226,36 +221,37 @@ def series_exp(a: Series) -> Series:
         raise ValueError("exp of non-nilpotent series")
     out = [XP_ONE]
     for n in range(1, a.order + 1):
-        acc = XP_ZERO
-        for k in range(1, n + 1):
-            ak = a.coeffs[k]
-            if not ak.is_zero:
-                acc = acc + ak * (k * out[n - k])
-        out.append(acc * Fraction(1, n))
+        out.append(
+            sum_of_products((Fraction(k, n), a.coeffs[k], out[n - k]) for k in range(1, n + 1))
+        )
     return Series(out, order=a.order)
 
 
 def series_compose(outer: Series, inner: Series) -> Series:
     """outer ∘ inner for inner with zero constant term.
 
-    Uses power accumulation: inner^k is built incrementally and scaled by
-    the k-th outer coefficient.  When the inner series is free of x (the
-    common case here: log_λ or e_λ - 1), its powers stay x-free, so the
-    expensive Cauchy products never touch the large x-polynomials that
-    Horner accumulation would drag through every multiplication.
+    Uses power accumulation: inner^k is built incrementally, and each
+    t-coefficient of the result is one weighted sum Σ_k c_k·(inner^k)_m over
+    the powers whose outer coefficient c_k is nonzero.  When the inner
+    series is free of x (the common case here: log_λ or e_λ - 1), its powers
+    stay x-free, so the expensive Cauchy products never touch the large
+    x-polynomials that Horner accumulation would drag through every
+    multiplication.
     """
     if not inner.coeffs[0].is_zero:
         raise ValueError("composition requires zero constant term")
     n = min(outer.order, inner.order)
     inner = inner.truncate(n)
-    acc = Series.const(outer.coeffs[0], n)
     power = Series.one(n)
+    kept = [(outer.coeffs[0], power)]
     for k in range(1, n + 1):
         power = series_mul(power, inner)
-        ck = outer.coeffs[k]
-        if not ck.is_zero:
-            acc = acc + power.scale(ck)
-    return acc
+        if not outer.coeffs[k].is_zero:
+            kept.append((outer.coeffs[k], power))
+    return Series(
+        (sum_of_products((1, ck, pk.coeffs[m]) for ck, pk in kept) for m in range(n + 1)),
+        order=n,
+    )
 
 
 # ----------------------------------------------------------------------

@@ -21,6 +21,7 @@ from degenbell.core import (
     lambda_poly_pretty,
     lambda_poly_to_ascii,
     parse_rational,
+    sum_of_products,
     to_nested_lists,
     xpoly_from_ascii,
     xpoly_pretty,
@@ -28,7 +29,7 @@ from degenbell.core import (
 )
 from degenbell.series import series_from_json
 
-from oracles import pmul, poly_mul_2d
+from oracles import padd, pmul, poly_mul_2d
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 lpolys = st.lists(rationals, max_size=5).map(LambdaPoly)
@@ -139,6 +140,83 @@ def _as_2d(p: XPoly) -> dict:
 @given(xpolys, xpolys)
 def test_xpoly_product_matches_dict_oracle(p, q):
     assert _as_2d(p * q) == poly_mul_2d(_as_2d(p), _as_2d(q))
+
+
+# ----------------------------------------------------------------------
+# The multiply-accumulate kernel: Σ w·a·b
+# ----------------------------------------------------------------------
+
+# Weights: zero, plain ints, and Fractions whose denominators are large
+# (up to 16! and 10^25) and differ from term to term.
+weights = st.one_of(
+    st.just(0),
+    st.integers(-(10**6), 10**6),
+    st.builds(
+        Fraction,
+        st.integers(-(10**20), 10**20),
+        st.one_of(st.integers(1, 16).map(factorial), st.integers(1, 10**25)),
+    ),
+)
+# One operand as raw (x-power rows of λ-coefficients) plus how it is passed:
+# a scalar, a LambdaPoly (one row) or an XPoly; any of them may be empty.
+operands = st.one_of(
+    wide_rationals.map(lambda c: ([[c]], c)),
+    st.lists(wide_rationals, max_size=5).map(lambda cs: ([cs], LambdaPoly(cs))),
+    st.lists(st.lists(wide_rationals, max_size=4), max_size=3).map(
+        lambda rows: (rows, XPoly(rows))
+    ),
+)
+lambda_operands = st.one_of(
+    wide_rationals.map(lambda c: ((c,), c)),
+    st.lists(wide_rationals, max_size=6).map(lambda cs: (tuple(cs), LambdaPoly(cs))),
+)
+
+
+def _raw_2d(rows) -> dict:
+    return {(i, j): c for i, row in enumerate(rows) for j, c in enumerate(row) if c}
+
+
+def _oracle_rows(terms) -> list[tuple]:
+    """Σ w·a·b by poly_mul_2d products combined row by row with padd."""
+    rows: list[tuple] = []
+    for w, (ra, _), (rb, _) in terms:
+        product = poly_mul_2d(_raw_2d(ra), _raw_2d(rb))
+        for (i, j), c in product.items():
+            rows += [()] * (i + 1 - len(rows))
+            rows[i] = padd(rows[i], (Fraction(0),) * j + (w * c,))
+    while rows and not rows[-1]:
+        rows.pop()
+    return rows
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(weights, operands, operands), max_size=6))
+def test_sum_of_products_matches_oracle(terms):
+    total = sum_of_products((w, a, b) for w, (_, a), (_, b) in terms)
+    expected = _oracle_rows(terms)
+    assert [lp.coeffs for lp in total.coeffs] == expected
+    assert hash(total) == hash(XPoly(expected))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(weights, lambda_operands, lambda_operands), max_size=6))
+def test_lambda_sum_of_products_matches_oracle(terms):
+    total = sum_of_products((w, a, b) for w, (_, a), (_, b) in terms)
+    expected: tuple = ()
+    for w, (ra, _), (rb, _) in terms:
+        expected = padd(expected, tuple(w * c for c in pmul(ra, rb)))
+    assert total.degree in (None, 0)
+    assert total.coeff(0).coeffs == expected
+    assert hash(total.coeff(0)) == hash(LambdaPoly(expected))
+
+
+@given(st.lists(st.tuples(weights, operands, operands), min_size=1, max_size=4))
+def test_sum_of_products_that_cancel_is_the_zero_polynomial(terms):
+    """Each term and its negation: the sum is the empty XPoly, not stored zeros."""
+    signed = [(s * w, a, b) for w, (_, a), (_, b) in terms for s in (1, -1)]
+    total = sum_of_products(signed)
+    assert total.coeffs == ()
+    assert hash(total) == hash(XP_ZERO)
 
 
 @given(xpolys, xpolys, rationals, rationals)

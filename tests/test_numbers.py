@@ -281,6 +281,16 @@ def test_bell_gf_reaches_order_100_within_budget():
     assert elapsed < 20.0
 
 
+def test_bernoulli_gf_reaches_order_120_within_budget():
+    """bernoulli_gf's reciprocal makes one weighted sum per coefficient: order 120, < 20 s."""
+    t0 = time.perf_counter()
+    gf = bernoulli_gf(120)
+    for n in (0, 1, 60, 120):
+        assert gf.egf_coeff(n).eval_x(0) == bernoulli_deg(n), n
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 20.0
+
+
 def test_dobinski_converges_to_exact():
     for n in range(7):
         for x in (Fraction(1, 2), Fraction(2)):

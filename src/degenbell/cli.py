@@ -46,7 +46,7 @@ from .numbers import (
     stirling1_deg,
     stirling2_deg,
 )
-from .series import DEFAULT_ORDER, Series, e_lambda_series, log_lambda_series, series_to_json
+from .series import DEFAULT_ORDER, Series, e_lambda_series, log_lambda_series, series_json_chunks
 
 FORMATS = ("pretty", "csv", "json")
 TRIANGULAR = {"stirling1": stirling1_deg, "stirling2": stirling2_deg, "bracket": bracket_deg}
@@ -318,7 +318,9 @@ def series_cmd(which: str, order: int, fmt: str) -> None:
     _require_index(order, "--order")  # the t^n/n! coefficient is row n of a family
     s = SERIES[which](order)
     if fmt == "json":
-        click.echo(series_to_json(s))
+        for chunk in series_json_chunks(s):
+            click.echo(chunk, nl=False)
+        click.echo()
     elif fmt == "csv":
         w = _csv_writer()
         w.writerow(["n", "value"])

@@ -6,7 +6,9 @@ Identities in one symbolic variable are compared as XPoly values, which
 proves them for all x and λ at once; nothing is ever sampled numerically.
 Each entry is a generator that yields its (params, lhs, rhs) cases in grid
 order, registered with ``_identity``; one shared checker compares the two
-sides and reports the first mismatch.
+sides and reports the first mismatch.  A factor that does not change across
+a check's grid (a falling-factorial prefix, an EGF of Bell polynomials) is
+built once per check call and kept local to it.
 
 Checks draw their Stirling/Bell values from a :class:`FamilyTables`
 context.  The default context is the library itself; a context with a
@@ -29,6 +31,7 @@ from .core import (
     LP_ZERO,
     XP_X,
     LambdaPoly,
+    XLike,
     XPoly,
     lambda_poly_pretty,
     sum_of_products,
@@ -43,10 +46,11 @@ from .numbers import (
     falling_classical,
     falling_deg,
     falling_deg_at,
+    falling_deg_prefix,
     rising_classical,
     rising_deg,
     stirling1_deg,
-    stirling2_alt_sum,
+    stirling2_alt_sums,
     stirling2_deg,
 )
 from .opcalc import (
@@ -63,6 +67,7 @@ from .series import (
     binomial_power_series,
     e_lambda_series,
     log_lambda_series,
+    series_combination,
     series_compose,
     series_exp,
     series_mul,
@@ -235,7 +240,7 @@ def _identity(key: str, description: str, grid: str, series: bool = False):
 
     ``grid`` is formatted with ``n_max``, ``order`` and ``cap`` (n_max capped at
     DOUBLE_INDEX_CAP).  The registered checker is the one comparison: it reports the
-    first case whose two sides differ and computes no case after it.
+    first case whose two sides differ and draws no case after it from the generator.
     """
 
     def register(cases: Callable[[int, int, FamilyTables], Cases]):
@@ -386,69 +391,70 @@ def _thm11_exp(n_max: int, order: int, tb: FamilyTables) -> Cases:
         lhs = op_apply(lhs)
 
 
-def _tele(j: int, m: int, s_max: int) -> list[LambdaPoly]:
-    """[Π_{i=m}^{m+s-1}(j - iλ) for s = 0 … s_max]: the telescoped (j)_{m+s,λ}/(j)_{m,λ}.
+def _egf(values) -> Series:
+    """Σ_i values[i]·t^i/i!."""
+    return Series(v * Fraction(1, factorial(i)) for i, v in enumerate(values))
 
-    Kept as a product on purpose — an actual division would be undefined
-    at the j = iλ roots even though the quotient is a polynomial.
+
+def _thm12_rhs(bell_egf: Series, m: int, weighted: list[tuple[int, XLike]]) -> Series:
+    """Σ_j w_j·Σ_k C(n,k)·Bel_k·Π_{i=m}^{m+n-k-1}(j - iλ) for every n, as an EGF in n.
+
+    ``bell_egf`` is Σ_k Bel_k·t^k/k! and ``weighted`` holds the (j, w_j) pairs.
+    The binomial k-sum is the Cauchy product of ``bell_egf`` with the EGF of
+    the telescoped (j)_{m+s,λ}/(j)_{m,λ} = (j - mλ)_{s,λ}, and the j-sum is one
+    combination.  The quotient is kept as a product on purpose — an actual
+    division would be undefined at the j = iλ roots even though the quotient
+    is a polynomial.
     """
-    out = [LP_ONE]
-    for i in range(m, m + s_max):
-        out.append(out[-1] * LambdaPoly((j, -i)))
-    return out
-
-
-def _thm12_inner(bell: Callable, tele: list[LambdaPoly], n: int) -> XPoly:
-    """Σ_k C(n,k)·bell(k)·tele[n-k], the inner k-sum of thm12 (``bell`` = ``tb.bell``)
-    and of thm12-x1 (``tb.bell_at_one``)."""
-    return sum_of_products((comb(n, k), bell(k), tele[n - k]) for k in range(n + 1))
+    cap = bell_egf.order
+    return series_combination(
+        ((w, series_mul(bell_egf, _egf(falling_deg_prefix(LambdaPoly((j, -m)), cap))))
+         for j, w in weighted),
+        cap,
+    )
 
 
 @_identity("thm12", "double-sum recurrence with telescoped factorial quotient",
            "m,n=0..{cap} (symbolic x)")
 def _thm12(n_max: int, order: int, tb: FamilyTables) -> Cases:
     cap = min(n_max, DOUBLE_INDEX_CAP)
+    bell_egf = _egf(tb.bell(k) for k in range(cap + 1))
     for m in range(cap + 1):
-        tele = [_tele(j, m, cap) for j in range(m + 1)]
+        rhs = _thm12_rhs(bell_egf, m, [
+            (j, XPoly.monomial(j, s2))
+            for j in range(m + 1)
+            if not (s2 := tb.stirling2(m, j)).is_zero
+        ])
         for n in range(cap + 1):
-            rhs = sum_of_products(
-                (1, XPoly.monomial(j, s2), _thm12_inner(tb.bell, tele[j], n))
-                for j in range(m + 1)
-                if not (s2 := tb.stirling2(m, j)).is_zero
-            )
-            yield {"m": m, "n": n}, tb.bell(n + m), rhs
+            yield {"m": m, "n": n}, tb.bell(n + m), rhs.egf_coeff(n)
 
 
 @_identity("thm12-x1", "x=1 specialization of the double-sum recurrence", "m,n=0..{n_max} (x=1)")
 def _thm12_x1(n_max: int, order: int, tb: FamilyTables) -> Cases:
+    bell_egf = _egf(tb.bell_at_one(k) for k in range(n_max + 1))
     for m in range(n_max + 1):
-        tele = [_tele(j, m, n_max) for j in range(m + 1)]
+        rhs = _thm12_rhs(bell_egf, m, [
+            (j, s2) for j in range(m + 1) if not (s2 := tb.stirling2(m, j)).is_zero
+        ])
         for n in range(n_max + 1):
-            rhs = sum_of_products(
-                (1, s2, _thm12_inner(tb.bell_at_one, tele[j], n))
-                for j in range(m + 1)
-                if not (s2 := tb.stirling2(m, j)).is_zero
-            )
-            yield {"m": m, "n": n}, tb.bell_at_one(n + m), rhs.coeff(0)
+            yield {"m": m, "n": n}, tb.bell_at_one(n + m), rhs.egf_coeff(n).coeff(0)
 
 
 @_identity("thm13", "Bel(x)/Bel(-x) convolution identity", "m,n=0..{cap} (symbolic x)")
 def _thm13(n_max: int, order: int, tb: FamilyTables) -> Cases:
     cap = min(n_max, DOUBLE_INDEX_CAP)
+    falls = [falling_deg_prefix(k, cap) for k in range(cap + 1)]  # (k)_{n,λ}
     for m in range(cap + 1):
         # G(s) = Σ_j C(s,j)·(mλ)_{j,λ}·Bel_{s-j,λ}(-x); (mλ)_{j,λ} = λ^j·m(m-1)···
+        m_falls = falling_deg_prefix(LP_LAMBDA * m, m)
         g = [
             sum_of_products(
-                (comb(s, j), tb.bell_neg(s - j), falling_deg_at(LP_LAMBDA * m, j))
-                for j in range(min(s, m) + 1)
+                (comb(s, j), tb.bell_neg(s - j), m_falls[j]) for j in range(min(s, m) + 1)
             )
             for s in range(cap + 1)
         ]
         for n in range(cap + 1):
-            lhs = XPoly(
-                tb.stirling2(m, k) * falling_deg_at(Fraction(k), n)
-                for k in range(m + 1)
-            )
+            lhs = XPoly(tb.stirling2(m, k) * falls[k][n] for k in range(m + 1))
             rhs = sum_of_products((comb(n, k), tb.bell(m + k), g[n - k]) for k in range(n + 1))
             yield {"m": m, "n": n}, lhs, rhs
 
@@ -468,14 +474,7 @@ def _lemma1(n_max: int, order: int, tb: FamilyTables) -> Cases:
             powers.append(series_mul(powers[-1], ea))
         lhs = f
         for n in range(n_max + 1):
-            bel = tb.bell(n).coeffs
-            bel_at_ea = Series(
-                [
-                    sum_of_products((1, c, powers[k].coeffs[i]) for k, c in enumerate(bel))
-                    for i in range(order + 1)
-                ],
-                order=order,
-            )
+            bel_at_ea = series_combination(zip(tb.bell(n).coeffs, powers), order)
             rhs = series_mul(series_mul(binomials[n], bel_at_ea), f)
             yield {"n": n, "a": a}, lhs, rhs.truncate(lhs.order)
             if n < n_max:
@@ -517,9 +516,10 @@ def _eq34(n_max: int, order: int, tb: FamilyTables) -> Cases:
 @_identity("eq39", "alternating sum vs table, zero cases included",
            "n,k=0..{n_max} (zero cases n<k included)")
 def _eq39(n_max: int, order: int, tb: FamilyTables) -> Cases:
+    alt_sums = stirling2_alt_sums(n_max)
     for n in range(n_max + 1):
         for k in range(n_max + 1):
-            yield {"n": n, "k": k}, tb.stirling2(n, k), stirling2_alt_sum(n, k)
+            yield {"n": n, "k": k}, tb.stirling2(n, k), alt_sums[n][k]
 
 
 @_identity("eq43", "triangular recurrence + basis-conversion anchor",

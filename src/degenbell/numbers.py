@@ -22,8 +22,10 @@ Each table has one route: rows are stepped on integer λ-coefficient lists
 (β over one denominator per n) and each entry becomes a LambdaPoly once.
 Indices above ``MAX_INDEX`` raise ValueError before anything is built.
 ``basis_expand`` (given a basis builder such as ``falling_classical``) and
-``stirling2_alt_sum`` are independent second routes for the identity
+``stirling2_alt_sums`` are independent second routes for the identity
 harness and the tests; the factorial bases never share the tables' code.
+``stirling2_alt_sums`` builds its whole n, k grid from one bare product
+prefix of (j)_{n,λ} per j (``falling_deg_prefix``).
 The ``series_exp`` route to the Bell GF lives in the harness too
 (``identities._bell_gf_by_exp``, checked against ``bell_gf`` by eq12-vs-eq14).
 
@@ -47,6 +49,7 @@ from .core import (
     LambdaLike,
     LambdaPoly,
     XPoly,
+    sum_of_products,
 )
 from .series import Series, e_lambda_series, series_recip_unit
 
@@ -92,14 +95,19 @@ def rising_classical(n: int) -> XPoly:
     return _factorial(LP_ONE, n)
 
 
-def falling_deg_at(w: LambdaLike, n: int) -> LambdaPoly:
-    """(w)_{n,λ} = w(w-λ)···(w-(n-1)λ) for a λ-polynomial (or rational) w."""
+def falling_deg_prefix(w: LambdaLike, n: int) -> list[LambdaPoly]:
+    """[(w)_{i,λ} for i = 0 … n], each w(w-λ)···(w-(i-1)λ) the one before times a factor."""
     _require_nonneg(n, "factorial index")
     w = LambdaPoly.coerce(w)
-    acc = LP_ONE
+    out = [LP_ONE]
     for i in range(n):
-        acc = acc * (w - LP_LAMBDA * i)
-    return acc
+        out.append(out[-1] * (w - LP_LAMBDA * i))
+    return out
+
+
+def falling_deg_at(w: LambdaLike, n: int) -> LambdaPoly:
+    """(w)_{n,λ} = w(w-λ)···(w-(n-1)λ) for a λ-polynomial (or rational) w."""
+    return falling_deg_prefix(w, n)[n]
 
 
 def falling_classical_int(r: int, k: int) -> int:
@@ -202,19 +210,24 @@ def stirling1_deg(n: int, k: int) -> LambdaPoly:
     return c if (n - k) % 2 == 0 else -c
 
 
-def stirling2_alt_sum(n: int, k: int) -> LambdaPoly:
-    """(1/k!)·Σ_{j=0}^{k} C(k,j)(-1)^{k-j}(j)_{n,λ}.
+def stirling2_alt_sums(n_max: int) -> list[list[LambdaPoly]]:
+    """Rows n = 0 … n_max of (1/k!)·Σ_{j=0}^{k} C(k,j)(-1)^{k-j}(j)_{n,λ}, k = 0 … n_max.
 
-    Equals S_{2,λ}(n,k) for n ≥ k and the zero polynomial for n < k.
-    Independent of the recurrence: each (j)_{n,λ} is a bare product.
+    Entry [n][k] equals S_{2,λ}(n,k) for n ≥ k and the zero polynomial for
+    n < k.  Independent of the recurrence: (j)_{n,λ} comes from one bare
+    product prefix per j, and each entry is one sum of products.
     """
-    _require_nonneg(n, "row index")
-    _require_nonneg(k, "column index")
-    acc = LP_ZERO
-    for j in range(k + 1):
-        term = falling_deg_at(Fraction(j), n) * comb(k, j)
-        acc = acc + (term if (k - j) % 2 == 0 else -term)
-    return acc * Fraction(1, factorial(k))
+    _require_nonneg(n_max, "row index")
+    falls = [falling_deg_prefix(j, n_max) for j in range(n_max + 1)]
+    weights = [
+        [Fraction((-1) ** (k - j) * comb(k, j), factorial(k)) for j in range(k + 1)]
+        for k in range(n_max + 1)
+    ]
+    return [
+        [sum_of_products((w, falls[j][n], 1) for j, w in enumerate(row)).coeff(0)
+         for row in weights]
+        for n in range(n_max + 1)
+    ]
 
 
 # β_n = num[n]/den[n] over integers; (1)_{m,λ} = 1·(1-λ)···(1-(m-1)λ) is kept

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .core import (
     LP_LAMBDA,
@@ -230,13 +230,12 @@ def series_exp(a: Series) -> Series:
 def series_compose(outer: Series, inner: Series) -> Series:
     """outer ∘ inner for inner with zero constant term.
 
-    Uses power accumulation: inner^k is built incrementally, and each
-    t-coefficient of the result is one weighted sum Σ_k c_k·(inner^k)_m over
-    the powers whose outer coefficient c_k is nonzero.  When the inner
-    series is free of x (the common case here: log_λ or e_λ - 1), its powers
-    stay x-free, so the expensive Cauchy products never touch the large
-    x-polynomials that Horner accumulation would drag through every
-    multiplication.
+    Uses power accumulation: inner^k is built incrementally, and the result
+    is one combination Σ_k c_k·inner^k over the powers whose outer
+    coefficient c_k is nonzero.  When the inner series is free of x (the
+    common case here: log_λ or e_λ - 1), its powers stay x-free, so the
+    expensive Cauchy products never touch the large x-polynomials that
+    Horner accumulation would drag through every multiplication.
     """
     if not inner.coeffs[0].is_zero:
         raise ValueError("composition requires zero constant term")
@@ -248,10 +247,21 @@ def series_compose(outer: Series, inner: Series) -> Series:
         power = series_mul(power, inner)
         if not outer.coeffs[k].is_zero:
             kept.append((outer.coeffs[k], power))
-    return Series(
-        (sum_of_products((1, ck, pk.coeffs[m]) for ck, pk in kept) for m in range(n + 1)),
-        order=n,
-    )
+    return series_combination(kept, n)
+
+
+def series_combination(pairs: Iterable[tuple[XLike, Series]], order: int) -> Series:
+    """Σ c·S over (t-free constant c, series S) pairs, truncated at ``order``.
+
+    One kernel call for the whole sum: each pair is the Cauchy product of
+    the length-1 sequence (c) with S.  Every S must reach ``order``.
+    """
+    terms = []
+    for c, s in pairs:
+        if s.order < order:
+            raise ValueError(f"series of order {s.order} cannot give terms up to t^{order}")
+        terms.append((1, (XPoly.coerce(c),), s.coeffs))
+    return Series(_xpoly_products(terms, order + 1), order=order)
 
 
 # ----------------------------------------------------------------------
@@ -314,16 +324,20 @@ def binomial_power_series(
 # JSON interchange: {"order": N, "coeffs": [nested rational strings...]}
 # ----------------------------------------------------------------------
 
-def series_to_json(s: Series) -> str:
-    payload = {
-        "order": s.order,
-        "coeffs": [to_nested_lists(c) for c in s.coeffs],
-    }
-    return json.dumps(payload)
+def series_json_chunks(s: Series) -> Iterator[str]:
+    """The JSON text of ``{"order": N, "coeffs": [...]}``, one t-coefficient per chunk.
+
+    The chunks join to exactly ``json.dumps`` of that object, but only one
+    coefficient's nested list of rational strings exists at a time.
+    """
+    yield f'{{"order": {s.order}, "coeffs": ['
+    for n, c in enumerate(s.coeffs):
+        yield (", " if n else "") + json.dumps(to_nested_lists(c))
+    yield "]}"
 
 
 def series_from_json(text: str) -> Series:
-    """Inverse of :func:`series_to_json`; a malformed payload raises ``ValueError``.
+    """Inverse of :func:`series_json_chunks` (joined); a malformed payload raises ``ValueError``.
 
     The payload must be an object with an integer ``order`` ≥ 0 and
     ``coeffs``, exactly ``order + 1`` coefficients, each a list of lists of

@@ -1,5 +1,6 @@
 """The identity harness: catalog coverage, discrimination, reporting."""
 
+import hashlib
 import json
 
 import pytest
@@ -85,6 +86,25 @@ def test_every_single_entry_bump_is_caught():
                 for key in ("eq39", "eq43")
             )
             assert caught, f"bump at ({n},{k}) went unnoticed"
+
+
+def test_bump_reports_match_recorded_digest():
+    """Every report for every +1 bump with n ≤ 5, counterexample text included, is pinned.
+
+    The digest is the sha256 of the sorted-key JSON of the 21 × 29 reports (420 of
+    them failing), so a rewrite of any check that changes a grid, a parameter or a
+    rendered side of a counterexample fails here.
+    """
+    reports = [
+        r.to_json_dict()
+        for n in range(6)
+        for k in range(n + 1)
+        for r in verify_all(6, tables=FamilyTables.with_bump(n, k))
+    ]
+    assert len(reports) == 21 * 29
+    assert sum(r["status"] == "fail" for r in reports) == 420
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == "3388ef9f3f5176a83ae1df35440f4254e15fb27b57df6b75a1bc561cee41f8f7"
 
 
 def test_counterexamples_render_both_sides():

@@ -27,7 +27,7 @@ from degenbell.numbers import (
     rising_classical,
     rising_deg,
     stirling1_deg,
-    stirling2_alt_sum,
+    stirling2_alt_sums,
     stirling2_deg,
 )
 
@@ -140,19 +140,28 @@ def test_bracket_at_lambda_one_is_kronecker_delta():
 
 def test_stirling2_three_route_agreement():
     """Triangular recurrence table == alternating sum == basis conversion."""
+    alt_sums = stirling2_alt_sums(12)
     for n in range(13):
         expanded = basis_expand(falling_deg(n), falling_classical)
         for k in range(n + 1):
             table = stirling2_deg(n, k)
-            assert table == stirling2_alt_sum(n, k), (n, k)
+            assert table == alt_sums[n][k], (n, k)
             assert table == (expanded[k] if k < len(expanded) else LP_ZERO), (n, k)
 
 
 def test_alt_sum_vanishes_above_the_diagonal():
-    for n in range(7):
-        for k in range(n + 1, 10):
-            assert stirling2_alt_sum(n, k).is_zero
+    alt_sums = stirling2_alt_sums(12)
+    assert len(alt_sums) == 13 and all(len(row) == 13 for row in alt_sums)
+    for n in range(13):
+        for k in range(n + 1, 13):
+            assert alt_sums[n][k].coeffs == (), (n, k)
             assert stirling2_deg(n, k).is_zero
+
+
+def test_alt_sum_grid_is_a_prefix_of_every_larger_grid():
+    big = stirling2_alt_sums(12)
+    for n_max in (0, 1, 5):
+        assert stirling2_alt_sums(n_max) == [row[: n_max + 1] for row in big[: n_max + 1]]
 
 
 def test_stirling_inversion_is_exact():

@@ -1,6 +1,7 @@
 """Truncated power-series engine: arithmetic against naive oracles,
 generating-function invariants, and the error contract."""
 
+import json
 from fractions import Fraction
 from math import comb, factorial
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenbell.core import LP_LAMBDA, LP_ONE, XP_X, LambdaPoly, XPoly
+from degenbell.core import LP_LAMBDA, LP_ONE, XP_X, LambdaPoly, XPoly, to_nested_lists
 from degenbell.numbers import bell_gf, falling_deg_at, stirling2_deg
 from degenbell.series import (
     DEFAULT_ORDER,
@@ -16,15 +17,16 @@ from degenbell.series import (
     binomial_power_series,
     e_lambda_series,
     log_lambda_series,
+    series_combination,
     series_compose,
     series_exp,
     series_from_json,
+    series_json_chunks,
     series_mul,
     series_recip_unit,
-    series_to_json,
 )
 
-from oracles import cauchy, conv_trunc, poly_mul_2d, pstrip, revert_series
+from oracles import cauchy, conv_trunc, padd, poly_mul_2d, pstrip, revert_series
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 scalar_series = st.lists(rationals, min_size=1, max_size=7).map(
@@ -309,11 +311,93 @@ def test_default_order_constant():
 
 @given(scalar_series)
 def test_json_round_trip(s):
-    assert series_from_json(series_to_json(s)) == s
+    assert series_from_json("".join(series_json_chunks(s))) == s
 
 
 def test_json_round_trip_symbolic():
     gf = series_exp(
         (e_lambda_series(1, 6) - Series.one(6)).scale(XP_X)
     )
-    assert series_from_json(series_to_json(gf)) == gf
+    assert series_from_json("".join(series_json_chunks(gf))) == gf
+
+
+@pytest.mark.parametrize("s", [Series.zero(0), Series.one(3), bell_gf(5), log_lambda_series(4)])
+def test_json_chunks_join_to_the_one_shot_dump(s):
+    """One chunk per t-coefficient plus the two ends; joined, exactly json.dumps of the object."""
+    chunks = list(series_json_chunks(s))
+    payload = {"order": s.order, "coeffs": [to_nested_lists(c) for c in s.coeffs]}
+    assert len(chunks) == s.order + 3
+    assert "".join(chunks) == json.dumps(payload)
+    assert series_from_json("".join(chunks)) == s
+
+
+# ----------------------------------------------------------------------
+# series_combination vs the naive convolution oracles
+# ----------------------------------------------------------------------
+
+# A t-free coefficient as raw x-power rows of λ-coefficients.
+lambda_rows = st.lists(rationals, max_size=3).map(lambda cs: [cs])
+x_rows = st.lists(st.lists(rationals, max_size=3), max_size=2)
+
+
+@st.composite
+def combinations(draw, rows):
+    """(order, [(constant rows, [series coefficient rows])]); every series reaches ``order``."""
+    order = draw(st.integers(0, 4))
+    series = st.lists(rows, min_size=order + 1, max_size=order + 2)
+    return order, draw(st.lists(st.tuples(rows, series), max_size=3))
+
+
+def _combine(order, pairs) -> Series:
+    return series_combination(
+        [(XPoly(c), Series((XPoly(r) for r in s), order=len(s) - 1)) for c, s in pairs], order
+    )
+
+
+def _raw_2d(rows) -> dict:
+    return {(i, j): c for i, row in enumerate(rows) for j, c in enumerate(row) if c}
+
+
+@given(combinations(lambda_rows))
+def test_lambda_series_combination_matches_oracle(case):
+    order, pairs = case
+    expected = [()] * (order + 1)
+    for [c], s in pairs:
+        product = conv_trunc([pstrip(c)], [pstrip(r) for [r] in s], order)
+        expected = [padd(e, p) for e, p in zip(expected, product)]
+    total = _combine(order, pairs)
+    assert total.order == order
+    assert all(c.degree in (None, 0) for c in total.coeffs)
+    assert [c.coeff(0).coeffs for c in total.coeffs] == expected
+
+
+@given(combinations(x_rows))
+def test_series_combination_matches_oracle(case):
+    order, pairs = case
+    total = _combine(order, pairs)
+    assert total.order == order
+    for n in range(order + 1):
+        rows: list[tuple] = []
+        for c, s in pairs:
+            for (i, j), v in poly_mul_2d(_raw_2d(c), _raw_2d(s[n])).items():
+                rows += [()] * (i + 1 - len(rows))
+                rows[i] = padd(rows[i], (Fraction(0),) * j + (v,))
+        while rows and not rows[-1]:
+            rows.pop()
+        assert [lp.coeffs for lp in total.coeffs[n].coeffs] == rows, n
+
+
+@settings(max_examples=50)
+@given(combinations(x_rows))
+def test_series_combination_that_cancels_is_zero(case):
+    """Each pair and its negation: every coefficient is the empty XPoly, not stored zeros."""
+    order, pairs = case
+    signed = pairs + [([[-v for v in row] for row in c], s) for c, s in pairs]
+    total = _combine(order, signed)
+    assert total == Series.zero(order)
+    assert all(c.coeffs == () for c in total.coeffs)
+
+
+def test_series_combination_refuses_a_series_short_of_the_order():
+    with pytest.raises(ValueError, match="order"):
+        series_combination([(XP_X, Series.one(2))], 3)

@@ -48,7 +48,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 
 ScalarLike = Union[int, Fraction]
 
@@ -572,7 +572,7 @@ def _ascii_exponent(digits: str | None, default: int) -> int:
 #: One unsigned monomial in v: ``c``, ``c*v^k`` or ``v^k``, where c is p or p/q
 #: and ``^k`` may be left out; the ``*`` comes exactly when c precedes v.
 _MONOMIAL = {
-    v: re.compile(rf"(?=.)(?P<num>\d+(?:/\d+)?)?(?:(?(num)\*)(?P<var>{v})(?:\^(?P<pow>\d+))?)?")
+    v: re.compile(rf"(?=.)(?P<num>[0-9]+(?:/[0-9]+)?)?(?:(?(num)\*)(?P<var>{v})(?:\^(?P<pow>[0-9]+))?)?")
     for v in ("lambda", "x")
 }
 
@@ -634,7 +634,7 @@ def _split_ascii_terms(s: str) -> list[tuple[int, str]]:
     return out
 
 
-_ASCII_X_PAREN = re.compile(r"\((?P<poly>[^()]*)\)(?:\*x(?:\^(?P<pow>\d+))?)?$")
+_ASCII_X_PAREN = re.compile(r"\((?P<poly>[^()]*)\)(?:\*x(?:\^(?P<pow>[0-9]+))?)?$")
 
 
 def xpoly_from_ascii(text: str) -> XPoly:

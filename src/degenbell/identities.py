@@ -8,7 +8,9 @@ Each entry is a generator that yields its (params, lhs, rhs) cases in grid
 order, registered with ``_identity``; one shared checker compares the two
 sides and reports the first mismatch.  A factor that does not change across
 a check's grid (a falling-factorial prefix, an EGF of Bell polynomials) is
-built once per check call and kept local to it.
+built once per check call and kept local to it.  The routes that only the
+checks use (classical factorial bases, S₂ by alternating sums, binomial
+series) are defined here, beside their callers.
 
 Checks draw their Stirling/Bell values from a :class:`FamilyTables`
 context.  The default context is the library itself; a context with a
@@ -29,7 +31,9 @@ from .core import (
     LP_LAMBDA,
     LP_ONE,
     LP_ZERO,
+    XP_ONE,
     XP_X,
+    LambdaLike,
     LambdaPoly,
     XLike,
     XPoly,
@@ -43,14 +47,9 @@ from .numbers import (
     bell_gf,
     bernoulli_deg,
     bracket_deg,
-    falling_classical,
     falling_deg,
-    falling_deg_at,
-    falling_deg_prefix,
-    rising_classical,
     rising_deg,
     stirling1_deg,
-    stirling2_alt_sums,
     stirling2_deg,
 )
 from .opcalc import (
@@ -64,7 +63,6 @@ from .opcalc import (
 )
 from .series import (
     Series,
-    binomial_power_series,
     e_lambda_series,
     log_lambda_series,
     series_combination,
@@ -202,16 +200,87 @@ class FamilyTables:
         return bernoulli_deg(n)
 
 
+# ----------------------------------------------------------------------
+# Second routes: built without the library's tables, for the checks only
+# ----------------------------------------------------------------------
+
+_CLASSICAL: dict[LambdaPoly, list[XPoly]] = {}
+
+
+def _classical_factorial(shift: LambdaPoly, n: int) -> XPoly:
+    """P(n) = P(n-1)·(x + (n-1)·shift), P(0) = 1, from a growing list per shift ±1."""
+    if n < 0:
+        raise ValueError(f"factorial index must be nonnegative, got {n}")
+    built = _CLASSICAL.setdefault(shift, [XP_ONE])
+    while len(built) <= n:
+        built.append(built[-1] * (XP_X + shift * (len(built) - 1)))
+    return built[n]
+
+
+def falling_classical(n: int) -> XPoly:
+    """(x)_n = x(x-1)···(x-n+1)."""
+    return _classical_factorial(-LP_ONE, n)
+
+
+def rising_classical(n: int) -> XPoly:
+    """⟨x⟩_n = x(x+1)···(x+n-1)."""
+    return _classical_factorial(LP_ONE, n)
+
+
+def falling_deg_prefix(w: LambdaLike, n: int) -> list[LambdaPoly]:
+    """[(w)_{i,λ} for i = 0 … n], each w(w-λ)···(w-(i-1)λ) the one before times a factor."""
+    if n < 0:
+        raise ValueError(f"factorial index must be nonnegative, got {n}")
+    w = LambdaPoly.coerce(w)
+    out = [LP_ONE]
+    for i in range(n):
+        out.append(out[-1] * (w - LP_LAMBDA * i))
+    return out
+
+
+def stirling2_alt_sums(n_max: int) -> list[list[LambdaPoly]]:
+    """Rows n = 0 … n_max of (1/k!)·Σ_{j=0}^{k} C(k,j)(-1)^{k-j}(j)_{n,λ}, k = 0 … n_max.
+
+    Entry [n][k] equals S_{2,λ}(n,k) for n ≥ k and the zero polynomial for
+    n < k.  Independent of the recurrence: (j)_{n,λ} comes from one bare
+    product prefix per j, and each entry is one sum of products.
+    """
+    falls = [falling_deg_prefix(j, n_max) for j in range(n_max + 1)]
+    weights = [
+        [Fraction((-1) ** (k - j) * comb(k, j), factorial(k)) for j in range(k + 1)]
+        for k in range(n_max + 1)
+    ]
+    return [
+        [sum_of_products((w, falls[j][n], 1) for j, w in enumerate(row)).coeff(0)
+         for row in weights]
+        for n in range(n_max + 1)
+    ]
+
+
+def binomial_power_series(base_shift: LambdaLike, exponent: XLike, order: int) -> Series:
+    """(1 + s·t)^w = Σ_n binom(w, n)·s^n·t^n with the generalized binomial.
+
+    The shift s may carry λ, as in (1 + λt)^{-n} (lemma1), and the exponent w
+    may be a polynomial in x, as in (1 - t)^{-x} (eq57).
+    """
+    if order < 0:
+        raise ValueError("order must be ≥ 0")
+    s = LambdaPoly.coerce(base_shift)
+    w = XPoly.coerce(exponent)
+    out = [XP_ONE]
+    binom = XP_ONE
+    s_pow = LP_ONE
+    for n in range(1, order + 1):
+        binom = binom * (w - (n - 1)) * Fraction(1, n)
+        s_pow = s_pow * s
+        out.append(binom * s_pow)
+    return Series(out, order=order)
+
+
 @lru_cache(maxsize=None)
 def _one_fall(j: int) -> LambdaPoly:
     """(1)_{j,λ} = 1·(1-λ)···(1-(j-1)λ)."""
-    return falling_deg_at(1, j)
-
-
-@lru_cache(maxsize=None)
-def _exp_xt(order: int) -> Series:
-    """e^{xt}: coefficient of t^n is x^n/n!."""
-    return Series(XPoly.monomial(n, Fraction(1, factorial(n))) for n in range(order + 1))
+    return falling_deg_prefix(1, j)[j]
 
 
 @lru_cache(maxsize=None)
@@ -463,18 +532,19 @@ def _thm13(n_max: int, order: int, tb: FamilyTables) -> Cases:
            "n=0..{n_max}, a∈{{1,-1,2,1/2}}, series order {order}", series=True)
 def _lemma1(n_max: int, order: int, tb: FamilyTables) -> Cases:
     e = e_lambda_series(1, order)
-    # (1 + λt)^{-n}, the same for every a
+    # (1 + λt)^{-n} and e_λ(t)^k, the same for every a
     binomials = [binomial_power_series(LP_LAMBDA, -n, order) for n in range(n_max + 1)]
+    powers = [Series.one(order)]
+    for _ in range(n_max):
+        powers.append(series_mul(powers[-1], e))
     for a in A_GRID:
-        ea = e.scale(a)
-        f = series_exp(ea - Series.const(a, order))  # e^{a·e_λ(t)} / e^a
-        # powers of a·e_λ(t), reused across all n for this a
-        powers = [Series.one(order)]
-        for _ in range(n_max):
-            powers.append(series_mul(powers[-1], ea))
+        f = series_exp(e.scale(a) - Series.const(a, order))  # e^{a·e_λ(t)} / e^a
         lhs = f
         for n in range(n_max + 1):
-            bel_at_ea = series_combination(zip(tb.bell(n).coeffs, powers), order)
+            # Bel_{n,λ}(a·e_λ(t)) = Σ_k S_{2,λ}(n,k)·a^k·e_λ(t)^k
+            bel_at_ea = series_combination(
+                ((c * a**k, powers[k]) for k, c in enumerate(tb.bell(n).coeffs)), order
+            )
             rhs = series_mul(series_mul(binomials[n], bel_at_ea), f)
             yield {"n": n, "a": a}, lhs, rhs.truncate(lhs.order)
             if n < n_max:
@@ -580,7 +650,7 @@ def _eq58(n_max: int, order: int, tb: FamilyTables) -> Cases:
 @_identity("eq59", "Bell GF composed with log_λ gives e^(xt)",
            "series order {order} (symbolic x)", series=True)
 def _eq59(n_max: int, order: int, tb: FamilyTables) -> Cases:
-    lhs = _exp_xt(order)
+    lhs = _egf(XPoly.monomial(n) for n in range(order + 1))  # e^{xt}
     yield {"order": order}, lhs, series_compose(bell_gf(order), log_lambda_series(order))
 
 

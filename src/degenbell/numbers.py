@@ -2,10 +2,9 @@
 
 Everything here is a polynomial identity in the deformation parameter λ:
 
-* ``falling_deg`` / ``rising_deg`` / ``falling_classical`` /
-  ``rising_classical`` -- the factorial bases (x)_{n,λ} = x(x-λ)···(x-(n-1)λ),
-  ⟨x⟩_{n,λ}, (x)_n and ⟨x⟩_n, by one iterative cached product
-  P(n) = P(n-1)·(x + (n-1)·shift) with shift -λ, λ, -1 or 1.
+* ``falling_deg`` / ``rising_deg`` -- the deformed factorial bases
+  (x)_{n,λ} = x(x-λ)···(x-(n-1)λ) and ⟨x⟩_{n,λ}, by one iterative cached
+  product P(n) = P(n-1)·(x + (n-1)·shift) with shift -λ or λ.
 * ``stirling2_deg`` -- S_{2,λ}(n,k), connecting (x)_{n,λ} to the classical
   falling factorials, by S(n,k) = S(n-1,k-1) + (k-(n-1)λ)S(n-1,k).
 * ``bracket_deg`` -- [n k]_λ, connecting ⟨x⟩_n to the deformed rising
@@ -21,13 +20,8 @@ Everything here is a polynomial identity in the deformation parameter λ:
 Each table has one route: rows are stepped on integer λ-coefficient lists
 (β over one denominator per n) and each entry becomes a LambdaPoly once.
 Indices above ``MAX_INDEX`` raise ValueError before anything is built.
-``basis_expand`` (given a basis builder such as ``falling_classical``) and
-``stirling2_alt_sums`` are independent second routes for the identity
-harness and the tests; the factorial bases never share the tables' code.
-``stirling2_alt_sums`` builds its whole n, k grid from one bare product
-prefix of (j)_{n,λ} per j (``falling_deg_prefix``).
-The ``series_exp`` route to the Bell GF lives in the harness too
-(``identities._bell_gf_by_exp``, checked against ``bell_gf`` by eq12-vs-eq14).
+Second routes that cross-check the tables live in :mod:`degenbell.identities`,
+except ``basis_expand``, which the benchmark's layer rows wrap by this name.
 
 At λ = 0 every family collapses to its classical counterpart; the classical
 values are exposed only through that evaluation, never as separate code.
@@ -46,10 +40,8 @@ from .core import (
     LP_ZERO,
     XP_ONE,
     XP_X,
-    LambdaLike,
     LambdaPoly,
     XPoly,
-    sum_of_products,
 )
 from .series import Series, e_lambda_series, series_recip_unit
 
@@ -85,44 +77,10 @@ def rising_deg(n: int) -> XPoly:
     return _factorial(LP_LAMBDA, n)
 
 
-def falling_classical(n: int) -> XPoly:
-    """(x)_n = x(x-1)···(x-n+1)."""
-    return _factorial(-LP_ONE, n)
-
-
-def rising_classical(n: int) -> XPoly:
-    """⟨x⟩_n = x(x+1)···(x+n-1)."""
-    return _factorial(LP_ONE, n)
-
-
-def falling_deg_prefix(w: LambdaLike, n: int) -> list[LambdaPoly]:
-    """[(w)_{i,λ} for i = 0 … n], each w(w-λ)···(w-(i-1)λ) the one before times a factor."""
-    _require_nonneg(n, "factorial index")
-    w = LambdaPoly.coerce(w)
-    out = [LP_ONE]
-    for i in range(n):
-        out.append(out[-1] * (w - LP_LAMBDA * i))
-    return out
-
-
-def falling_deg_at(w: LambdaLike, n: int) -> LambdaPoly:
-    """(w)_{n,λ} = w(w-λ)···(w-(n-1)λ) for a λ-polynomial (or rational) w."""
-    return falling_deg_prefix(w, n)[n]
-
-
-def falling_classical_int(r: int, k: int) -> int:
-    """(r)_k = r(r-1)···(r-k+1) for integer r; zero when 0 ≤ r < k."""
-    _require_nonneg(k, "factorial index")
-    acc = 1
-    for i in range(k):
-        acc *= r - i
-    return acc
-
-
 def basis_expand(p: XPoly, element: Callable[[int], XPoly]) -> list[LambdaPoly]:
     """Coefficients c_0..c_d with p = Σ c_k·element(k).
 
-    ``element`` is a basis builder such as ``falling_classical``.
+    ``element`` is a monic basis builder such as ``rising_deg``.
     Descending-degree elimination: every basis element is monic of its
     degree, so the top coefficient of the remainder is read off directly
     and one subtraction strictly lowers the degree.  Exact for any p.
@@ -148,6 +106,9 @@ def basis_expand(p: XPoly, element: Callable[[int], XPoly]) -> list[LambdaPoly]:
 #: Largest row index n served by the S₂, S₁, bracket, Bel and β builders; their
 #: time and memory grow as n³ (β's time as n⁴), with figures in the README.
 MAX_INDEX = 200
+#: Most terms ``bell_dobinski_numeric`` sums; the cost of its exact sum grows
+#: steeply with the term count, with figures in the README.
+MAX_DOBINSKI_TERMS = 1000
 
 
 def require_index(n: int, what: str = "index") -> None:
@@ -208,26 +169,6 @@ def stirling1_deg(n: int, k: int) -> LambdaPoly:
     """S_{1,λ}(n,k) = (-1)^{n-k}·[n k]_λ: coefficient of (x)_{k,λ} in (x)_n."""
     c = bracket_deg(n, k)
     return c if (n - k) % 2 == 0 else -c
-
-
-def stirling2_alt_sums(n_max: int) -> list[list[LambdaPoly]]:
-    """Rows n = 0 … n_max of (1/k!)·Σ_{j=0}^{k} C(k,j)(-1)^{k-j}(j)_{n,λ}, k = 0 … n_max.
-
-    Entry [n][k] equals S_{2,λ}(n,k) for n ≥ k and the zero polynomial for
-    n < k.  Independent of the recurrence: (j)_{n,λ} comes from one bare
-    product prefix per j, and each entry is one sum of products.
-    """
-    _require_nonneg(n_max, "row index")
-    falls = [falling_deg_prefix(j, n_max) for j in range(n_max + 1)]
-    weights = [
-        [Fraction((-1) ** (k - j) * comb(k, j), factorial(k)) for j in range(k + 1)]
-        for k in range(n_max + 1)
-    ]
-    return [
-        [sum_of_products((w, falls[j][n], 1) for j, w in enumerate(row)).coeff(0)
-         for row in weights]
-        for n in range(n_max + 1)
-    ]
 
 
 # β_n = num[n]/den[n] over integers; (1)_{m,λ} = 1·(1-λ)···(1-(m-1)λ) is kept
@@ -301,6 +242,8 @@ def bell_dobinski_numeric(n: int, x: float, lam: float, terms: int) -> float:
     _require_nonneg(n, "index")
     if terms < 1:
         raise ValueError(f"terms must be ≥ 1, got {terms}")
+    if terms > MAX_DOBINSKI_TERMS:
+        raise ValueError(f"{terms} Dobinski terms exceed the limit {MAX_DOBINSKI_TERMS}")
     if not (math.isfinite(x) and math.isfinite(lam)):
         raise ValueError("non-finite input")
     xq = Fraction(x)

@@ -14,17 +14,19 @@ and the multiplier (m + kλ) is a degree-one polynomial in λ, so repeated
 application stays polynomial — no rational functions ever appear.
 
 :class:`ExpExpr` keeps terms merged and canonically sorted, making
-equality structural and rendering deterministic.
+equality structural and rendering deterministic.  ``falling_classical_int``
+lives here because only ``theorem11_apply_monomial`` uses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterable
 
 from .core import LambdaLike, LambdaPoly, ScalarLike, XPoly, lambda_poly_pretty
-from .numbers import falling_classical_int, stirling2_deg
+from .numbers import stirling2_deg
 
 
 @dataclass(frozen=True)
@@ -260,6 +262,11 @@ def prop10_rhs(n: int, a: ScalarLike, p: int) -> ExpExpr:
         )
         for k in range(n + 1)
     )
+
+
+def falling_classical_int(r: int, k: int) -> int:
+    """(r)_k = r(r-1)···(r-k+1) for integer r and k ≥ 0; zero when 0 ≤ r < k."""
+    return prod(range(r, r - k, -1))
 
 
 def theorem11_apply_monomial(n: int, r: int) -> ExpExpr:

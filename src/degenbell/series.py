@@ -14,7 +14,9 @@ The deformed exponential/logarithm pair lives here:
 * ``log_lambda_series(N)`` -- its compositional inverse around 0, with
   t^n/n! coefficient Π_{j=1}^{n-1}(λ - j).
 
-Both reduce to the classical exp/log at λ = 0.
+Both reduce to the classical exp/log at λ = 0.  Series that serve only to
+cross-check these, such as the binomial powers (1 + s·t)^w, belong to the
+identity harness (:mod:`degenbell.identities`).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 from .core import (
     LP_LAMBDA,
@@ -265,7 +267,7 @@ def series_combination(pairs: Iterable[tuple[XLike, Series]], order: int) -> Ser
 
 
 # ----------------------------------------------------------------------
-# The deformed exponential / logarithm pair and binomial powers
+# The deformed exponential / logarithm pair
 # ----------------------------------------------------------------------
 
 def e_lambda_series(exponent: XLike, order: int) -> Series:
@@ -295,29 +297,6 @@ def log_lambda_series(order: int) -> Series:
         prod = prod * (LP_LAMBDA - (n - 1))
         out.append(XPoly.const(prod * Fraction(1, factorial(n))))
     return Series(out[: order + 1], order=order)
-
-
-def binomial_power_series(
-    base_shift: LambdaLike, exponent: Union[int, XLike], order: int
-) -> Series:
-    """(1 + s·t)^w = Σ_n binom(w, n)·s^n·t^n with the generalized binomial.
-
-    The shift s may carry λ symbolically (1 + λt raised to integer powers
-    is the main use) and the exponent w may be an integer or a polynomial
-    in x, e.g. (1-t)^{-x} whose t^n coefficient is ⟨x⟩_n/n!.
-    """
-    if order < 0:
-        raise ValueError("order must be ≥ 0")
-    s = LambdaPoly.coerce(base_shift)
-    w = XPoly.coerce(exponent)
-    out = [XP_ONE]
-    binom = XP_ONE
-    s_pow = LP_ONE
-    for n in range(1, order + 1):
-        binom = binom * (w - (n - 1)) * Fraction(1, n)
-        s_pow = s_pow * s
-        out.append(binom * s_pow)
-    return Series(out, order=order)
 
 
 # ----------------------------------------------------------------------

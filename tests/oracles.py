@@ -45,6 +45,14 @@ def pmul(a: Poly, b: Poly) -> Poly:
     return pstrip(out)
 
 
+def pfalling(w: Poly, n: int) -> Poly:
+    """(w)_{n,λ} = w(w-λ)···(w-(n-1)λ) for a λ-polynomial w."""
+    out = (Fraction(1),)
+    for i in range(n):
+        out = pmul(out, padd(w, (0, -i)))
+    return out
+
+
 # ----------------------------------------------------------------------
 # Set partitions and permutation cycles, by honest enumeration
 # ----------------------------------------------------------------------

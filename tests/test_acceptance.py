@@ -16,13 +16,12 @@ from click.testing import CliRunner
 from degenbell import identities
 from degenbell.cli import main as cli_main
 from degenbell.core import LambdaPoly, lambda_poly_from_ascii
-from degenbell.identities import FamilyTables, verify, verify_all
+from degenbell.identities import FamilyTables, stirling2_alt_sums, verify, verify_all
 from degenbell.numbers import (
     bell_deg,
     bell_dobinski_numeric,
     bernoulli_deg,
     stirling1_deg,
-    stirling2_alt_sums,
     stirling2_deg,
 )
 from degenbell.opcalc import ExpExpr, eval_at_x1_in_e_units, op_power

@@ -21,6 +21,7 @@ from degenbell.core import (
 )
 from degenbell.identities import CATALOG, FamilyTables
 from degenbell.numbers import (
+    MAX_DOBINSKI_TERMS,
     MAX_INDEX,
     bell_deg,
     bernoulli_deg,
@@ -120,6 +121,8 @@ def test_refusals_exit_2_with_one_line(runner):
         (("series", "elam", "--order", n), f"--order {n} exceeds the limit {MAX_INDEX}"),
         (("verify", "eq59", "--n-max", 2, "--order", n),
          f"--order {n} exceeds the limit {MAX_INDEX}"),
+        (("eval", 10, "--x", 2, "--lambda", "1/3", "--dobinski-terms", MAX_DOBINSKI_TERMS + 1),
+         f"{MAX_DOBINSKI_TERMS + 1} Dobinski terms exceed the limit {MAX_DOBINSKI_TERMS}"),
     ):
         result = invoke(runner, *map(str, args))
         assert result.exit_code == 2
@@ -201,6 +204,9 @@ def test_eval_rejects_bad_input(runner):
     assert invoke(runner, "eval", "2", "--x", "1", "--lambda", "0.5").exit_code == 2
     assert invoke(runner, "eval", "-3", "--lambda", "1/2").exit_code == 2
     assert invoke(runner, "eval", "2", "--lambda", "1/2", "--x", "1e3").exit_code == 2
+    # digits are ASCII only: an Arabic-Indic three is not 3
+    assert invoke(runner, "eval", "3", "--lambda", "٣").exit_code == 2
+    assert invoke(runner, "eval", "3", "--lambda", "1", "--x", "1/٣").exit_code == 2
     # Dobinski needs a positive evaluation point
     assert (
         invoke(

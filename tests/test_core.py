@@ -279,6 +279,13 @@ def test_ascii_parser_rejects_garbage():
         lambda_poly_from_ascii("1/0")
     with pytest.raises(ValueError):
         xpoly_from_ascii("(1/0)*x")
+    # digits are ASCII only: Arabic-Indic ٣ and ٢ are not 3 and 2
+    for text in ("٣*lambda^٢", "lambda^٢", "٣"):
+        with pytest.raises(ValueError):
+            lambda_poly_from_ascii(text)
+    for text in ("٣*x", "x^٣", "(1)*x^٣", "(٣)*x"):
+        with pytest.raises(ValueError):
+            xpoly_from_ascii(text)
     with pytest.raises(ValueError, match="exceeds the limit"):
         lambda_poly_from_ascii("lambda^99999999999")
     for text in ("x^99999999999", "(1)*x^99999999999", "(lambda^99999999999)*x"):
@@ -381,7 +388,7 @@ def test_parse_rational_accepts_exact_forms(text, value):
     assert parse_rational(text) == value
 
 
-@pytest.mark.parametrize("text", ["0.5", "1e3", "", "x", "1/0", "1/2/3", "--4"])
+@pytest.mark.parametrize("text", ["0.5", "1e3", "", "x", "1/0", "1/2/3", "--4", "٣", "1/٣"])
 def test_parse_rational_rejects_inexact_forms(text):
     with pytest.raises(ValueError):
         parse_rational(text)

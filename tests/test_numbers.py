@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 from degenbell import numbers
 from degenbell.core import LP_ONE, LP_ZERO, LambdaPoly, XPoly
+from degenbell.identities import (
+    falling_classical,
+    falling_deg_prefix,
+    rising_classical,
+    stirling2_alt_sums,
+)
 from degenbell.numbers import (
+    MAX_DOBINSKI_TERMS,
     MAX_INDEX,
     basis_expand,
     bell_deg,
@@ -20,16 +27,12 @@ from degenbell.numbers import (
     bernoulli_deg,
     bernoulli_gf,
     bracket_deg,
-    falling_classical,
-    falling_classical_int,
     falling_deg,
-    falling_deg_at,
-    rising_classical,
     rising_deg,
     stirling1_deg,
-    stirling2_alt_sums,
     stirling2_deg,
 )
+from degenbell.opcalc import falling_classical_int
 
 from oracles import (
     bell_count,
@@ -47,11 +50,11 @@ rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
 @given(rationals, rationals, st.integers(min_value=0, max_value=8))
 def test_falling_deg_is_the_product(x0, lam, n):
-    expect = Fraction(1)
+    expect = [Fraction(1)]
     for i in range(n):
-        expect *= x0 - i * lam
-    assert falling_deg(n).eval(x0, lam) == expect
-    assert falling_deg_at(x0, n).eval(lam) == expect
+        expect.append(expect[-1] * (x0 - i * lam))
+    assert falling_deg(n).eval(x0, lam) == expect[n]
+    assert [p.eval(lam) for p in falling_deg_prefix(x0, n)] == expect
 
 
 @given(rationals, rationals, st.integers(min_value=0, max_value=8))
@@ -327,3 +330,12 @@ def test_dobinski_input_validation():
         bell_dobinski_numeric(3, -1, 0, terms=10)
     with pytest.raises(ValueError):
         bell_dobinski_numeric(3, float("inf"), 0, terms=10)
+    # refused before summing: a billion terms would never finish
+    for terms in (MAX_DOBINSKI_TERMS + 1, 10**9):
+        with pytest.raises(ValueError, match=f"{terms} Dobinski terms exceed the limit"):
+            bell_dobinski_numeric(3, 1, 0, terms=terms)
+
+
+def test_dobinski_accepts_the_term_cap():
+    exact = float(bell_deg(3).eval(2, Fraction(1, 3)))
+    assert abs(bell_dobinski_numeric(3, 2, Fraction(1, 3), MAX_DOBINSKI_TERMS) - exact) < 1e-9

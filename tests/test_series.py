@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenbell.core import LP_LAMBDA, LP_ONE, XP_X, LambdaPoly, XPoly, to_nested_lists
-from degenbell.numbers import bell_gf, falling_deg_at, stirling2_deg
+from degenbell.identities import binomial_power_series, rising_classical
+from degenbell.numbers import bell_gf, stirling2_deg
 from degenbell.series import (
     DEFAULT_ORDER,
     Series,
-    binomial_power_series,
     e_lambda_series,
     log_lambda_series,
     series_combination,
@@ -26,7 +26,7 @@ from degenbell.series import (
     series_recip_unit,
 )
 
-from oracles import cauchy, conv_trunc, padd, poly_mul_2d, pstrip, revert_series
+from oracles import cauchy, conv_trunc, padd, pfalling, poly_mul_2d, pstrip, revert_series
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 scalar_series = st.lists(rationals, min_size=1, max_size=7).map(
@@ -168,7 +168,7 @@ def test_e_lambda_coefficients_are_falling_factorials():
     w = LambdaPoly((0, 3))  # 3λ as a symbolic exponent
     s = e_lambda_series(w, 8)
     for k in range(9):
-        assert s.egf_coeff(k) == XPoly.const(falling_deg_at(w, k))
+        assert s.egf_coeff(k) == XPoly.const(LambdaPoly(pfalling((0, 3), k)))
 
 
 def test_e_lambda_at_lambda_zero_is_classical_exp():
@@ -181,7 +181,7 @@ def test_log_lambda_matches_reversion_oracle():
     the series order by order without any closed form."""
     order = 8
     e_minus_1 = [
-        pstrip(Fraction(1, factorial(n)) * c for c in falling_deg_at(1, n).coeffs)
+        pstrip(Fraction(1, factorial(n)) * c for c in pfalling((1,), n))
         for n in range(order + 1)
     ]
     e_minus_1[0] = ()
@@ -259,8 +259,6 @@ def test_binomial_power_series_against_binomials():
 
 def test_symbolic_exponent_binomial_series():
     """(1-t)^{-x} is the EGF of the classical rising factorials."""
-    from degenbell.numbers import rising_classical
-
     s = binomial_power_series(-1, -XP_X, 7)
     for n in range(8):
         assert s.egf_coeff(n) == rising_classical(n)

@@ -28,6 +28,11 @@ series recurrences and the identity harness use instead of adding
 products one at a time.  Plain sums, scalar multiples and evaluation work
 on the Fractions directly.
 
+Results canonical by construction skip the normalising ``LambdaPoly(...)``: int
+numerators over a positive denominator, stripped on the ints (kernel outputs and
+the :mod:`degenbell.numbers` table rows), negations and nonzero scalar multiples.
+``Fraction`` reduces each coefficient, and ``-c`` or a nonzero factor makes no zero.
+
 Polynomials print in two notations by one renderer per type: the unicode
 display form (``*_pretty``, e.g. ``2λ² - (1/2)λ``) and the ASCII form of csv
 and json cells (``*_to_ascii``, e.g. ``2*lambda^2 - 1/2*lambda``).  A
@@ -125,16 +130,24 @@ def _multiply_accumulate(terms: list, size: int, stride: int) -> list["LambdaPol
                 if k >= size:
                     break
                 out[k] += x * y
-    polys = []
-    for start in range(0, size, stride):
-        block = out[start : start + stride]
-        while block and not block[-1]:
-            block.pop()
-        # Reduced and stripped already: skip the normalising constructor.
-        poly = object.__new__(LambdaPoly)
-        object.__setattr__(poly, "coeffs", tuple([Fraction(c, d) if c else _ZERO for c in block]))
-        polys.append(poly)
-    return polys
+    return [_from_ints(out[start : start + stride], d) for start in range(0, size, stride)]
+
+
+def _canonical(coeffs: tuple[Fraction, ...]) -> "LambdaPoly":
+    """The LambdaPoly over reduced Fractions with no trailing zero, not normalised again."""
+    poly = object.__new__(LambdaPoly)
+    object.__setattr__(poly, "coeffs", coeffs)
+    return poly
+
+
+def _from_ints(numerators: list[int], den: int = 1) -> "LambdaPoly":
+    """Σ (numerators[i]/den)·λ^i for a positive ``den``, trailing zeros stripped on the ints."""
+    end = len(numerators)
+    while end and not numerators[end - 1]:
+        end -= 1
+    if den == 1:
+        return _canonical(tuple(map(Fraction, numerators[:end])))
+    return _canonical(tuple([Fraction(c, den) if c else _ZERO for c in numerators[:end]]))
 
 
 class LambdaPoly:
@@ -209,7 +222,7 @@ class LambdaPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "LambdaPoly":
-        return LambdaPoly(tuple(-c for c in self.coeffs))
+        return _canonical(tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other: "LambdaLike") -> "LambdaPoly":
         return self + (-LambdaPoly.coerce(other))
@@ -222,7 +235,7 @@ class LambdaPoly:
             c = _as_fraction(other)
             if c == 0:
                 return LP_ZERO
-            return LambdaPoly(tuple(c * a for a in self.coeffs))
+            return _canonical(tuple([c * a for a in self.coeffs]))
         if not isinstance(other, LambdaPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs

@@ -18,7 +18,8 @@ Everything here is a polynomial identity in the deformation parameter λ:
   Σ_n Bel_{n,λ}(x)tⁿ/n!; plus the certified Dobinski-style numeric evaluator.
 
 Each table has one route: rows are stepped on integer λ-coefficient lists
-(β over one denominator per n) and each entry becomes a LambdaPoly once.
+(β over one denominator per n) and each entry becomes a LambdaPoly once,
+straight from its ints, which are canonical once stripped (see :mod:`.core`).
 Indices above ``MAX_INDEX`` raise ValueError before anything is built.
 Second routes that cross-check the tables live in :mod:`degenbell.identities`,
 except ``basis_expand``, which the benchmark's layer rows wrap by this name.
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 from typing import Callable
 
 from .core import (
@@ -42,6 +43,7 @@ from .core import (
     XP_X,
     LambdaPoly,
     XPoly,
+    _from_ints,
 )
 from .series import Series, e_lambda_series, series_recip_unit
 
@@ -143,7 +145,7 @@ class _Triangle:
                 _add_linear_times(prev[k - 1] if k else [], prev[k], *self._weight(m, k))
                 for k in range(m + 1)
             ]
-            self.rows.append(tuple(map(LambdaPoly, self._last)))
+            self.rows.append(tuple(map(_from_ints, self._last)))
         return self.rows[n]
 
 
@@ -200,7 +202,7 @@ def bernoulli_deg(n: int) -> LambdaPoly:
         g = gcd(common, *acc)
         num.append([c // g for c in acc])
         den.append(common // g)
-        _BETA.append(LambdaPoly(Fraction(c, den[m]) for c in num[m]))
+        _BETA.append(_from_ints(num[m], den[m]))
     return _BETA[n]
 
 
@@ -253,15 +255,16 @@ def bell_dobinski_numeric(n: int, x: float, lam: float, terms: int) -> float:
     half = Fraction(1, 2 * 10**9)
     refusal = f"{terms} Dobinski terms cannot certify 1e-9 at x = {x}; use more terms"
 
-    total = Fraction(0)
-    x_pow = Fraction(1)  # x^k / k!, updated incrementally
-    for k in range(terms):
-        if k:
-            x_pow = x_pow * xq / k
-        fall = Fraction(1)  # (k)_{n,λ}
-        for i in range(n):
-            fall *= k - i * lamq
-        total += fall * x_pow
+    # λ = p/q, x = a/b: q^n·(k)_{n,λ} = Π_{i<n}(kq - ip) is an int, and Horner's scheme
+    # acc_k = q^n·(k)_{n,λ} + acc_{k+1}·x/(k+1) runs on num/den ints: one Fraction in all.
+    p, q = lamq.numerator, lamq.denominator
+    a, b = xq.numerator, xq.denominator
+    num, den = 0, 1
+    for k in reversed(range(terms)):
+        step = b * (k + 1)
+        num, den = num * a + prod(k * q - i * p for i in range(n)) * den * step, den * step
+    total = Fraction(num, den * q**n)
+    x_pow = xq ** (terms - 1) / factorial(terms - 1)  # the last term's x^k/k!
     # |(k)_{n,λ}|x^k/k! ≤ a_k = (k + n|λ|)^n·x^k/k!, and a_{k+1}/a_k falls as k
     # grows, so Σ_{k≥terms} a_k ≤ a_terms/(1 - r) with r = a_{terms+1}/a_terms.
     shift = n * abs(lamq)

@@ -2,8 +2,9 @@
 
 Nothing in this module imports from ``degenbell``.  Every function is
 written directly from first principles (brute-force enumeration, naive
-convolution, order-by-order inversion) so that agreement with the
-library is real evidence, not a tautology.
+convolution, order-by-order inversion, closed forms over classical integer
+tables) so that agreement with the library is real evidence, not a
+tautology.
 
 Polynomials in the deformation parameter are represented as bare tuples
 of Fractions with trailing zeros stripped — the same canonical shape as
@@ -12,7 +13,7 @@ of Fractions with trailing zeros stripped — the same canonical shape as
 
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import comb, factorial
 
 Poly = tuple  # tuple of Fractions, trailing zeros stripped
 
@@ -94,6 +95,80 @@ def stirling1_unsigned_count(n: int, k: int) -> int:
         if cycles == k:
             total += 1
     return total
+
+
+# ----------------------------------------------------------------------
+# Deformed tables in closed form, from classical integer Stirling numbers
+# ----------------------------------------------------------------------
+
+def classical_stirling(n_max: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Signed s(n, k) and S(n, k) for 0 ≤ k ≤ n ≤ n_max, by their classical
+    integer recurrences s(n,k) = s(n-1,k-1) - (n-1)s(n-1,k) and
+    S(n,k) = S(n-1,k-1) + kS(n-1,k)."""
+    s, S = [[1]], [[1]]
+    for n in range(1, n_max + 1):
+        s_prev, S_prev = s[-1] + [0], S[-1] + [0]
+        s.append([(s_prev[k - 1] if k else 0) - (n - 1) * s_prev[k] for k in range(n + 1)])
+        S.append([(S_prev[k - 1] if k else 0) + k * S_prev[k] for k in range(n + 1)])
+    return s, S
+
+
+def stirling2_deg_rows(n_max: int) -> list[list[Poly]]:
+    """S_{2,λ}(n, k) for k ≤ n ≤ n_max: the λ^d coefficient is s(n, n-d)·S(n-d, k).
+
+    (x)_{n,λ} = Σ_l s(n,l)·λ^{n-l}·x^l and x^l = Σ_k S(l,k)·(x)_k.
+    """
+    s, S = classical_stirling(n_max)
+    return [
+        [
+            pstrip(Fraction(s[n][n - d] * S[n - d][k]) for d in range(n - k + 1))
+            for k in range(n + 1)
+        ]
+        for n in range(n_max + 1)
+    ]
+
+
+def stirling1_deg_rows(n_max: int) -> list[list[Poly]]:
+    """S_{1,λ}(n, k) for k ≤ n ≤ n_max: the λ^d coefficient is s(n, k+d)·S(k+d, k).
+
+    (x)_n = Σ_l s(n,l)·x^l and x^l = Σ_k S(l,k)·λ^{l-k}·(x)_{k,λ}.
+    """
+    s, S = classical_stirling(n_max)
+    return [
+        [
+            pstrip(Fraction(s[n][k + d] * S[k + d][k]) for d in range(n - k + 1))
+            for k in range(n + 1)
+        ]
+        for n in range(n_max + 1)
+    ]
+
+
+def gregory(n_max: int) -> list[Fraction]:
+    """G_0..G_{n_max} with t/log(1+t) = Σ G_m t^m, by inverting log(1+t)/t."""
+    a = [Fraction((-1) ** m, m + 1) for m in range(n_max + 1)]
+    g = [Fraction(1)]
+    for m in range(1, n_max + 1):
+        g.append(-sum(a[j] * g[m - j] for j in range(1, m + 1)))
+    return g
+
+
+def bernoulli_deg_rows(n_max: int) -> list[Poly]:
+    """β_{n,λ} for n ≤ n_max: the λ^d coefficient is
+    B_{n-d}·Σ_{m≤d} C(n,m)·m!·G_m·s(n-m, n-d).
+
+    With u = log(1+λt)/λ, t/(e_λ(t)-1) = [λt/log(1+λt)]·[u/(e^u-1)];
+    expand both factors in t.
+    """
+    s, _ = classical_stirling(n_max)
+    b, g = classical_bernoulli(n_max), gregory(n_max)
+    return [
+        pstrip(
+            b[n - d]
+            * sum(comb(n, m) * factorial(m) * g[m] * s[n - m][n - d] for m in range(d + 1))
+            for d in range(n + 1)
+        )
+        for n in range(n_max + 1)
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degenbell.core import (
@@ -27,9 +27,10 @@ from degenbell.core import (
     xpoly_pretty,
     xpoly_to_ascii,
 )
+from degenbell.core import _from_ints
 from degenbell.series import series_from_json
 
-from oracles import padd, pmul, poly_mul_2d
+from oracles import padd, pmul, pneg, poly_mul_2d, pstrip
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 lpolys = st.lists(rationals, max_size=5).map(LambdaPoly)
@@ -122,6 +123,42 @@ def test_trailing_zeros_are_normalized():
     assert LambdaPoly((1, 0, 0)) == LambdaPoly((1,))
     assert LambdaPoly((0, 0)).is_zero
     assert LambdaPoly(()).degree is None
+
+
+# Int rows as the table builders step them: trailing zeros, all zeros, the
+# empty list, negatives and ints of 500+ bits.
+big_ints = st.builds(int.__mul__, st.integers(2**500, 2**520), st.sampled_from((1, -1)))
+int_rows = st.lists(st.one_of(st.just(0), st.integers(-50, 50), big_ints), max_size=8).flatmap(
+    lambda row: st.integers(0, 3).map(lambda zeros: row + [0] * zeros)
+)
+
+
+@given(int_rows, st.one_of(st.just(1), st.integers(2, 10**6), st.integers(2**500, 2**510)))
+@example([], 1)
+@example([0, 0, 0], 1)
+@example([0, 0], 6)
+def test_int_rows_are_canonical(row, den):
+    expect = pstrip(Fraction(c, den) for c in row)
+    p = _from_ints(row, den)
+    assert p.coeffs == expect and all(type(c) is Fraction for c in p.coeffs)
+    assert hash(p) == hash(LambdaPoly(Fraction(c, den) for c in row))
+    if den == 1:
+        assert _from_ints(row) == LambdaPoly(row) and hash(_from_ints(row)) == hash(LambdaPoly(row))
+
+
+@given(
+    wide_lpolys,
+    st.one_of(
+        st.integers(-(10**30), 10**30).filter(bool),
+        st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6).filter(bool),
+    ),
+)
+def test_negation_and_scalar_multiples_are_canonical(p, c):
+    assert (-p).coeffs == pneg(p.coeffs) and hash(-p) == hash(LambdaPoly(pneg(p.coeffs)))
+    scaled = tuple(Fraction(c) * a for a in p.coeffs)
+    for product in (p * c, c * p):
+        assert product.coeffs == scaled and hash(product) == hash(LambdaPoly(scaled))
+    assert p * 0 == LP_ZERO and p * Fraction(0) == LP_ZERO
 
 
 # ----------------------------------------------------------------------

@@ -36,9 +36,13 @@ from degenbell.opcalc import falling_classical_int
 
 from oracles import (
     bell_count,
+    bernoulli_deg_rows,
     classical_bernoulli,
+    pneg,
+    stirling1_deg_rows,
     stirling1_unsigned_count,
     stirling2_count,
+    stirling2_deg_rows,
 )
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -195,6 +199,21 @@ def test_bracket_triangular_recurrence():
             assert bracket_deg(n, k) == expanded[k], (n, k)
 
 
+def test_big_tables_match_closed_forms():
+    """S₂ and brackets to 60, S₁ and β to 40, against closed forms over classical
+    integer Stirling numbers; the S₂ coefficients reach 283 bits at n = 60."""
+    s2, s1 = stirling2_deg_rows(60), stirling1_deg_rows(60)
+    for n in range(61):
+        for k in range(n + 1):
+            assert stirling2_deg(n, k).coeffs == s2[n][k], (n, k)
+            sign_flipped = s1[n][k] if (n - k) % 2 == 0 else pneg(s1[n][k])
+            assert bracket_deg(n, k).coeffs == sign_flipped, (n, k)
+            if n <= 40:
+                assert stirling1_deg(n, k).coeffs == s1[n][k], (n, k)
+    for n, beta in enumerate(bernoulli_deg_rows(40)):
+        assert bernoulli_deg(n).coeffs == beta, n
+
+
 def test_out_of_range_and_errors():
     assert stirling2_deg(3, 5).is_zero
     assert stirling1_deg(0, 0) == LP_ONE
@@ -319,6 +338,55 @@ def test_dobinski_truncation_improves_with_terms():
         bell_dobinski_numeric(8, 2, Fraction(1, 2), 12)
     fine = abs(bell_dobinski_numeric(8, 2, Fraction(1, 2), 50) - exact)
     assert fine < 1e-9
+
+
+def _dobinski_by_fraction_loop(n, x, lam, terms):
+    """The Dobinski evaluator as it stood with one Fraction product per falling
+    factor: the same sum, tail bounds and refusal, on Fractions throughout."""
+    xq, lamq = Fraction(x), Fraction(lam)
+    half = Fraction(1, 2 * 10**9)
+    refusal = f"{terms} Dobinski terms cannot certify 1e-9 at x = {x}; use more terms"
+    total = Fraction(0)
+    x_pow = Fraction(1)
+    for k in range(terms):
+        if k:
+            x_pow = x_pow * xq / k
+        fall = Fraction(1)
+        for i in range(n):
+            fall *= k - i * lamq
+        total += fall * x_pow
+    shift = n * abs(lamq)
+    ratio = ((terms + 1 + shift) / (terms + shift)) ** n * xq / (terms + 1)
+    if ratio >= 1:
+        raise ValueError(refusal)
+    sum_tail = (terms + shift) ** n * x_pow * xq / terms / (1 - ratio)
+    exp_neg, term, j = Fraction(0), Fraction(1), 0
+    while j < max(terms, 40) or j + 1 <= xq or abs(term * total) > half:
+        exp_neg += term
+        j += 1
+        term = term * (-xq) / j
+    if (exp_neg + abs(term)) * sum_tail > half:
+        raise ValueError(refusal)
+    return float(total * exp_neg)
+
+
+def _outcome(evaluate, *args):
+    try:
+        return evaluate(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_dobinski_matches_the_fraction_loop():
+    """The integer Horner sum gives the same float, or the same refusal, as the
+    Fraction loop, including negative and integer λ and x = 7.25."""
+    for n in (0, 1, 2, 5, 13, 30):
+        for x in (Fraction(1, 2), Fraction(2), Fraction(29, 4)):
+            for lam in (Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(2)):
+                for terms in (1, 9, 60, 200):
+                    expect = _outcome(_dobinski_by_fraction_loop, n, x, lam, terms)
+                    got = _outcome(bell_dobinski_numeric, n, x, lam, terms)
+                    assert got == expect, (n, x, lam, terms)
 
 
 def test_dobinski_input_validation():

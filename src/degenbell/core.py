@@ -227,9 +227,6 @@ class LambdaPoly:
     def __sub__(self, other: "LambdaLike") -> "LambdaPoly":
         return self + (-LambdaPoly.coerce(other))
 
-    def __rsub__(self, other: "LambdaLike") -> "LambdaPoly":
-        return (-self) + LambdaPoly.coerce(other)
-
     def __mul__(self, other: "LambdaLike") -> "LambdaPoly":
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
@@ -360,9 +357,6 @@ class XPoly:
 
     def __sub__(self, other: "XLike") -> "XPoly":
         return self + (-XPoly.coerce(other))
-
-    def __rsub__(self, other: "XLike") -> "XPoly":
-        return (-self) + XPoly.coerce(other)
 
     def __mul__(self, other: "XLike") -> "XPoly":
         if isinstance(other, (int, Fraction, LambdaPoly)):

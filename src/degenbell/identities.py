@@ -694,6 +694,19 @@ def _gf_log_roundtrip(n_max: int, order: int, tb: FamilyTables) -> Cases:
 DEFAULT_ORDER_MARGIN = 6
 
 
+def _checked_order(n_max: int, order: int | None, series_based: bool) -> int:
+    """The order to run at; refuses an n_max or order the checks cannot serve."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be ≥ 1, got {n_max}")
+    if order is None:
+        order = n_max + DEFAULT_ORDER_MARGIN
+    if series_based and order < n_max + 2:
+        raise ValueError(
+            f"order must be ≥ n_max + 2 for series-based identities, got {order}"
+        )
+    return order
+
+
 def verify(
     identity: str,
     n_max: int,
@@ -704,14 +717,7 @@ def verify(
     if identity not in CATALOG:
         valid = ", ".join(CATALOG)
         raise ValueError(f"unknown identity {identity!r}; valid keys: {valid}")
-    if n_max < 1:
-        raise ValueError(f"n_max must be ≥ 1, got {n_max}")
-    if order is None:
-        order = n_max + DEFAULT_ORDER_MARGIN
-    if identity in SERIES_BASED and order < n_max + 2:
-        raise ValueError(
-            f"order must be ≥ n_max + 2 for series-based identities, got {order}"
-        )
+    order = _checked_order(n_max, order, identity in SERIES_BASED)
     if tables is None:
         tables = FamilyTables()
     _, checker = CATALOG[identity]
@@ -729,5 +735,6 @@ def verify_all(
     order: int | None = None,
     tables: FamilyTables | None = None,
 ) -> list[VerifyReport]:
-    """Run every catalog identity, in catalog order."""
+    """Run every catalog identity, in catalog order, after checking the arguments once."""
+    order = _checked_order(n_max, order, bool(SERIES_BASED))
     return [verify(identity, n_max, order, tables) for identity in CATALOG]

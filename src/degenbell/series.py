@@ -145,14 +145,6 @@ class Series:
         f = XPoly.coerce(factor)
         return Series(tuple(c * f for c in self.coeffs), order=self.order)
 
-    def __mul__(self, other):
-        if isinstance(other, Series):
-            return series_mul(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
     # -- substitutions ------------------------------------------------
 
     def scale_t(self, factor: LambdaLike) -> "Series":

@@ -116,6 +116,8 @@ def test_refusals_exit_2_with_one_line(runner):
         (("verify", "all", "--n-max", half + 1), f"--n-max {half + 1} exceeds the limit {half}"),
         (("verify", "lemma1", "--n-max", 6, "--order", 3),
          "order must be ≥ n_max + 2 for series-based identities, got 3"),
+        (("verify", "all", "--n-max", 28, "--order", 5),
+         "order must be ≥ n_max + 2 for series-based identities, got 5"),
         (("verify", "nope", "--n-max", 2),
          f"unknown identity 'nope'; valid keys: {', '.join(CATALOG)}"),
         (("series", "elam", "--order", n), f"--order {n} exceeds the limit {MAX_INDEX}"),

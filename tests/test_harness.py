@@ -60,6 +60,23 @@ def test_series_identities_demand_order_headroom():
     assert verify("gf-log-roundtrip", 4, order=6).status == "pass"
 
 
+class _UnreadTables(FamilyTables):
+    """Tables that fail any check which reads them."""
+
+    def stirling2(self, n, k):
+        raise AssertionError("an identity ran before the arguments were checked")
+
+    def bell(self, n):
+        raise AssertionError("an identity ran before the arguments were checked")
+
+
+def test_verify_all_refuses_before_any_identity_runs():
+    with pytest.raises(ValueError, match="order must be ≥ n_max \\+ 2"):
+        verify_all(28, 5, tables=_UnreadTables())
+    with pytest.raises(ValueError, match="n_max"):
+        verify_all(0, tables=_UnreadTables())
+
+
 def test_double_index_identities_cap_their_own_grid():
     r = verify("thm12", 10, 12)
     assert "m,n=0..8" in r.grid

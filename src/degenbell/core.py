@@ -26,7 +26,8 @@ over D.  ``LambdaPoly``, ``XPoly`` and series products (``series_mul``)
 are its one-term case; :func:`sum_of_products` is the weighted sum that
 series recurrences and the identity harness use instead of adding
 products one at a time.  Plain sums, scalar multiples and evaluation work
-on the Fractions directly.
+on the Fractions directly; a constant λ-polynomial multiplies as the scalar
+it holds, so a constant factor never reaches the kernel.
 
 Results canonical by construction skip the normalising ``LambdaPoly(...)``: int
 numerators over a positive denominator, stripped on the ints (kernel outputs and
@@ -228,6 +229,11 @@ class LambdaPoly:
         return self + (-LambdaPoly.coerce(other))
 
     def __mul__(self, other: "LambdaLike") -> "LambdaPoly":
+        if isinstance(other, LambdaPoly):
+            if len(self.coeffs) == 1:
+                self, other = other, self.coeffs[0]
+            elif len(other.coeffs) == 1:
+                other = other.coeffs[0]
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
             if c == 0:
@@ -360,10 +366,9 @@ class XPoly:
 
     def __mul__(self, other: "XLike") -> "XPoly":
         if isinstance(other, (int, Fraction, LambdaPoly)):
-            c = LambdaPoly.coerce(other)
-            if c.is_zero:
+            if not other:
                 return XP_ZERO
-            return XPoly(tuple(c * a for a in self.coeffs))
+            return XPoly(tuple([a * other for a in self.coeffs]))
         if not isinstance(other, XPoly):
             return NotImplemented
         return _xpoly_products([(1, (self,), (other,))], 1)[0]

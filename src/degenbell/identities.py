@@ -33,6 +33,7 @@ from .core import (
     LP_ZERO,
     XP_ONE,
     XP_X,
+    XP_ZERO,
     LambdaLike,
     LambdaPoly,
     XLike,
@@ -260,8 +261,8 @@ def stirling2_alt_sums(n_max: int) -> list[list[LambdaPoly]]:
 def binomial_power_series(base_shift: LambdaLike, exponent: XLike, order: int) -> Series:
     """(1 + s·t)^w = Σ_n binom(w, n)·s^n·t^n with the generalized binomial.
 
-    The shift s may carry λ, as in (1 + λt)^{-n} (lemma1), and the exponent w
-    may be a polynomial in x, as in (1 - t)^{-x} (eq57).
+    The shift s may carry λ, and the exponent w may be a polynomial in x, as in
+    (1 - t)^{-x} (eq57).
     """
     if order < 0:
         raise ValueError("order must be ≥ 0")
@@ -382,34 +383,23 @@ def _cor7(n_max: int, order: int, tb: FamilyTables) -> Cases:
         yield {"n": n}, XP_X * tb.bell(n).derivative(), rhs
 
 
-def _bivariate(entries) -> dict[tuple[int, int], LambdaPoly]:
-    """Accumulate {(x_power, y_power): coefficient}, dropping zeros."""
-    out: dict[tuple[int, int], LambdaPoly] = {}
-    for (i, j), c in entries:
-        acc = out.get((i, j), LP_ZERO) + c
-        if acc.is_zero:
-            out.pop((i, j), None)
-        else:
-            out[i, j] = acc
-    return out
-
-
 @_identity("thm8", "binomial convolution of Bel(x+y)", "n=0..{n_max} (bivariate x,y)")
 def _thm8(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for n in range(n_max + 1):
-        lhs = _bivariate(
-            ((i, k - i), tb.stirling2(n, k) * comb(k, i))
+        lhs = {
+            (i, k - i): c
             for k in range(n + 1)
             for i in range(k + 1)
-        )
-        rhs = _bivariate(
-            ((i, j), bl.coeffs[i] * bm.coeffs[j] * comb(n, l))
-            for l in range(n + 1)
-            for bl in (tb.bell(l),)
-            for bm in (tb.bell(n - l),)
-            for i in range(len(bl.coeffs))
-            for j in range(len(bm.coeffs))
-        )
+            if (c := tb.stirling2(n, k) * comb(k, i))
+        }
+        # Σ_l C(n,l)·Bel_l[i]·Bel_{n-l}[j] for each x^i·y^j, one sum of products per (i, j)
+        terms: dict[tuple[int, int], list] = {}
+        for l in range(n + 1):
+            bm = tb.bell(n - l).coeffs
+            for i, p in enumerate(tb.bell(l).coeffs):
+                for j, q in enumerate(bm):
+                    terms.setdefault((i, j), []).append((comb(n, l), p, q))
+        rhs = {ij: c for ij, ts in terms.items() if (c := sum_of_products(ts).coeff(0))}
         yield {"n": n}, lhs, rhs
 
 
@@ -470,17 +460,17 @@ def _thm12_rhs(bell_egf: Series, m: int, weighted: list[tuple[int, XLike]]) -> S
 
     ``bell_egf`` is Σ_k Bel_k·t^k/k! and ``weighted`` holds the (j, w_j) pairs.
     The binomial k-sum is the Cauchy product of ``bell_egf`` with the EGF of
-    the telescoped (j)_{m+s,λ}/(j)_{m,λ} = (j - mλ)_{s,λ}, and the j-sum is one
-    combination.  The quotient is kept as a product on purpose — an actual
-    division would be undefined at the j = iλ roots even though the quotient
-    is a polynomial.
+    the telescoped (j)_{m+s,λ}/(j)_{m,λ} = (j - mλ)_{s,λ}.  The product is
+    bilinear, so the j-sum of those EGFs is one combination, taken first, and
+    ``bell_egf`` multiplies it once.  The quotient is kept as a product on
+    purpose — an actual division would be undefined at the j = iλ roots even
+    though the quotient is a polynomial.
     """
     cap = bell_egf.order
-    return series_combination(
-        ((w, series_mul(bell_egf, _egf(falling_deg_prefix(LambdaPoly((j, -m)), cap))))
-         for j, w in weighted),
-        cap,
+    prefixes = series_combination(
+        ((w, _egf(falling_deg_prefix(LambdaPoly((j, -m)), cap))) for j, w in weighted), cap
     )
+    return series_mul(bell_egf, prefixes)
 
 
 @_identity("thm12", "double-sum recurrence with telescoped factorial quotient",
@@ -531,24 +521,28 @@ def _thm13(n_max: int, order: int, tb: FamilyTables) -> Cases:
 @_identity("lemma1", "n-th t-derivative of e^(a·e_λ(t))",
            "n=0..{n_max}, a∈{{1,-1,2,1/2}}, series order {order}", series=True)
 def _lemma1(n_max: int, order: int, tb: FamilyTables) -> Cases:
+    """Both sides multiplied through by the unit (1 + λt)ⁿ, with f = e^{a·e_λ(t)}/eᵃ.
+
+    The left side gₙ = (1 + λt)ⁿ·f⁽ⁿ⁾ steps as g_{n+1} = (1 + λt)·gₙ′ - nλ·gₙ,
+    with no product.  The right side Bel_{n,λ}(a·e_λ(t))·f is
+    Σ_k S_{2,λ}(n,k)·aᵏ·e_λ(t)ᵏ·f, one combination of products built once per a.
+    """
     e = e_lambda_series(1, order)
-    # (1 + λt)^{-n} and e_λ(t)^k, the same for every a
-    binomials = [binomial_power_series(LP_LAMBDA, -n, order) for n in range(n_max + 1)]
-    powers = [Series.one(order)]
-    for _ in range(n_max):
-        powers.append(series_mul(powers[-1], e))
     for a in A_GRID:
-        f = series_exp(e.scale(a) - Series.const(a, order))  # e^{a·e_λ(t)} / e^a
+        f = series_exp(e.scale(a) - Series.const(a, order))
+        powers_f = [f]  # e_λ(t)ᵏ·f is read from n = k on, so to order - k
+        for k in range(1, n_max + 1):
+            powers_f.append(series_mul(powers_f[-1], e.truncate(order - k)))
         lhs = f
         for n in range(n_max + 1):
-            # Bel_{n,λ}(a·e_λ(t)) = Σ_k S_{2,λ}(n,k)·a^k·e_λ(t)^k
-            bel_at_ea = series_combination(
-                ((c * a**k, powers[k]) for k, c in enumerate(tb.bell(n).coeffs)), order
+            rhs = series_combination(
+                ((c * a**k, powers_f[k]) for k, c in enumerate(tb.bell(n).coeffs)), lhs.order
             )
-            rhs = series_mul(series_mul(binomials[n], bel_at_ea), f)
-            yield {"n": n, "a": a}, lhs, rhs.truncate(lhs.order)
+            yield {"n": n, "a": a}, lhs, rhs
             if n < n_max:
-                lhs = lhs.derivative()
+                d = lhs.derivative()
+                t_d = Series((XP_ZERO,) + d.coeffs, order=d.order)
+                lhs = series_combination(((1, d), (LP_LAMBDA, t_d), (LP_LAMBDA * -n, lhs)), d.order)
 
 
 @_identity("eq17", "operator power on e^(a·x)", "n=0..{n_max}, a∈{{1,-1,2,1/2}}")

@@ -142,8 +142,7 @@ class Series:
 
     def scale(self, factor: XLike) -> "Series":
         """Multiply every coefficient by a t-free factor."""
-        f = XPoly.coerce(factor)
-        return Series(tuple(c * f for c in self.coeffs), order=self.order)
+        return Series(tuple(c * factor for c in self.coeffs), order=self.order)
 
     # -- substitutions ------------------------------------------------
 

@@ -27,8 +27,9 @@ from degenbell.core import (
     xpoly_pretty,
     xpoly_to_ascii,
 )
+from degenbell import core
 from degenbell.core import _from_ints
-from degenbell.series import series_from_json
+from degenbell.series import Series, series_from_json
 
 from oracles import padd, pmul, pneg, poly_mul_2d, pstrip
 
@@ -254,6 +255,33 @@ def test_sum_of_products_that_cancel_is_the_zero_polynomial(terms):
     total = sum_of_products(signed)
     assert total.coeffs == ()
     assert hash(total) == hash(XP_ZERO)
+
+
+def test_constant_factors_never_reach_the_kernel(monkeypatch):
+    calls = []
+    kernel = core._multiply_accumulate
+    monkeypatch.setattr(core, "_multiply_accumulate", lambda *a: calls.append(a) or kernel(*a))
+    p = XPoly([[1, Fraction(2, 3)], [], [Fraction(-5, 7), 0, 4]])
+    s = Series([p, p * p, XPoly.monomial(3, LP_LAMBDA)])
+    q, five = LambdaPoly((1, 2, 3)), LambdaPoly.const(5)
+    calls.clear()
+    results = [p * 3, p * Fraction(1, 2), 3 * p, p * five, q * five, five * q,
+               s.derivative(), s.egf_coeff(2)]
+    assert all(results) and calls == []
+    LambdaPoly((1, 2)) * LambdaPoly((3, 4))
+    assert len(calls) == 1
+
+
+@given(xpolys, rationals, lpolys, lpolys)
+def test_constant_factors_match_the_kernel(p, c, q, r):
+    """The scalar route gives what sum_of_products, the kernel route, gives."""
+    const = LambdaPoly.const(c)
+    assert p * c == 3 * (p * Fraction(c, 3)) == sum_of_products([(1, p, c)])
+    assert p * const == sum_of_products([(1, p, const)])
+    assert q * const == const * q == sum_of_products([(1, q, const)]).coeff(0)
+    s = Series([p, XPoly([q]), XPoly([q, r])])
+    assert s.derivative() == Series([sum_of_products([(n, s.coeff(n), 1)]) for n in (1, 2)])
+    assert s.egf_coeff(2) == sum_of_products([(2, s.coeff(2), 1)])
 
 
 @given(xpolys, xpolys, rationals, rationals)

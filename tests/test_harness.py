@@ -2,20 +2,34 @@
 
 import hashlib
 import json
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from degenbell.core import LambdaPoly
+from degenbell.core import LP_LAMBDA, LambdaPoly, XPoly
 from degenbell.identities import (
+    A_GRID,
     CATALOG,
     SERIES_BASED,
     Counterexample,
     FamilyTables,
     VerifyReport,
+    _lemma1,
+    _thm12_rhs,
+    binomial_power_series,
+    falling_deg_prefix,
     verify,
     verify_all,
 )
 from degenbell.numbers import stirling2_deg
+from degenbell.series import (
+    Series,
+    e_lambda_series,
+    series_combination,
+    series_exp,
+    series_mul,
+)
 
 
 def test_catalog_has_the_full_roster():
@@ -105,23 +119,91 @@ def test_every_single_entry_bump_is_caught():
             assert caught, f"bump at ({n},{k}) went unnoticed"
 
 
-def test_bump_reports_match_recorded_digest():
+@pytest.fixture(scope="module")
+def bump_reports() -> list[tuple[int, int, VerifyReport]]:
+    """(n, k, report) for every +1 bump of S_{2,λ}(n,k) with n ≤ 5, at n_max 6."""
+    return [
+        (n, k, r)
+        for n in range(6)
+        for k in range(n + 1)
+        for r in verify_all(6, tables=FamilyTables.with_bump(n, k))
+    ]
+
+
+def test_bump_outcomes_match_recorded_digest(bump_reports):
+    """What each bump report decides, rendered sides left out, is pinned.
+
+    The digest is the sha256 of the JSON list of (n, k, identity, status, grid,
+    counterexample params) over the 21 × 29 reports.  A rewrite of a check that
+    compares other but equivalent sides may change their text (the digest below),
+    never which case fails first.
+    """
+    rows = [
+        [n, k, r.identity, r.status, r.grid,
+         None if r.counterexample is None else list(r.counterexample.params)]
+        for n, k, r in bump_reports
+    ]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "e94b27dd9a170a7b198048817413bc1dca5842b8a30a7e48ec9fe4bc1ac7db59"
+
+
+def test_bump_reports_match_recorded_digest(bump_reports):
     """Every report for every +1 bump with n ≤ 5, counterexample text included, is pinned.
 
     The digest is the sha256 of the sorted-key JSON of the 21 × 29 reports (420 of
     them failing), so a rewrite of any check that changes a grid, a parameter or a
     rendered side of a counterexample fails here.
     """
-    reports = [
-        r.to_json_dict()
-        for n in range(6)
-        for k in range(n + 1)
-        for r in verify_all(6, tables=FamilyTables.with_bump(n, k))
-    ]
+    reports = [r.to_json_dict() for _, _, r in bump_reports]
     assert len(reports) == 21 * 29
     assert sum(r["status"] == "fail" for r in reports) == 420
     digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
-    assert digest == "3388ef9f3f5176a83ae1df35440f4254e15fb27b57df6b75a1bc561cee41f8f7"
+    assert digest == "2051478d302833fb4096e2e56159a4e4b54960b54329a2b4b887b521a5161b60"
+
+
+def test_lemma1_left_side_is_the_derivative_times_the_unit():
+    """lemma1's gₙ is (1 + λt)ⁿ·f⁽ⁿ⁾ with f = e^{a·e_λ(t)}/eᵃ, for every a and n ≤ 6."""
+    order = 12
+    e = e_lambda_series(1, order)
+    cases = _lemma1(6, order, FamilyTables())
+    for a in A_GRID:
+        deriv = series_exp((e - Series.one(order)).scale(a))
+        for n in range(7):
+            params, lhs, _ = next(cases)
+            assert params == {"n": n, "a": a}
+            assert lhs == series_mul(binomial_power_series(LP_LAMBDA, n, order), deriv)
+            deriv = deriv.derivative()
+
+
+def test_every_single_entry_bump_fails_lemma1_at_the_bumped_n():
+    for n in range(7):
+        for k in range(n + 1):
+            report = verify("lemma1", 6, tables=FamilyTables.with_bump(n, k))
+            assert report.status == "fail", (n, k)
+            assert report.counterexample.params == (f"n={n}", "a=1"), (n, k)
+
+
+def _thm12_rhs_per_j(bell_egf: Series, m: int, weighted: list) -> Series:
+    """Σ_j w_j·(bell_egf·EGF of (j - mλ)_{s,λ}), one product per j."""
+    cap = bell_egf.order
+    products = []
+    for j, w in weighted:
+        prefix = falling_deg_prefix(LambdaPoly((j, -m)), cap)
+        egf = Series(v * Fraction(1, factorial(s)) for s, v in enumerate(prefix))
+        products.append((w, series_mul(bell_egf, egf)))
+    return series_combination(products, cap)
+
+
+def test_thm12_rhs_matches_the_per_j_sum():
+    tb = FamilyTables()
+    cap = 6
+    for bell, weight in ((tb.bell, XPoly.monomial), (tb.bell_at_one, lambda j, s2: s2)):
+        bell_egf = Series(bell(k) * Fraction(1, factorial(k)) for k in range(cap + 1))
+        for m in range(cap + 1):
+            weighted = [
+                (j, weight(j, s2)) for j in range(m + 1) if (s2 := tb.stirling2(m, j))
+            ]
+            assert _thm12_rhs(bell_egf, m, weighted) == _thm12_rhs_per_j(bell_egf, m, weighted)
 
 
 def test_counterexamples_render_both_sides():

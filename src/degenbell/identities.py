@@ -461,16 +461,17 @@ def _thm12_rhs(bell_egf: Series, m: int, weighted: list[tuple[int, XLike]]) -> S
     ``bell_egf`` is Σ_k Bel_k·t^k/k! and ``weighted`` holds the (j, w_j) pairs.
     The binomial k-sum is the Cauchy product of ``bell_egf`` with the EGF of
     the telescoped (j)_{m+s,λ}/(j)_{m,λ} = (j - mλ)_{s,λ}.  The product is
-    bilinear, so the j-sum of those EGFs is one combination, taken first, and
-    ``bell_egf`` multiplies it once.  The quotient is kept as a product on
-    purpose — an actual division would be undefined at the j = iλ roots even
-    though the quotient is a polynomial.
+    bilinear, so the j-sum of those EGFs is one combination, taken first on
+    the plain prefixes and scaled by 1/s! once, and ``bell_egf`` multiplies
+    it once.  The quotient is kept as a product on purpose — an actual
+    division would be undefined at the j = iλ roots even though the quotient
+    is a polynomial.
     """
     cap = bell_egf.order
     prefixes = series_combination(
-        ((w, _egf(falling_deg_prefix(LambdaPoly((j, -m)), cap))) for j, w in weighted), cap
+        ((w, Series(falling_deg_prefix(LambdaPoly((j, -m)), cap))) for j, w in weighted), cap
     )
-    return series_mul(bell_egf, prefixes)
+    return series_mul(bell_egf, _egf(prefixes.coeffs))
 
 
 @_identity("thm12", "double-sum recurrence with telescoped factorial quotient",

@@ -21,6 +21,13 @@ Each table has one route: rows are stepped on integer λ-coefficient lists
 (β over one denominator per n) and each entry becomes a LambdaPoly once,
 straight from its ints, which are canonical once stripped (see :mod:`.core`).
 Indices above ``MAX_INDEX`` raise ValueError before anything is built.
+A cache miss builds the missing rows with the cyclic garbage collector
+paused: the builders allocate only acyclic objects, which reference counting
+frees, so its passes would only rescan the new rows.  The pause is
+process-wide, so other threads' cyclic garbage waits until the build ends; a
+cache hit never touches the collector.  Each row (each β_n) is built in
+locals and committed whole, so a build that raises, even by
+KeyboardInterrupt, leaves every cache as it was after the last complete row.
 Second routes that cross-check the tables live in :mod:`degenbell.identities`,
 except ``basis_expand``, which the benchmark's layer rows wrap by this name.
 
@@ -30,7 +37,9 @@ values are exposed only through that evaluation, never as separate code.
 
 from __future__ import annotations
 
+import gc
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
 from typing import Callable
@@ -120,6 +129,26 @@ def require_index(n: int, what: str = "index") -> None:
         raise ValueError(f"{what} {n} exceeds the limit {MAX_INDEX}")
 
 
+@contextmanager
+def _collector_paused():
+    """Hold the cyclic garbage collector off for one table build.
+
+    The builders allocate only acyclic ints, Fractions, lists, tuples and
+    LambdaPolys, which reference counting frees, so a collection during a
+    build scans every new row and frees nothing.  The collector is
+    process-wide: other threads' cyclic garbage waits until the build ends.
+    It is switched on again only if it was on before, also when the build
+    raises.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def _add_linear_times(left: list[int], c: list[int], a: int, b: int) -> list[int]:
     """left + (a + bλ)·c on integer λ-coefficient lists (trailing zeros allowed)."""
     out = left + [0] * (len(c) + 1 - len(left))
@@ -139,14 +168,21 @@ class _Triangle:
 
     def row(self, n: int) -> tuple[LambdaPoly, ...]:
         require_index(n, "row index")
-        while len(self.rows) <= n:
-            m, prev = len(self.rows), self._last + [[]]
-            self._last = [
-                _add_linear_times(prev[k - 1] if k else [], prev[k], *self._weight(m, k))
-                for k in range(m + 1)
-            ]
-            self.rows.append(tuple(map(_from_ints, self._last)))
-        return self.rows[n]
+        rows = self.rows
+        if n < len(rows):
+            return rows[n]
+        with _collector_paused():
+            for m in range(len(rows), n + 1):
+                prev = self._last + [[]]
+                last = [
+                    _add_linear_times(prev[k - 1] if k else [], prev[k], *self._weight(m, k))
+                    for k in range(m + 1)
+                ]
+                row = tuple(map(_from_ints, last))
+                # The cache is touched only here, once the row is whole.
+                self._last = last
+                rows.append(row)
+        return rows[n]
 
 
 # S(n,k) = S(n-1,k-1) + (k - (n-1)λ)·S(n-1,k)
@@ -173,11 +209,10 @@ def stirling1_deg(n: int, k: int) -> LambdaPoly:
     return c if (n - k) % 2 == 0 else -c
 
 
-# β_n = num[n]/den[n] over integers; (1)_{m,λ} = 1·(1-λ)···(1-(m-1)λ) is kept
-# with exactly max(m, 1) coefficients, so that β_n fits in n + 1 slots.
-_BETA_NUM: list[list[int]] = [[1]]
-_BETA_DEN: list[int] = [1]
-_BETA: list[LambdaPoly] = [LP_ONE]
+# _BETA[n] is (num, den, β_n) with β_n = num/den over integers; (1)_{m,λ} =
+# 1·(1-λ)···(1-(m-1)λ) is kept with exactly max(m, 1) coefficients, so that
+# num fits in n + 1 slots.
+_BETA: list[tuple[list[int], int, LambdaPoly]] = [([1], 1, LP_ONE)]
 _ONE_FALL: list[list[int]] = [[1], [1]]
 
 
@@ -188,22 +223,26 @@ def bernoulli_deg(n: int) -> LambdaPoly:
     the t^n/n! coefficient of (t/(e_λ(t)-1))·((e_λ(t)-1)/t) = 1.
     """
     require_index(n)
-    num, den, fall = _BETA_NUM, _BETA_DEN, _ONE_FALL
-    for m in range(len(num), n + 1):
-        while len(fall) <= m + 1:
-            fall.append(_add_linear_times([], fall[-1], 1, 1 - len(fall)))
-        common = lcm(*(den[k] * (m - k + 1) for k in range(m)))
-        acc = [0] * (m + 1)
-        for k in range(m):
-            w = comb(m, k) * (common // (den[k] * (m - k + 1)))
-            for i, a in enumerate(num[k]):
-                for j, f in enumerate(fall[m - k + 1]):
-                    acc[i + j] -= w * a * f
-        g = gcd(common, *acc)
-        num.append([c // g for c in acc])
-        den.append(common // g)
-        _BETA.append(_from_ints(num[m], den[m]))
-    return _BETA[n]
+    beta, fall = _BETA, _ONE_FALL
+    if n < len(beta):
+        return beta[n][2]
+    with _collector_paused():
+        for m in range(len(beta), n + 1):
+            while len(fall) <= m + 1:
+                fall.append(_add_linear_times([], fall[-1], 1, 1 - len(fall)))
+            common = lcm(*(beta[k][1] * (m - k + 1) for k in range(m)))
+            acc = [0] * (m + 1)
+            for k in range(m):
+                num, den, _ = beta[k]
+                w = comb(m, k) * (common // (den * (m - k + 1)))
+                for i, a in enumerate(num):
+                    for j, f in enumerate(fall[m - k + 1]):
+                        acc[i + j] -= w * a * f
+            g = gcd(common, *acc)
+            num, den = [c // g for c in acc], common // g
+            # One append commits β_m whole.
+            beta.append((num, den, _from_ints(num, den)))
+    return beta[n][2]
 
 
 def bernoulli_gf(order: int) -> Series:

@@ -1,5 +1,6 @@
 """Number families against brute-force oracles and their own recurrences."""
 
+import gc
 import inspect
 import sys
 import time
@@ -237,6 +238,94 @@ def test_builders_refuse_indices_above_the_limit():
         with pytest.raises(ValueError, match="exceeds the limit"):
             build()
     assert (len(numbers._STIRLING2.rows), len(numbers._BRACKET.rows), len(numbers._BETA)) == built
+
+
+def _fresh_tables(monkeypatch):
+    """Empty S₂, bracket and β caches for this test; the shared ones come back after."""
+    monkeypatch.setattr(numbers, "_STIRLING2", numbers._Triangle(numbers._STIRLING2._weight))
+    monkeypatch.setattr(numbers, "_BRACKET", numbers._Triangle(numbers._BRACKET._weight))
+    monkeypatch.setattr(numbers, "_BETA", numbers._BETA[:1])
+
+
+def _raise_on_entry(monkeypatch, nth, seen=None):
+    """Make the nth LambdaPoly a builder stores raise KeyboardInterrupt.
+
+    ``seen`` collects whether the collector was enabled at each entry."""
+    real, calls = numbers._from_ints, []
+
+    def flaky(*args):
+        calls.append(None)
+        if seen is not None:
+            seen.append(gc.isenabled())
+        if len(calls) == nth:
+            raise KeyboardInterrupt
+        return real(*args)
+
+    monkeypatch.setattr(numbers, "_from_ints", flaky)
+
+
+@pytest.fixture
+def collector():
+    """Restore the collector's state after a test that switches it; list it
+    before ``monkeypatch`` so that it runs after a patched ``gc`` is undone."""
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+# The 20th S₂ or bracket entry is the last of row 5; β_6 is the 6th β entry.
+INTERRUPTED_BUILDS = [
+    pytest.param(lambda: stirling2_deg(8, 2), 20, id="stirling2"),
+    pytest.param(lambda: bracket_deg(8, 2), 20, id="bracket"),
+    pytest.param(lambda: bernoulli_deg(8), 6, id="bernoulli"),
+]
+
+
+@pytest.mark.parametrize("build, nth", INTERRUPTED_BUILDS)
+def test_an_interrupted_build_keeps_only_whole_rows(monkeypatch, build, nth):
+    _fresh_tables(monkeypatch)
+    with monkeypatch.context() as patch:
+        _raise_on_entry(patch, nth)
+        with pytest.raises(KeyboardInterrupt):
+            build()
+    s2, s1 = stirling2_deg_rows(10), stirling1_deg_rows(10)
+    for n in range(11):
+        for k in range(n + 1):
+            assert stirling2_deg(n, k).coeffs == s2[n][k], (n, k)
+            assert stirling1_deg(n, k).coeffs == s1[n][k], (n, k)
+    for n, beta in enumerate(bernoulli_deg_rows(10)):
+        assert bernoulli_deg(n).coeffs == beta, n
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("build, nth", INTERRUPTED_BUILDS)
+def test_a_build_pauses_the_collector_and_restores_its_state(
+    collector, monkeypatch, enabled, build, nth
+):
+    _fresh_tables(monkeypatch)
+    (gc.enable if enabled else gc.disable)()
+    with monkeypatch.context() as patch:
+        seen = []
+        _raise_on_entry(patch, nth, seen)
+        with pytest.raises(KeyboardInterrupt):
+            build()
+    assert gc.isenabled() is enabled and seen and not any(seen)
+    build()
+    assert gc.isenabled() is enabled
+
+
+def test_a_cache_hit_leaves_the_collector_alone(collector, monkeypatch):
+    gc.enable()
+    switches = []
+    monkeypatch.setattr(gc, "disable", lambda: switches.append("disable"))
+    monkeypatch.setattr(gc, "enable", lambda: switches.append("enable"))
+    _fresh_tables(monkeypatch)
+    bell_deg(6), bracket_deg(6, 2), bernoulli_deg(6)
+    assert switches == ["disable", "enable"] * 3
+    switches.clear()
+    for n in range(7):
+        bell_deg(n), stirling2_deg(n, 1), bracket_deg(n, 1), stirling1_deg(n, 1), bernoulli_deg(n)
+    assert switches == []
 
 
 def test_basis_expand_round_trips():

@@ -1,8 +1,11 @@
 """Command-line front end: tables, point evaluation, series dumps, verification.
 
 Exit codes are a stable contract: 0 on success (and on `verify` only when
-every requested identity passes), 1 when a verification fails, 2 on any
-usage or parse error.
+every requested identity passes), 1 when a verification fails or the reader
+closes stdout early (``… | head``), 2 on any usage or parse error, with
+exactly one ``Error:`` line on stderr.  The parser is ``argparse``: option
+names are matched in full, ``--lambda -2/3`` is a value, and integers take
+ASCII digits only, as :func:`degenbell.core.parse_rational` does.
 
 Output is deterministic — identical invocations produce byte-identical
 bytes on stdout.  Pretty output uses the unicode λ renderings; csv and
@@ -17,12 +20,14 @@ the operator calculus) is imported inside ``verify``.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
+import os
+import re
 import sys
 from fractions import Fraction
-
-import click
+from typing import NoReturn
 
 from . import __version__
 from .core import (
@@ -35,74 +40,54 @@ from .core import (
     xpoly_pretty,
     xpoly_to_ascii,
 )
-from .numbers import (
-    MAX_INDEX,
-    bell_deg,
-    bell_dobinski_numeric,
-    bell_gf,
-    bernoulli_deg,
-    bernoulli_gf,
-    bracket_deg,
-    stirling1_deg,
-    stirling2_deg,
-)
+from .numbers import (MAX_INDEX, bell_deg, bell_dobinski_numeric, bell_gf, bernoulli_deg,
+                      bernoulli_gf, bracket_deg, stirling1_deg, stirling2_deg)
 from .series import DEFAULT_ORDER, Series, e_lambda_series, log_lambda_series, series_json_chunks
 
 FORMATS = ("pretty", "csv", "json")
 TRIANGULAR = {"stirling1": stirling1_deg, "stirling2": stirling2_deg, "bracket": bracket_deg}
 LINEAR = {"bernoulli": bernoulli_deg, "bell": lambda n: bell_deg(n).eval_x(1)}
-SERIES = {
-    "elam": lambda order: e_lambda_series(1, order),
-    "loglam": log_lambda_series,
-    "bellgf": bell_gf,
-    "bernoulligf": bernoulli_gf,
-}
+SERIES = {"elam": lambda order: e_lambda_series(1, order), "loglam": log_lambda_series,
+          "bellgf": bell_gf, "bernoulligf": bernoulli_gf}
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 
 
-class RationalParam(click.ParamType):
-    """Exact rational ``p/q`` or integer; floats are rejected."""
-
-    name = "rational"
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, Fraction):
-            return value
-        try:
-            return parse_rational(value)
-        except ValueError:
-            self.fail(
-                f"{value!r} is not an exact rational (use p/q; floats are rejected)",
-                param,
-                ctx,
-            )
+def _refuse(message: str) -> NoReturn:
+    """Exit 2 with one ``Error:`` line on stderr, also when an argument quoted in it has one."""
+    sys.stderr.write(f"Error: {' '.join(message.splitlines())}\n")
+    sys.exit(2)
 
 
-class LambdaParam(RationalParam):
-    """Either the literal ``sym`` or an exact rational."""
+def _index(minimum: int):
+    """An argparse ``type=``: an integer of ASCII digits, at least ``minimum``."""
 
-    name = "lambda"
+    def index(text: str) -> int:  # argparse names it in "invalid index value" on ValueError
+        if not _INTEGER_RE.fullmatch(text.strip()) or int(text) < minimum:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not an integer ≥ {minimum} (ASCII digits only)")
+        return int(text)
 
-    def convert(self, value, param, ctx):
-        if value == "sym":
-            return "sym"
-        return super().convert(value, param, ctx)
-
-
-RATIONAL = RationalParam()
-LAMBDA = LambdaParam()
+    return index
 
 
-def _refuse(message: str) -> click.ClickException:
-    """An error that exits 2 with one ``Error:`` line on stderr."""
-    error = click.ClickException(message)
-    error.exit_code = 2
-    return error
+def _rational(text: str) -> Fraction:
+    """An argparse ``type=``: an exact rational ``p/q`` or integer; floats are rejected."""
+    try:
+        return parse_rational(text)
+    except ValueError:
+        message = f"{text!r} is not an exact rational (use p/q; floats are rejected)"
+        raise argparse.ArgumentTypeError(message) from None
+
+
+def _lambda(text: str) -> Fraction | str:
+    """An argparse ``type=``: the literal ``sym`` or an exact rational."""
+    return "sym" if text == "sym" else _rational(text)
 
 
 def _require_index(n: int, what: str, limit: int = MAX_INDEX) -> None:
     """Exit 2 with one ``Error:`` line when n exceeds the limit."""
     if n > limit:
-        raise _refuse(f"{what} {n} exceeds the limit {limit}")
+        _refuse(f"{what} {n} exceeds the limit {limit}")
 
 
 def _csv_writer():
@@ -110,26 +95,11 @@ def _csv_writer():
 
 
 def _echo_json(payload) -> None:
-    click.echo(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2))
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="degenbell")
-def main() -> None:
-    """Exact degenerate Bell/Stirling calculator and identity checker."""
+# -- table -------------------------------------------------------------
 
-
-# ----------------------------------------------------------------------
-# table
-# ----------------------------------------------------------------------
-
-@main.command()
-@click.argument("family", type=click.Choice(sorted(TRIANGULAR) + sorted(LINEAR)))
-@click.option("--n-max", type=click.IntRange(min=0), default=6, show_default=True)
-@click.option("--lambda", "lam", type=LAMBDA, default="sym", show_default=True,
-              help="'sym' for symbolic λ, or an exact rational like 1/2.")
-@click.option("--format", "fmt", type=click.Choice(FORMATS), default="pretty",
-              show_default=True)
 def table(family: str, n_max: int, lam, fmt: str) -> None:
     """Print a number-family table up to N_MAX.
 
@@ -138,21 +108,15 @@ def table(family: str, n_max: int, lam, fmt: str) -> None:
     k column empty.
     """
     _require_index(n_max, "--n-max")
-    rows: list[tuple[int, int | None, object]] = []
+    rows: list[tuple[int, int | None, object]]
     if family in TRIANGULAR:
         fn = TRIANGULAR[family]
-        for n in range(n_max + 1):
-            for k in range(n + 1):
-                rows.append((n, k, fn(n, k)))
+        rows = [(n, k, fn(n, k)) for n in range(n_max + 1) for k in range(n + 1)]
     else:
-        fn = LINEAR[family]
-        for n in range(n_max + 1):
-            rows.append((n, None, fn(n)))
+        rows = [(n, None, LINEAR[family](n)) for n in range(n_max + 1)]
 
-    def cell(value) -> str:
-        if lam == "sym":
-            return lambda_poly_to_ascii(value)
-        return format_rational(value.eval(lam))
+    def cell(value, symbolic=lambda_poly_to_ascii) -> str:
+        return symbolic(value) if lam == "sym" else format_rational(value.eval(lam))
 
     if fmt == "csv":
         w = _csv_writer()
@@ -160,38 +124,20 @@ def table(family: str, n_max: int, lam, fmt: str) -> None:
         for n, k, value in rows:
             w.writerow([n, "" if k is None else k, cell(value)])
     elif fmt == "json":
-        _echo_json(
-            {
-                "family": family,
-                "lambda": "sym" if lam == "sym" else format_rational(lam),
-                "n_max": n_max,
-                "entries": [
-                    {"n": n, "k": k, "value": cell(value)} for n, k, value in rows
-                ],
-            }
-        )
+        _echo_json({
+            "family": family,
+            "lambda": "sym" if lam == "sym" else format_rational(lam),
+            "n_max": n_max,
+            "entries": [{"n": n, "k": k, "value": cell(value)} for n, k, value in rows],
+        })
     else:
         for n, k, value in rows:
-            shown = lambda_poly_pretty(value) if lam == "sym" else format_rational(value.eval(lam))
             place = f"({n},{k})" if k is not None else f"({n})"
-            click.echo(f"{family}{place} = {shown}")
+            print(f"{family}{place} = {cell(value, lambda_poly_pretty)}")
 
 
-# ----------------------------------------------------------------------
-# eval
-# ----------------------------------------------------------------------
+# -- eval --------------------------------------------------------------
 
-@main.command("eval")
-@click.argument("n", type=click.IntRange(min=0))
-@click.option("--x", type=RATIONAL, default=Fraction(1), show_default="1",
-              help="Evaluation point, exact rational.")
-@click.option("--lambda", "lam", type=RATIONAL, required=True,
-              help="Deformation parameter, exact rational.")
-@click.option("--dobinski-terms", type=click.IntRange(min=1), default=None,
-              metavar="K",
-              help="Also print the K-term Dobinski-style float approximation.")
-@click.option("--format", "fmt", type=click.Choice(FORMATS), default="pretty",
-              show_default=True)
 def eval_cmd(n: int, x: Rational, lam: Rational, dobinski_terms: int | None, fmt: str) -> None:
     """Evaluate Bel_{N,λ}(x) exactly."""
     _require_index(n, "N")
@@ -201,47 +147,31 @@ def eval_cmd(n: int, x: Rational, lam: Rational, dobinski_terms: int | None, fmt
         try:
             approx = bell_dobinski_numeric(n, x, lam, terms=dobinski_terms)
         except ValueError as exc:
-            raise _refuse(str(exc))
+            _refuse(str(exc))
 
     if fmt == "csv":
-        w = _csv_writer()
         header = ["n", "x", "lambda", "value"]
         row: list[object] = [n, format_rational(x), format_rational(lam), format_rational(value)]
         if approx is not None:
             header += ["dobinski_terms", "dobinski"]
             row += [dobinski_terms, repr(approx)]
-        w.writerow(header)
-        w.writerow(row)
+        _csv_writer().writerows([header, row])
     elif fmt == "json":
-        payload = {
-            "n": n,
-            "x": format_rational(x),
-            "lambda": format_rational(lam),
-            "value": format_rational(value),
-        }
+        payload = {"n": n, "x": format_rational(x), "lambda": format_rational(lam),
+                   "value": format_rational(value)}
         if approx is not None:
             payload["dobinski_terms"] = dobinski_terms
             payload["dobinski"] = approx
         _echo_json(payload)
     else:
-        click.echo(format_rational(value))
+        print(format_rational(value))
         if approx is not None:
-            click.echo(f"dobinski[{dobinski_terms} terms] ≈ {approx!r}")
+            print(f"dobinski[{dobinski_terms} terms] ≈ {approx!r}")
 
 
-# ----------------------------------------------------------------------
-# verify
-# ----------------------------------------------------------------------
+# -- verify ------------------------------------------------------------
 
-@main.command("verify")
-@click.argument("identity")
-@click.option("--n-max", type=click.IntRange(min=1), default=6, show_default=True)
-@click.option("--order", type=click.IntRange(min=0), default=None,
-              help="Series truncation order for series-based identities "
-                   "[default: n_max + 6].")
-@click.option("--format", "fmt", type=click.Choice(FORMATS), default="pretty",
-              show_default=True)
-def verify_cmd(identity: str, n_max: int, order: int | None, fmt: str) -> None:
+def verify_cmd(identity: str, n_max: int, order: int | None, fmt: str) -> bool:
     """Check one catalog IDENTITY (or 'all') exactly over its grid."""
     _require_index(n_max, "--n-max", MAX_INDEX // 2)  # the grids read rows up to 2·n_max
     if order is not None:
@@ -254,7 +184,7 @@ def verify_cmd(identity: str, n_max: int, order: int | None, fmt: str) -> None:
         else:
             reports = [verify(identity, n_max, order)]
     except ValueError as exc:
-        raise _refuse(str(exc))
+        _refuse(str(exc))
 
     if fmt == "csv":
         w = _csv_writer()
@@ -269,19 +199,16 @@ def verify_cmd(identity: str, n_max: int, order: int | None, fmt: str) -> None:
         _echo_json([r.to_json_dict() for r in reports])
     else:
         for r in reports:
-            click.echo(f"{r.status.upper():<5} {r.identity:<16} [{r.grid}]")
+            print(f"{r.status.upper():<5} {r.identity:<16} [{r.grid}]")
             if r.counterexample is not None:
                 ce = r.counterexample
-                click.echo(f"      at {', '.join(ce.params)}")
-                click.echo(f"      lhs: {ce.lhs}")
-                click.echo(f"      rhs: {ce.rhs}")
-    if any(r.status != "pass" for r in reports):
-        sys.exit(1)
+                print(f"      at {', '.join(ce.params)}")
+                print(f"      lhs: {ce.lhs}")
+                print(f"      rhs: {ce.rhs}")
+    return any(r.status != "pass" for r in reports)  # main exits 1
 
 
-# ----------------------------------------------------------------------
-# series
-# ----------------------------------------------------------------------
+# -- series ------------------------------------------------------------
 
 def _pretty_series(s: Series) -> str:
     parts: list[str] = []
@@ -303,12 +230,6 @@ def _pretty_series(s: Series) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-@main.command("series")
-@click.argument("which", type=click.Choice(list(SERIES)))
-@click.option("--order", type=click.IntRange(min=0), default=DEFAULT_ORDER,
-              show_default=True, help="Truncation order.")
-@click.option("--format", "fmt", type=click.Choice(FORMATS), default="pretty",
-              show_default=True)
 def series_cmd(which: str, order: int, fmt: str) -> None:
     """Dump a truncated generating function.
 
@@ -319,15 +240,93 @@ def series_cmd(which: str, order: int, fmt: str) -> None:
     s = SERIES[which](order)
     if fmt == "json":
         for chunk in series_json_chunks(s):
-            click.echo(chunk, nl=False)
-        click.echo()
+            sys.stdout.write(chunk)
+        sys.stdout.write("\n")
     elif fmt == "csv":
         w = _csv_writer()
         w.writerow(["n", "value"])
         for n in range(s.order + 1):
             w.writerow([n, xpoly_to_ascii(s.coeff(n))])
     else:
-        click.echo(_pretty_series(s))
+        print(_pretty_series(s))
+
+
+# -- the parser --------------------------------------------------------
+
+class _Parser(argparse.ArgumentParser):
+    """Full option names only, ``-2/3`` read as a value, usage errors as one ``Error:`` line."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
+        # argparse reads an argument that starts with '-' as an option unless
+        # this matches it; a negative rational such as -2/3 is a value.
+        self._negative_number_matcher = re.compile(r"-[0-9]")
+
+    def error(self, message: str) -> NoReturn:
+        _refuse(message)
+
+
+def _parser() -> _Parser:
+    parser = _Parser(prog="degenbell",
+                     description="Exact degenerate Bell/Stirling calculator and identity checker.")
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name: str, run) -> _Parser:
+        sub = commands.add_parser(name, help=run.__doc__.splitlines()[0], description=run.__doc__)
+        sub.set_defaults(run=run)
+        return sub
+
+    sub = command("table", table)
+    sub.add_argument("family", choices=sorted(TRIANGULAR) + sorted(LINEAR))
+    sub.add_argument("--n-max", type=_index(0), default=6, help="(default: %(default)s)")
+    sub.add_argument("--lambda", dest="lam", metavar="LAMBDA", type=_lambda, default="sym",
+                     help="'sym' for symbolic λ, or an exact rational like 1/2 (default: sym).")
+    sub = command("eval", eval_cmd)
+    sub.add_argument("n", metavar="N", type=_index(0))
+    sub.add_argument("--x", type=_rational, default=Fraction(1),
+                     help="Evaluation point, exact rational (default: 1).")
+    sub.add_argument("--lambda", dest="lam", metavar="LAMBDA", type=_rational, required=True,
+                     help="Deformation parameter, exact rational.")
+    sub.add_argument("--dobinski-terms", type=_index(1), metavar="K",
+                     help="Also print the K-term Dobinski-style float approximation.")
+    sub = command("verify", verify_cmd)
+    sub.add_argument("identity", metavar="IDENTITY")
+    sub.add_argument("--n-max", type=_index(1), default=6, help="(default: %(default)s)")
+    sub.add_argument("--order", type=_index(0), help="Series truncation order for "
+                     "series-based identities (default: n_max + 6).")
+    sub = command("series", series_cmd)
+    sub.add_argument("which", choices=list(SERIES))
+    sub.add_argument("--order", type=_index(0), default=DEFAULT_ORDER,
+                     help="Truncation order (default: %(default)s).")
+    for sub in commands.choices.values():
+        sub.add_argument("--format", dest="fmt", choices=FORMATS, default="pretty",
+                         help="(default: %(default)s)")
+    return parser
+
+
+_PARSER = _parser()
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None,
+         standalone_mode: bool = True) -> None:
+    """Run one command on ``args`` (default ``sys.argv[1:]``); exit 1 or 2 on failure.
+
+    ``prog_name`` and ``standalone_mode`` are ignored: the benchmark child
+    (``perfbench/child.py``) passes them, as the click front end took them.
+    """
+    options = vars(_PARSER.parse_args(args))
+    run = options.pop("run")
+    try:
+        failed = run(**options)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`… | head -1`): point it at devnull so the
+        # interpreter's last flush cannot fail, and exit 1 without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    if failed:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -11,10 +11,7 @@ import json
 import time
 from fractions import Fraction
 
-from click.testing import CliRunner
-
 from degenbell import identities
-from degenbell.cli import main as cli_main
 from degenbell.core import LambdaPoly, lambda_poly_from_ascii
 from degenbell.identities import FamilyTables, stirling2_alt_sums, verify, verify_all
 from degenbell.numbers import (
@@ -27,6 +24,7 @@ from degenbell.numbers import (
 from degenbell.opcalc import ExpExpr, eval_at_x1_in_e_units, op_power
 from degenbell.series import series_from_json
 
+from cli_runner import invoke
 from oracles import bell_count, classical_bernoulli
 
 
@@ -148,27 +146,21 @@ def test_criterion_7_mutation_sensitivity():
 def test_criterion_8_cli_contract(monkeypatch):
     """Round-trippable CSV/JSON, exit codes 0/1/2, byte-identical reruns."""
     t0 = time.perf_counter()
-    runner = CliRunner()
-
     # exit 0 + CSV that parses back to the exact table
-    table = runner.invoke(
-        cli_main, ["table", "stirling2", "--n-max", "6", "--format", "csv"]
-    )
+    table = invoke("table", "stirling2", "--n-max", "6", "--format", "csv")
     assert table.exit_code == 0
-    for n_str, k_str, value in list(csv.reader(io.StringIO(table.output)))[1:]:
+    for n_str, k_str, value in list(csv.reader(io.StringIO(table.stdout)))[1:]:
         assert lambda_poly_from_ascii(value) == stirling2_deg(int(n_str), int(k_str))
 
     # JSON series dump parses back to an equal Series
-    series = runner.invoke(
-        cli_main, ["series", "bernoulligf", "--order", "8", "--format", "json"]
-    )
+    series = invoke("series", "bernoulligf", "--order", "8", "--format", "json")
     assert series.exit_code == 0
     from degenbell.numbers import bernoulli_gf
 
-    assert series_from_json(series.output) == bernoulli_gf(8)
+    assert series_from_json(series.stdout) == bernoulli_gf(8)
 
     # verify: pass → 0, corrupted tables → 1, unknown id → 2
-    ok = runner.invoke(cli_main, ["verify", "eq61", "--n-max", "6"])
+    ok = invoke("verify", "eq61", "--n-max", "6")
     assert ok.exit_code == 0
     real = identities.verify_all
     monkeypatch.setattr(
@@ -176,10 +168,10 @@ def test_criterion_8_cli_contract(monkeypatch):
         "verify_all",
         lambda n, o: real(n, o, FamilyTables.with_bump(2, 1)),
     )
-    bad = runner.invoke(cli_main, ["verify", "all", "--n-max", "3"])
+    bad = invoke("verify", "all", "--n-max", "3")
     assert bad.exit_code == 1
     monkeypatch.undo()
-    usage = runner.invoke(cli_main, ["verify", "definitely-not-a-key"])
+    usage = invoke("verify", "definitely-not-a-key")
     assert usage.exit_code == 2
 
     # byte-identical reruns
@@ -188,7 +180,7 @@ def test_criterion_8_cli_contract(monkeypatch):
         ["series", "bellgf", "--order", "7", "--format", "csv"],
         ["verify", "eq39", "--n-max", "6", "--format", "json"],
     ):
-        assert runner.invoke(cli_main, args).output == runner.invoke(cli_main, args).output
+        assert invoke(*args) == invoke(*args)
 
     elapsed = time.perf_counter() - t0
     print(f"PASS criterion 8: CLI round-trips and exit codes ({elapsed:.2f}s)")

@@ -13,8 +13,9 @@ documented there as the inverses of the CLI's output).  Tests do not count.
   (``opcalc``).  The library computes each quantity by one route; a second
   route that only the harness compares with belongs next to its caller.
 
-Out of scope: methods (only module-level names are listed), module-level
-constants, and click commands, which the command group calls.
+Out of scope: methods (only module-level names are listed) and module-level
+constants.  The CLI's command functions count as used: its parser refers to
+each one by name.
 """
 
 from __future__ import annotations
@@ -27,13 +28,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "degenbell"
 
 
-def _is_click_command(node: ast.AST) -> bool:
-    return any(
-        ast.unparse(d).startswith("click.") or ".command(" in ast.unparse(d)
-        for d in node.decorator_list
-    )
-
-
 def _public_definitions() -> list[tuple[Path, ast.AST]]:
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -41,7 +35,6 @@ def _public_definitions() -> list[tuple[Path, ast.AST]]:
             if (
                 isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                 and not node.name.startswith("_")
-                and not _is_click_command(node)
             ):
                 found.append((path, node))
     return found

@@ -27,7 +27,10 @@ are its one-term case; :func:`sum_of_products` is the weighted sum that
 series recurrences and the identity harness use instead of adding
 products one at a time.  Plain sums, scalar multiples and evaluation work
 on the Fractions directly; a constant λ-polynomial multiplies as the scalar
-it holds, so a constant factor never reaches the kernel.
+it holds, so a constant factor never reaches the kernel.  The types carry
+no calculus: d/dx, the antiderivative and λ → c·λ serve only the identity
+harness and live beside their callers in :mod:`degenbell.identities` and
+:mod:`degenbell.opcalc`.
 
 Results canonical by construction skip the normalising ``LambdaPoly(...)``: int
 numerators over a positive denominator, stripped on the ints (kernel outputs and
@@ -249,7 +252,7 @@ class LambdaPoly:
 
     __rmul__ = __mul__
 
-    # -- evaluation and calculus ---------------------------------------
+    # -- evaluation ---------------------------------------------------
 
     def eval(self, lam: ScalarLike) -> Fraction:
         """Evaluate at a rational λ by Horner's scheme."""
@@ -258,16 +261,6 @@ class LambdaPoly:
         for c in reversed(self.coeffs):
             acc = acc * lam + c
         return acc
-
-    def scale_lambda(self, factor: ScalarLike) -> "LambdaPoly":
-        """Substitute λ → factor·λ, i.e. multiply coefficient i by factor^i."""
-        factor = _as_fraction(factor)
-        power = Fraction(1)
-        out = []
-        for c in self.coeffs:
-            out.append(c * power)
-            power *= factor
-        return LambdaPoly(out)
 
 
 LambdaLike = Union[LambdaPoly, int, Fraction]
@@ -304,12 +297,6 @@ class XPoly:
         if isinstance(value, XPoly):
             return value
         return cls.const(value)
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: "CoeffLike" = 1) -> "XPoly":
-        if degree < 0:
-            raise ValueError("monomial degree must be nonnegative")
-        return cls((LP_ZERO,) * degree + (LambdaPoly.coerce(coeff),))
 
     # -- structure ----------------------------------------------------
 
@@ -375,7 +362,7 @@ class XPoly:
 
     __rmul__ = __mul__
 
-    # -- evaluation and calculus --------------------------------------
+    # -- evaluation ---------------------------------------------------
 
     def eval(self, x0: ScalarLike, lam: ScalarLike) -> Fraction:
         """Exact value at rational (x0, λ): coefficientwise λ-evaluation, then Horner in x0."""
@@ -392,19 +379,6 @@ class XPoly:
         for c in reversed(self.coeffs):
             acc = acc * x0 + c
         return acc
-
-    def derivative(self) -> "XPoly":
-        """Formal d/dx."""
-        return XPoly(tuple(c * (j + 1) for j, c in enumerate(self.coeffs[1:], start=0)))
-
-    def antiderivative(self) -> "XPoly":
-        """Formal antiderivative with zero constant term."""
-        if self.is_zero:
-            return XP_ZERO
-        out = [LP_ZERO]
-        for j, c in enumerate(self.coeffs):
-            out.append(c * Fraction(1, j + 1))
-        return XPoly(out)
 
 
 CoeffLike = Union[LambdaPoly, int, Fraction]

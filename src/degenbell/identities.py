@@ -10,7 +10,10 @@ sides and reports the first mismatch.  A factor that does not change across
 a check's grid (a falling-factorial prefix, an EGF of Bell polynomials) is
 built once per check call and kept local to it.  The routes that only the
 checks use (classical factorial bases, S₂ by alternating sums, binomial
-series) are defined here, beside their callers.
+series) are defined here, beside their callers, and so is the calculus of
+the paper's proofs: d/dx and the antiderivative of an XPoly are private
+functions, and lemma1's d/dt, eq57's t → -t and the monomials xⁿ are built
+from coefficients where they are used.
 
 Checks draw their Stirling/Bell values from a :class:`FamilyTables`
 context.  The default context is the library itself; a context with a
@@ -288,7 +291,17 @@ def _one_fall(j: int) -> LambdaPoly:
 def _bell_gf_by_exp(order: int) -> Series:
     """e^{x(e_λ(t)-1)} by ``series_exp``: a second route to ``numbers.bell_gf``."""
     e = e_lambda_series(1, order)
-    return series_exp((e - Series.one(order)).scale(XP_X))
+    return series_exp(series_combination([(XP_X, e - Series.one(order))], order))
+
+
+def _x_derivative(p: XPoly) -> XPoly:
+    """Formal d/dx."""
+    return XPoly([c * j for j, c in enumerate(p.coeffs) if j])
+
+
+def _x_antiderivative(p: XPoly) -> XPoly:
+    """Formal antiderivative in x with zero constant term."""
+    return XPoly([LP_ZERO] + [c * Fraction(1, j + 1) for j, c in enumerate(p.coeffs)])
 
 
 # ----------------------------------------------------------------------
@@ -342,7 +355,7 @@ def _thm2(n_max: int, order: int, tb: FamilyTables) -> Cases:
 def _thm4(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for n in range(n_max + 1):
         b = tb.bell(n)
-        yield {"n": n}, tb.bell(n + 1), XP_X * (b.derivative() + b) - b * (LP_LAMBDA * n)
+        yield {"n": n}, tb.bell(n + 1), XP_X * (_x_derivative(b) + b) - b * (LP_LAMBDA * n)
 
 
 @_identity("thm5", "binomial recurrence with (1)_{n-m+1,λ}", "n=0..{n_max} (symbolic x)")
@@ -380,7 +393,7 @@ def _cor7(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for n in range(1, n_max + 1):
         acc = sum_of_products((comb(n, m), tb.bell(m), _one_fall(n + 1 - m)) for m in range(n))
         rhs = XP_X * acc + tb.bell(n) * (LP_LAMBDA * n)
-        yield {"n": n}, XP_X * tb.bell(n).derivative(), rhs
+        yield {"n": n}, XP_X * _x_derivative(tb.bell(n)), rhs
 
 
 @_identity("thm8", "binomial convolution of Bel(x+y)", "n=0..{n_max} (bivariate x,y)")
@@ -410,7 +423,7 @@ def _thm9(n_max: int, order: int, tb: FamilyTables) -> Cases:
             (Fraction(comb(n + 1, k), n + 1), tb.bell(k), tb.bernoulli(n + 1 - k))
             for k in range(1, n + 2)
         )
-        yield {"n": n}, tb.bell(n).antiderivative(), rhs
+        yield {"n": n}, _x_antiderivative(tb.bell(n)), rhs
 
 
 @_identity("prop10", "operator power on e^(a·x^p), λ→λ/p scaling",
@@ -481,7 +494,7 @@ def _thm12(n_max: int, order: int, tb: FamilyTables) -> Cases:
     bell_egf = _egf(tb.bell(k) for k in range(cap + 1))
     for m in range(cap + 1):
         rhs = _thm12_rhs(bell_egf, m, [
-            (j, XPoly.monomial(j, s2))
+            (j, XPoly((0,) * j + (s2,)))
             for j in range(m + 1)
             if not (s2 := tb.stirling2(m, j)).is_zero
         ])
@@ -530,7 +543,8 @@ def _lemma1(n_max: int, order: int, tb: FamilyTables) -> Cases:
     """
     e = e_lambda_series(1, order)
     for a in A_GRID:
-        f = series_exp(e.scale(a) - Series.const(a, order))
+        # f = exp(a·(e_λ(t) - 1)); the constant terms a·1 - a cancel
+        f = series_exp(Series([XP_ZERO] + [c * a for c in e.coeffs[1:]], order=order))
         powers_f = [f]  # e_λ(t)ᵏ·f is read from n = k on, so to order - k
         for k in range(1, n_max + 1):
             powers_f.append(series_mul(powers_f[-1], e.truncate(order - k)))
@@ -541,9 +555,13 @@ def _lemma1(n_max: int, order: int, tb: FamilyTables) -> Cases:
             )
             yield {"n": n, "a": a}, lhs, rhs
             if n < n_max:
-                d = lhs.derivative()
-                t_d = Series((XP_ZERO,) + d.coeffs, order=d.order)
-                lhs = series_combination(((1, d), (LP_LAMBDA, t_d), (LP_LAMBDA * -n, lhs)), d.order)
+                d = [c * k for k, c in enumerate(lhs.coeffs) if k]  # gₙ′
+                o = lhs.order - 1
+                lhs = series_combination(
+                    ((1, Series(d, order=o)), (LP_LAMBDA, Series([XP_ZERO] + d, order=o)),
+                     (LP_LAMBDA * -n, lhs)),
+                    o,
+                )
 
 
 @_identity("eq17", "operator power on e^(a·x)", "n=0..{n_max}, a∈{{1,-1,2,1/2}}")
@@ -567,7 +585,7 @@ def _eq23(n_max: int, order: int, tb: FamilyTables) -> Cases:
 def _eq29(n_max: int, order: int, tb: FamilyTables) -> Cases:
     for n in range(1, n_max + 1):
         rhs = sum_of_products((comb(n, m), tb.bell(m), _one_fall(n - m)) for m in range(n))
-        yield {"n": n}, tb.bell(n).derivative(), rhs
+        yield {"n": n}, _x_derivative(tb.bell(n)), rhs
 
 
 @_identity("eq34", "one-step promotion of x^(-nλ)Bel_n(x)e^x", "n=0..{n_max}")
@@ -625,9 +643,10 @@ def _eq56(n_max: int, order: int, tb: FamilyTables) -> Cases:
            "series order {order} (symbolic x), plus ⟨x⟩_n/n! coefficient anchor", series=True)
 def _eq57(n_max: int, order: int, tb: FamilyTables) -> Cases:
     lhs = binomial_power_series(-1, -XP_X, order)
-    rhs = series_compose(
-        e_lambda_series(-XP_X, order), log_lambda_series(order).scale_t(-1)
+    log_of_minus_t = Series(
+        [c * (-1) ** n for n, c in enumerate(log_lambda_series(order).coeffs)], order=order
     )
+    rhs = series_compose(e_lambda_series(-XP_X, order), log_of_minus_t)
     yield {"order": order}, lhs, rhs
     for n in range(order + 1):
         yield {"n": n}, lhs.coeff(n), rising_classical(n) * Fraction(1, factorial(n))
@@ -645,7 +664,7 @@ def _eq58(n_max: int, order: int, tb: FamilyTables) -> Cases:
 @_identity("eq59", "Bell GF composed with log_λ gives e^(xt)",
            "series order {order} (symbolic x)", series=True)
 def _eq59(n_max: int, order: int, tb: FamilyTables) -> Cases:
-    lhs = _egf(XPoly.monomial(n) for n in range(order + 1))  # e^{xt}
+    lhs = _egf(XPoly((0,) * n + (1,)) for n in range(order + 1))  # e^{xt}
     yield {"order": order}, lhs, series_compose(bell_gf(order), log_lambda_series(order))
 
 
@@ -655,7 +674,7 @@ def _eq60(n_max: int, order: int, tb: FamilyTables) -> Cases:
         rhs = sum_of_products(
             ((-1) ** (n - k), tb.bell(k), bracket_deg(n, k)) for k in range(n + 1)
         )
-        yield {"n": n}, XPoly.monomial(n), rhs
+        yield {"n": n}, XPoly((0,) * n + (1,)), rhs
 
 
 @_identity("eq61", "bracket triangular recurrence", "n=0..{n_max}, k=0..n+1")
@@ -681,9 +700,9 @@ def _gf_log_roundtrip(n_max: int, order: int, tb: FamilyTables) -> Cases:
     e = e_lambda_series(1, order)
     log = log_lambda_series(order)
     forward = series_compose(e, log)
-    yield {"direction": "e_λ∘log_λ"}, forward, Series.one(order) + Series.t(order)
+    yield {"direction": "e_λ∘log_λ"}, forward, Series((1, 1), order=order)
     backward = series_compose(log, e - Series.one(order))
-    yield {"direction": "log_λ∘(e_λ-1)"}, backward, Series.t(order)
+    yield {"direction": "log_λ∘(e_λ-1)"}, backward, Series((0, 1), order=order)
 
 
 DEFAULT_ORDER_MARGIN = 6

@@ -169,10 +169,10 @@ def prop10_rhs(n: int, a: ScalarLike, p: int) -> ExpExpr:
     a = _as_fraction(a)
     if a == 0:
         raise ValueError("degenerate exponential argument")
-    pn = Fraction(p) ** n
-    inv_p = Fraction(1, p)
+    # p^n·S_{2,λ/p}(n,k) has λ^i coefficient p^(n-i)·[λ^i]S_{2,λ}(n,k), i ≤ n - k
     return ExpExpr(
-        ((a, p, p * k, -n), stirling2_deg(n, k).scale_lambda(inv_p) * (a**k * pn))
+        ((a, p, p * k, -n),
+         LambdaPoly([c * a**k * p ** (n - i) for i, c in enumerate(stirling2_deg(n, k).coeffs)]))
         for k in range(n + 1)
     )
 

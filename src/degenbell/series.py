@@ -16,7 +16,9 @@ The deformed exponential/logarithm pair lives here:
 
 Both reduce to the classical exp/log at λ = 0.  Series that serve only to
 cross-check these, such as the binomial powers (1 + s·t)^w, belong to the
-identity harness (:mod:`degenbell.identities`).
+identity harness (:mod:`degenbell.identities`), as do d/dt and the
+substitution t → -t, which it builds from the coefficients.  A weighted sum
+Σ cᵢ·Sᵢ with t-free constants cᵢ is one :func:`series_combination`.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ from .core import (
     LP_ONE,
     XP_ONE,
     XP_ZERO,
-    LambdaLike,
-    LambdaPoly,
     XLike,
     XPoly,
     _xpoly_products,
@@ -73,22 +73,8 @@ class Series:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int) -> "Series":
-        return cls((), order=order)
-
-    @classmethod
     def one(cls, order: int) -> "Series":
         return cls((XP_ONE,), order=order)
-
-    @classmethod
-    def const(cls, value: XLike, order: int) -> "Series":
-        return cls((value,), order=order)
-
-    @classmethod
-    def t(cls, order: int) -> "Series":
-        if order < 1:
-            raise ValueError("order must be ≥ 1 to represent t")
-        return cls((XP_ZERO, XP_ONE), order=order)
 
     # -- structure ----------------------------------------------------
 
@@ -135,36 +121,6 @@ class Series:
         n = min(self.order, other.order)
         return Series(
             tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1)), order=n
-        )
-
-    def __neg__(self) -> "Series":
-        return Series(tuple(-c for c in self.coeffs), order=self.order)
-
-    def scale(self, factor: XLike) -> "Series":
-        """Multiply every coefficient by a t-free factor."""
-        return Series(tuple(c * factor for c in self.coeffs), order=self.order)
-
-    # -- substitutions ------------------------------------------------
-
-    def scale_t(self, factor: LambdaLike) -> "Series":
-        """Substitute t → factor·t (factor free of t and x)."""
-        f = LambdaPoly.coerce(factor)
-        power = LP_ONE
-        out = []
-        for c in self.coeffs:
-            out.append(c * power)
-            power = power * f
-        return Series(out, order=self.order)
-
-    # -- t-calculus ----------------------------------------------------
-
-    def derivative(self) -> "Series":
-        """d/dt by coefficient shift-and-scale; order drops by one."""
-        if self.order == 0:
-            raise ValueError("derivative of an order-0 series has no known coefficients")
-        return Series(
-            tuple(self.coeffs[n] * n for n in range(1, self.order + 1)),
-            order=self.order - 1,
         )
 
     def div_t(self) -> "Series":

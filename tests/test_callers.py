@@ -1,21 +1,30 @@
 """Code with no caller goes, and the library holds no route that only the harness uses.
 
 A public name is a module-level ``def`` or ``class`` in ``src/degenbell/*.py``
-that does not start with an underscore.  Its users are the files that
-reference it outside its own definition by a name or an attribute, among
-``src/degenbell`` (``__init__.py`` excluded: a re-export is not a use) and
-``perfbench/``, plus ``README.md`` when it names it (the text parsers are
-documented there as the inverses of the CLI's output).  Tests do not count.
+that does not start with an underscore, or a method, classmethod or property
+of ``LambdaPoly``, ``XPoly`` or ``Series`` that does not start with one
+(so no dunder method).  Its users are the files among ``src/degenbell``
+(``__init__.py`` excluded: a re-export is not a use) and ``perfbench/`` that
+reference it outside its own definition: a module-level name by a name or an
+attribute, a method by an attribute ``.name`` only.  ``README.md`` is a user
+of a module-level name it shows as code, in a backtick span or a fenced
+block (the text parsers are documented there as the inverses of the CLI's
+output); a word of prose is not a mention, and methods get no README
+exemption.  Tests do not count.
+
+Attribute references carry no type, so the method check is conservative:
+``.scale`` on any object is a use of every method called ``scale`` in the
+three classes, and a method can pass while only another class's method of
+that name is called.
 
 * Every public name has a user, so a name that only tests call fails.
 * A public name in ``core``, ``series`` or ``numbers`` has a user other than
   the identity harness (``identities``) and the operator calculus it checks
   (``opcalc``).  The library computes each quantity by one route; a second
-  route that only the harness compares with belongs next to its caller.
+  route or a tool that only the harness uses belongs next to its caller.
 
-Out of scope: methods (only module-level names are listed) and module-level
-constants.  The CLI's command functions count as used: its parser refers to
-each one by name.
+Out of scope: module-level constants and the methods of other classes.  The
+CLI's command functions count as used: its parser refers to each one by name.
 """
 
 from __future__ import annotations
@@ -27,57 +36,76 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "degenbell"
 
+#: The library types whose methods are public names.
+TYPES = {"LambdaPoly", "XPoly", "Series"}
 
-def _public_definitions() -> list[tuple[Path, ast.AST]]:
+
+def _public_definitions() -> list[tuple[Path, ast.AST, str, bool]]:
+    """(path, node, label, is_method) for every public name."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if (
-                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                and not node.name.startswith("_")
-            ):
-                found.append((path, node))
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                found.append((path, node, node.name, False))
+            if isinstance(node, ast.ClassDef) and node.name in TYPES:
+                found += [
+                    (path, method, f"{node.name}.{method.name}", True)
+                    for method in node.body
+                    if isinstance(method, ast.FunctionDef) and not method.name.startswith("_")
+                ]
     return found
 
 
-def _references(path: Path) -> list[tuple[str, int]]:
-    """Every (identifier, line) a Name or an Attribute node in the file reads."""
+def _references(path: Path) -> list[tuple[str, int, bool]]:
+    """Every (identifier, line, is_attribute) a Name or an Attribute node in the file reads."""
     refs = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Name):
-            refs.append((node.id, node.lineno))
+            refs.append((node.id, node.lineno, False))
         elif isinstance(node, ast.Attribute):
-            refs.append((node.attr, node.lineno))
+            refs.append((node.attr, node.lineno, True))
     return refs
 
 
-def _users() -> list[tuple[Path, ast.AST, set[str]]]:
+def _readme_code() -> str:
+    """The text of README's fenced blocks and backtick spans, one per line."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    fenced = re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S)
+    prose = re.sub(r"^```[^\n]*\n.*?^```", "", text, flags=re.M | re.S)
+    return "\n".join(fenced + re.findall(r"`([^`]+)`", prose))
+
+
+def _users() -> list[tuple[Path, ast.AST, str, set[str]]]:
     """Each public definition with its users, as paths relative to the repository root."""
     sources = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     sources += sorted((ROOT / "perfbench").glob("*.py"))
     refs = {path: _references(path) for path in sources}
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    readme = _readme_code()
     found = []
-    for def_path, node in _public_definitions():
+    for def_path, node, label, is_method in _public_definitions():
         own = range(node.lineno, node.end_lineno + 1)
         users = {
             path.relative_to(ROOT).as_posix()
             for path, path_refs in refs.items()
             if any(
-                name == node.name and not (path == def_path and line in own)
-                for name, line in path_refs
+                name == node.name
+                and (attribute or not is_method)
+                and not (path == def_path and line in own)
+                for name, line, attribute in path_refs
             )
         }
-        if re.search(rf"\b{re.escape(node.name)}\b", readme):
+        if not is_method and re.search(rf"\b{re.escape(node.name)}\b", readme):
             users.add("README.md")
-        found.append((def_path, node, users))
-    assert found, "no public definitions found"
+        found.append((def_path, node, label, users))
+    assert any("." in label for _, _, label, _ in found), "no methods found"
     return found
 
 
 def test_every_public_name_has_a_caller():
     unused = [
-        f"{path.name}:{node.lineno} {node.name}" for path, node, users in _users() if not users
+        f"{path.name}:{node.lineno} {label}" for path, node, label, users in _users() if not users
     ]
     assert not unused, "public names with no caller outside tests: " + ", ".join(unused)
 
@@ -88,8 +116,8 @@ HARNESS = {f"src/degenbell/{name}.py" for name in ("identities", "opcalc")}
 
 def test_library_holds_no_harness_only_route():
     harness_only = [
-        f"{path.name}:{node.lineno} {node.name}"
-        for path, node, users in _users()
+        f"{path.name}:{node.lineno} {label}"
+        for path, node, label, users in _users()
         if path.relative_to(ROOT).as_posix() in LIBRARY and users and users <= HARNESS
     ]
     assert not harness_only, (

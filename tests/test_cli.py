@@ -363,10 +363,10 @@ def test_series_csv_round_trips():
     result = invoke("series", "bellgf", "--order", "5", "--format", "csv")
     rows = list(csv.reader(io.StringIO(result.stdout)))
     assert rows[0] == ["n", "value"]
-    from degenbell.series import Series, series_exp
+    from degenbell.series import Series, series_combination, series_exp
     from degenbell.core import XP_X
 
-    gf = series_exp((e_lambda_series(1, 5) - Series.one(5)).scale(XP_X))
+    gf = series_exp(series_combination([(XP_X, e_lambda_series(1, 5) - Series.one(5))], 5))
     for n_str, value in rows[1:]:
         assert xpoly_from_ascii(value) == gf.coeff(int(n_str))
 

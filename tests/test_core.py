@@ -29,6 +29,7 @@ from degenbell.core import (
 )
 from degenbell import core
 from degenbell.core import _from_ints
+from degenbell.identities import _x_antiderivative, _x_derivative
 from degenbell.series import Series, series_from_json
 
 from oracles import padd, pmul, pneg, poly_mul_2d, pstrip
@@ -62,16 +63,6 @@ def test_lambda_neutral_elements(p):
 def test_lambda_eval_is_ring_homomorphism(p, q, lam):
     assert (p + q).eval(lam) == p.eval(lam) + q.eval(lam)
     assert (p * q).eval(lam) == p.eval(lam) * q.eval(lam)
-
-
-@given(lpolys, rationals, rationals)
-def test_scale_lambda_is_substitution(p, c, lam):
-    assert p.scale_lambda(c).eval(lam) == p.eval(c * lam)
-
-
-@given(lpolys, rationals, rationals)
-def test_scale_lambda_composes(p, a, b):
-    assert p.scale_lambda(a).scale_lambda(b) == p.scale_lambda(a * b)
 
 
 def test_lambda_poly_is_immutable():
@@ -262,11 +253,10 @@ def test_constant_factors_never_reach_the_kernel(monkeypatch):
     kernel = core._multiply_accumulate
     monkeypatch.setattr(core, "_multiply_accumulate", lambda *a: calls.append(a) or kernel(*a))
     p = XPoly([[1, Fraction(2, 3)], [], [Fraction(-5, 7), 0, 4]])
-    s = Series([p, p * p, XPoly.monomial(3, LP_LAMBDA)])
+    s = Series([p, p * p, XPoly([0, 0, 0, LP_LAMBDA])])
     q, five = LambdaPoly((1, 2, 3)), LambdaPoly.const(5)
     calls.clear()
-    results = [p * 3, p * Fraction(1, 2), 3 * p, p * five, q * five, five * q,
-               s.derivative(), s.egf_coeff(2)]
+    results = [p * 3, p * Fraction(1, 2), 3 * p, p * five, q * five, five * q, s.egf_coeff(2)]
     assert all(results) and calls == []
     LambdaPoly((1, 2)) * LambdaPoly((3, 4))
     assert len(calls) == 1
@@ -280,7 +270,8 @@ def test_constant_factors_match_the_kernel(p, c, q, r):
     assert p * const == sum_of_products([(1, p, const)])
     assert q * const == const * q == sum_of_products([(1, q, const)]).coeff(0)
     s = Series([p, XPoly([q]), XPoly([q, r])])
-    assert s.derivative() == Series([sum_of_products([(n, s.coeff(n), 1)]) for n in (1, 2)])
+    for n in (1, 2):
+        assert s.coeff(n) * n == sum_of_products([(n, s.coeff(n), 1)])
     assert s.egf_coeff(2) == sum_of_products([(2, s.coeff(2), 1)])
 
 
@@ -292,14 +283,14 @@ def test_xpoly_eval_is_ring_homomorphism(p, q, x0, lam):
 
 @given(xpolys, xpolys)
 def test_derivative_product_rule(p, q):
-    assert (p * q).derivative() == p.derivative() * q + p * q.derivative()
+    assert _x_derivative(p * q) == _x_derivative(p) * q + p * _x_derivative(q)
 
 
 @given(xpolys)
 def test_antiderivative_inverts_derivative(p):
     """The zero-constant antiderivative followed by d/dx gives back p."""
-    assert p.antiderivative().derivative() == p
-    assert p.antiderivative().coeff(0).is_zero
+    assert _x_derivative(_x_antiderivative(p)) == p
+    assert _x_antiderivative(p).coeff(0).is_zero
 
 
 # ----------------------------------------------------------------------

@@ -75,6 +75,20 @@ def test_power_argument_closed_form_uses_lambda_rescaling():
                 expr = op_apply(expr)
 
 
+@given(
+    st.integers(0, 6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+    st.integers(1, 4),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+)
+def test_prop10_rhs_substitutes_lambda_over_p(n, a, p, lam):
+    """The x^(pk - nλ)·e^(a·x^p) coefficient is p^n·aᵏ·S_{2,λ}(n,k) with λ → λ/p."""
+    coeffs = dict(prop10_rhs(n, a, p).terms)
+    for k in range(n + 1):
+        got = coeffs.get((a, p, p * k, -n), LP_ZERO).eval(lam)
+        assert got == p**n * a**k * stirling2_deg(n, k).eval(lam / p), k
+
+
 def test_monomial_closed_form_route():
     for r in range(6):
         expr = ExpExpr.monomial(r)

@@ -10,15 +10,16 @@ Everything here is a polynomial identity in the deformation parameter λ:
 * ``bracket_deg`` -- [n k]_λ, connecting ⟨x⟩_n to the deformed rising
   factorials, by [n k] = [n-1,k-1] + ((n-1)-kλ)[n-1,k].
 * ``stirling1_deg`` -- S_{1,λ}(n,k) = (-1)^{n-k}[n k]_λ, the inverse of S₂.
-* ``bernoulli_deg`` -- β_{n,λ}, the coefficients of t/(e_λ(t)-1), by the
-  recurrence that the product (t/(e_λ(t)-1))·((e_λ(t)-1)/t) = 1 gives;
-  ``bernoulli_gf`` is that generating function as a series reciprocal.
+* ``bernoulli_deg`` -- β_{n,λ}, the coefficients of t/(e_λ(t)-1), in closed
+  form over the classical Bernoulli numbers and the signed Stirling numbers
+  of the first kind; ``bernoulli_gf``, that generating function, is read from
+  the β table as Σ_n β_{n,λ}tⁿ/n!.
 * ``bell_deg`` -- Bel_{n,λ}(x) = Σ_k S_{2,λ}(n,k)x^k, and ``bell_gf``, its
   generating function e^{x(e_λ(t)-1)}, read from the S₂ table as
   Σ_n Bel_{n,λ}(x)tⁿ/n!; plus the certified Dobinski-style numeric evaluator.
 
 Each table has one route: rows are stepped on integer λ-coefficient lists
-(β over one denominator per n) and each entry becomes a LambdaPoly once,
+(β_n is put over one denominator) and each entry becomes a LambdaPoly once,
 straight from its ints, which are canonical once stripped (see :mod:`.core`).
 Indices above ``MAX_INDEX`` raise ValueError before anything is built.
 A cache miss builds the missing rows with the cyclic garbage collector
@@ -41,7 +42,7 @@ import gc
 import math
 from contextlib import contextmanager
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, lcm, prod
 from typing import Callable
 
 from .core import (
@@ -54,7 +55,7 @@ from .core import (
     XPoly,
     _from_ints,
 )
-from .series import Series, e_lambda_series, series_recip_unit
+from .series import Series
 
 
 def _require_nonneg(n: int, what: str) -> None:
@@ -115,7 +116,7 @@ def basis_expand(p: XPoly, element: Callable[[int], XPoly]) -> list[LambdaPoly]:
 # ----------------------------------------------------------------------
 
 #: Largest row index n served by the S₂, S₁, bracket, Bel and β builders; their
-#: time and memory grow as n³ (β's time as n⁴), with figures in the README.
+#: time and memory grow as n³ (β's as n² Fractions), with figures in the README.
 MAX_INDEX = 200
 #: Most terms ``bell_dobinski_numeric`` sums; the cost of its exact sum grows
 #: steeply with the term count, with figures in the README.
@@ -209,47 +210,47 @@ def stirling1_deg(n: int, k: int) -> LambdaPoly:
     return c if (n - k) % 2 == 0 else -c
 
 
-# _BETA[n] is (num, den, β_n) with β_n = num/den over integers; (1)_{m,λ} =
-# 1·(1-λ)···(1-(m-1)λ) is kept with exactly max(m, 1) coefficients, so that
-# num fits in n + 1 slots.
-_BETA: list[tuple[list[int], int, LambdaPoly]] = [([1], 1, LP_ONE)]
-_ONE_FALL: list[list[int]] = [[1], [1]]
+# _BETA[n] is (s(n,0)…s(n,n), B_n, β_n): the signed Stirling row of the first
+# kind as ints and the classical Bernoulli number (B₁ = -1/2) that β_{n+1} needs.
+_BETA: list[tuple[list[int], Fraction, LambdaPoly]] = [([1], Fraction(1), LP_ONE)]
 
 
 def bernoulli_deg(n: int) -> LambdaPoly:
     """β_{n,λ}: the t^n/n! coefficient of t/(e_λ(t)-1).
 
-    Built by β_0 = 1, β_n = -Σ_{k<n} C(n,k)·β_k·(1)_{n-k+1,λ}/(n-k+1),
-    the t^n/n! coefficient of (t/(e_λ(t)-1))·((e_λ(t)-1)/t) = 1.
+    With u = log(1+λt)/λ, t/(e_λ(t)-1) = (t/u)·(u/(e^u-1)) = Σ_l B_l·t·u^{l-1}/l!,
+    so for n ≥ 1 the λ^{n-l} coefficient is (n/l)·B_l·s(n-1,l-1), l = 1…n, and
+    the λ^n one is Σ_k s(n,k)/(k+1).  B_n comes from Σ_{k≤n} C(n+1,k)·B_k = 0.
     """
     require_index(n)
-    beta, fall = _BETA, _ONE_FALL
+    beta = _BETA
     if n < len(beta):
         return beta[n][2]
     with _collector_paused():
         for m in range(len(beta), n + 1):
-            while len(fall) <= m + 1:
-                fall.append(_add_linear_times([], fall[-1], 1, 1 - len(fall)))
-            common = lcm(*(beta[k][1] * (m - k + 1) for k in range(m)))
-            acc = [0] * (m + 1)
-            for k in range(m):
-                num, den, _ = beta[k]
-                w = comb(m, k) * (common // (den * (m - k + 1)))
-                for i, a in enumerate(num):
-                    for j, f in enumerate(fall[m - k + 1]):
-                        acc[i + j] -= w * a * f
-            g = gcd(common, *acc)
-            num, den = [c // g for c in acc], common // g
+            prev = beta[-1][0] + [0]
+            row = [(prev[k - 1] if k else 0) - (m - 1) * prev[k] for k in range(m + 1)]
+            bs = [entry[1] for entry in beta]
+            bs.append(-sum(comb(m + 1, k) * b for k, b in enumerate(bs)) / (m + 1))
+            terms = [bs[l] * Fraction(m * prev[l - 1], l) for l in range(m, 0, -1)]
+            common = lcm(*range(1, m + 2))
+            terms.append(Fraction(sum(c * (common // (k + 1)) for k, c in enumerate(row)), common))
+            den = lcm(*(c.denominator for c in terms))
+            num = [c.numerator * (den // c.denominator) for c in terms]
             # One append commits β_m whole.
-            beta.append((num, den, _from_ints(num, den)))
+            beta.append((row, bs[m], _from_ints(num, den)))
     return beta[n][2]
 
 
-def bernoulli_gf(order: int) -> Series:
-    """t/(e_λ(t)-1) truncated at the given order: reciprocal of (e_λ(t)-1)/t."""
+def _egf_series(coeff: Callable[[int], LambdaPoly | XPoly], order: int) -> Series:
+    """Σ_{n≤order} coeff(n)·t^n/n!, read from a table whose row n is coeff(n)."""
     _require_nonneg(order, "order")
-    e = e_lambda_series(1, order + 1)
-    return series_recip_unit((e - Series.one(order + 1)).div_t())
+    return Series(coeff(n) * Fraction(1, factorial(n)) for n in range(order + 1))
+
+
+def bernoulli_gf(order: int) -> Series:
+    """t/(e_λ(t)-1) truncated at the given order, read from the β table."""
+    return _egf_series(bernoulli_deg, order)
 
 
 def bell_gf(order: int) -> Series:
@@ -258,7 +259,7 @@ def bell_gf(order: int) -> Series:
     Read from the S₂ table, which is its memo: the t^n/n! coefficient is
     Bel_{n,λ}(x).
     """
-    return Series(bell_deg(n) * Fraction(1, factorial(n)) for n in range(order + 1))
+    return _egf_series(bell_deg, order)
 
 
 def bell_deg(n: int) -> XPoly:

@@ -123,14 +123,6 @@ class Series:
             tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1)), order=n
         )
 
-    def div_t(self) -> "Series":
-        """Divide by t; requires zero constant term, order drops by one."""
-        if not self.coeffs[0].is_zero:
-            raise ValueError("cannot divide by t: nonzero constant term")
-        if self.order == 0:
-            raise ValueError("cannot divide an order-0 series by t")
-        return Series(self.coeffs[1:], order=self.order - 1)
-
 
 # ----------------------------------------------------------------------
 # Core operations

@@ -171,6 +171,25 @@ def bernoulli_deg_rows(n_max: int) -> list[Poly]:
     ]
 
 
+def bernoulli_deg_by_inversion(n_max: int) -> list[Poly]:
+    """β_{n,λ} for n ≤ n_max: n!·[t^n] of the reciprocal of (e_λ(t)-1)/t.
+
+    (e_λ(t)-1)/t = Σ_k (1)_{k+1,λ}·t^k/(k+1)!; its reciprocal b is solved
+    order by order, b_n = -Σ_{j=1..n} a_j·b_{n-j}, on Fraction tuples.
+    """
+    a = [
+        tuple(c / factorial(k + 1) for c in pfalling((Fraction(1),), k + 1))
+        for k in range(n_max + 1)
+    ]
+    b = [(Fraction(1),)]
+    for n in range(1, n_max + 1):
+        acc = ()
+        for j in range(1, n + 1):
+            acc = padd(acc, pmul(a[j], b[n - j]))
+        b.append(pneg(acc))
+    return [tuple(c * factorial(n) for c in bn) for n, bn in enumerate(b)]
+
+
 # ----------------------------------------------------------------------
 # Classical Bernoulli numbers by series inversion of (e^t - 1)/t
 # ----------------------------------------------------------------------

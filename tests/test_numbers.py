@@ -34,9 +34,11 @@ from degenbell.numbers import (
     stirling2_deg,
 )
 from degenbell.opcalc import falling_classical_int
+from degenbell.series import Series, e_lambda_series, series_mul, series_recip_unit
 
 from oracles import (
     bell_count,
+    bernoulli_deg_by_inversion,
     bernoulli_deg_rows,
     classical_bernoulli,
     pneg,
@@ -202,7 +204,9 @@ def test_bracket_triangular_recurrence():
 
 def test_big_tables_match_closed_forms():
     """S₂ and brackets to 60, S₁ and β to 40, against closed forms over classical
-    integer Stirling numbers; the S₂ coefficients reach 283 bits at n = 60."""
+    integer Stirling numbers; the S₂ coefficients reach 283 bits at n = 60.  β is
+    also checked against the order-by-order inversion of (e_λ(t)-1)/t, which
+    shares no step with the library's closed form."""
     s2, s1 = stirling2_deg_rows(60), stirling1_deg_rows(60)
     for n in range(61):
         for k in range(n + 1):
@@ -211,8 +215,9 @@ def test_big_tables_match_closed_forms():
             assert bracket_deg(n, k).coeffs == sign_flipped, (n, k)
             if n <= 40:
                 assert stirling1_deg(n, k).coeffs == s1[n][k], (n, k)
-    for n, beta in enumerate(bernoulli_deg_rows(40)):
-        assert bernoulli_deg(n).coeffs == beta, n
+    closed, inverted = bernoulli_deg_rows(40), bernoulli_deg_by_inversion(40)
+    for n in range(41):
+        assert bernoulli_deg(n).coeffs == closed[n] == inverted[n], n
 
 
 def test_out_of_range_and_errors():
@@ -354,18 +359,21 @@ def test_bernoulli_at_lambda_one_collapses():
         assert bernoulli_deg(n).eval(1) == (1 if n == 0 else 0)
 
 
+def _e_lambda_minus_one_over_t(order):
+    """(e_λ(t)-1)/t to t^order, by shifting the coefficients of e_λ(t) down one."""
+    return Series(e_lambda_series(1, order + 1).coeffs[1:], order=order)
+
+
 def test_bernoulli_gf_defining_equation():
     order = 10
-    from degenbell.series import Series, e_lambda_series, series_mul
-
     gf = bernoulli_gf(order)
-    e1 = (e_lambda_series(1, order + 1) - Series.one(order + 1)).div_t()
-    assert series_mul(gf, e1) == Series.one(order)
+    assert series_mul(gf, _e_lambda_minus_one_over_t(order)) == Series.one(order)
 
 
-def test_bernoulli_recurrence_matches_series_reciprocal():
-    gf = bernoulli_gf(24)
-    for n in range(25):
+def test_bernoulli_matches_series_reciprocal():
+    """The closed form against the other route: the reciprocal of (e_λ(t)-1)/t."""
+    gf = series_recip_unit(_e_lambda_minus_one_over_t(40))
+    for n in range(41):
         assert bernoulli_deg(n) == gf.egf_coeff(n).eval_x(0), n
 
 
@@ -401,14 +409,22 @@ def test_bell_gf_reaches_order_100_within_budget():
     assert elapsed < 20.0
 
 
-def test_bernoulli_gf_reaches_order_120_within_budget():
-    """bernoulli_gf's reciprocal makes one weighted sum per coefficient: order 120, < 20 s."""
+def test_bernoulli_builds_cold_to_the_cap_within_budget(monkeypatch):
+    """β to MAX_INDEX and its generating function from empty caches, < 5 s."""
+    _fresh_tables(monkeypatch)
     t0 = time.perf_counter()
-    gf = bernoulli_gf(120)
-    for n in (0, 1, 60, 120):
-        assert gf.egf_coeff(n).eval_x(0) == bernoulli_deg(n), n
+    top = bernoulli_deg(MAX_INDEX)
+    gf = bernoulli_gf(MAX_INDEX)
     elapsed = time.perf_counter() - t0
-    assert elapsed < 20.0
+    assert gf.egf_coeff(MAX_INDEX) == XPoly.const(top)
+    assert top.eval(0) == classical_bernoulli(MAX_INDEX)[MAX_INDEX]
+    assert elapsed < 5.0
+
+
+@pytest.mark.parametrize("gf", [bell_gf, bernoulli_gf])
+def test_generating_functions_refuse_a_negative_order(gf):
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        gf(-1)
 
 
 def test_dobinski_converges_to_exact():

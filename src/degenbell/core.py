@@ -32,6 +32,12 @@ no calculus: d/dx, the antiderivative and λ → c·λ serve only the identity
 harness and live beside their callers in :mod:`degenbell.identities` and
 :mod:`degenbell.opcalc`.
 
+The paper's first building block, the generalized factorial
+w(w+s)···(w+(n-1)s), has one builder, :func:`factorials`, which returns the
+whole prefix k = 0 … n, each product the one before times one linear factor.
+The deformed and classical falling and rising bases, the powers sⁿ and the
+coefficients of e_λ and log_λ are all its prefixes.
+
 Results canonical by construction skip the normalising ``LambdaPoly(...)``: int
 numerators over a positive denominator, stripped on the ints (kernel outputs and
 the :mod:`degenbell.numbers` table rows), negations and nonzero scalar multiples.
@@ -438,6 +444,33 @@ def sum_of_products(terms: Iterable[tuple[ScalarLike, XLike, XLike]]) -> XPoly:
 def _width(tuples: Iterable[tuple]) -> int:
     """The longest of ``tuples`` (0 if there are none)."""
     return max(map(len, tuples), default=0)
+
+
+# -- the generalized factorials w(w+s)···(w+(n-1)s) ------------------
+
+def _require_nonneg(n: int, what: str) -> None:
+    if n < 0:
+        raise ValueError(f"{what} must be nonnegative, got {n}")
+
+
+def factorials(w: XLike, step: LambdaLike, n: int, built: list | None = None) -> list:
+    """[Π_{i<k}(w + i·step) for k = 0 … n], each the one before times one factor.
+
+    (x)_{n,λ} is (x, -λ), ⟨x⟩_{n,λ} is (x, λ), the classical bases are
+    (x, ∓1) and sⁿ is (s, 0).  A w free of x (a scalar or a LambdaPoly) gives
+    LambdaPolys, an XPoly w gives XPolys.  ``built``, a list that already
+    holds the first of these products, is grown in place to at least n + 1
+    entries and returned, so a cache extends its list and never rebuilds it.
+    """
+    _require_nonneg(n, "factorial index")
+    if not isinstance(w, XPoly):
+        w = LambdaPoly.coerce(w)
+    step = LambdaPoly.coerce(step)
+    if built is None:
+        built = [XP_ONE if isinstance(w, XPoly) else LP_ONE]
+    while len(built) <= n:
+        built.append(built[-1] * (w + step * (len(built) - 1)))
+    return built
 
 
 # -- nested-list form: the series JSON coefficients and reprs ----

@@ -10,10 +10,14 @@ sides and reports the first mismatch.  A factor that does not change across
 a check's grid (a falling-factorial prefix, an EGF of Bell polynomials) is
 built once per check call and kept local to it.  The routes that only the
 checks use (classical factorial bases, S₂ by alternating sums, binomial
-series) are defined here, beside their callers, and so is the calculus of
-the paper's proofs: d/dx and the antiderivative of an XPoly are private
-functions, and lemma1's d/dt, eq57's t → -t and the monomials xⁿ are built
-from coefficients where they are used.
+series) are defined here, beside their callers.  Like the library, they
+build every factorial prefix with :func:`~degenbell.core.factorials` and
+every Σ aₙtⁿ/n! with :func:`~degenbell.series.egf`; no check compares a
+builder's result with itself, only prefixes of different (w, step) pairs or
+a prefix with a table.  The calculus of the paper's proofs lives here too:
+d/dx and the antiderivative of an XPoly are private functions, and lemma1's
+d/dt, eq57's t → -t and the monomials xⁿ are built from coefficients where
+they are used.
 
 Checks draw their Stirling/Bell values from a :class:`FamilyTables`
 context.  The default context is the library itself; a context with a
@@ -41,6 +45,8 @@ from .core import (
     LambdaPoly,
     XLike,
     XPoly,
+    _require_nonneg,
+    factorials,
     lambda_poly_pretty,
     sum_of_products,
     xpoly_pretty,
@@ -68,6 +74,7 @@ from .opcalc import (
 from .series import (
     Series,
     e_lambda_series,
+    egf,
     log_lambda_series,
     series_combination,
     series_compose,
@@ -208,48 +215,28 @@ class FamilyTables:
 # Second routes: built without the library's tables, for the checks only
 # ----------------------------------------------------------------------
 
-_CLASSICAL: dict[LambdaPoly, list[XPoly]] = {}
-
-
-def _classical_factorial(shift: LambdaPoly, n: int) -> XPoly:
-    """P(n) = P(n-1)·(x + (n-1)·shift), P(0) = 1, from a growing list per shift ±1."""
-    if n < 0:
-        raise ValueError(f"factorial index must be nonnegative, got {n}")
-    built = _CLASSICAL.setdefault(shift, [XP_ONE])
-    while len(built) <= n:
-        built.append(built[-1] * (XP_X + shift * (len(built) - 1)))
-    return built[n]
+# The classical bases, one growing list per step -1 (falling) and 1 (rising).
+_CLASSICAL: dict[LambdaPoly, list[XPoly]] = {-LP_ONE: [XP_ONE], LP_ONE: [XP_ONE]}
 
 
 def falling_classical(n: int) -> XPoly:
     """(x)_n = x(x-1)···(x-n+1)."""
-    return _classical_factorial(-LP_ONE, n)
+    return factorials(XP_X, -LP_ONE, n, _CLASSICAL[-LP_ONE])[n]
 
 
 def rising_classical(n: int) -> XPoly:
     """⟨x⟩_n = x(x+1)···(x+n-1)."""
-    return _classical_factorial(LP_ONE, n)
-
-
-def falling_deg_prefix(w: LambdaLike, n: int) -> list[LambdaPoly]:
-    """[(w)_{i,λ} for i = 0 … n], each w(w-λ)···(w-(i-1)λ) the one before times a factor."""
-    if n < 0:
-        raise ValueError(f"factorial index must be nonnegative, got {n}")
-    w = LambdaPoly.coerce(w)
-    out = [LP_ONE]
-    for i in range(n):
-        out.append(out[-1] * (w - LP_LAMBDA * i))
-    return out
+    return factorials(XP_X, LP_ONE, n, _CLASSICAL[LP_ONE])[n]
 
 
 def stirling2_alt_sums(n_max: int) -> list[list[LambdaPoly]]:
     """Rows n = 0 … n_max of (1/k!)·Σ_{j=0}^{k} C(k,j)(-1)^{k-j}(j)_{n,λ}, k = 0 … n_max.
 
     Entry [n][k] equals S_{2,λ}(n,k) for n ≥ k and the zero polynomial for
-    n < k.  Independent of the recurrence: (j)_{n,λ} comes from one bare
-    product prefix per j, and each entry is one sum of products.
+    n < k.  Independent of the recurrence: (j)_{n,λ} comes from one prefix of
+    ``factorials`` per j, and each entry is one sum of products.
     """
-    falls = [falling_deg_prefix(j, n_max) for j in range(n_max + 1)]
+    falls = [factorials(j, -LP_LAMBDA, n_max) for j in range(n_max + 1)]
     weights = [
         [Fraction((-1) ** (k - j) * comb(k, j), factorial(k)) for j in range(k + 1)]
         for k in range(n_max + 1)
@@ -262,29 +249,23 @@ def stirling2_alt_sums(n_max: int) -> list[list[LambdaPoly]]:
 
 
 def binomial_power_series(base_shift: LambdaLike, exponent: XLike, order: int) -> Series:
-    """(1 + s·t)^w = Σ_n binom(w, n)·s^n·t^n with the generalized binomial.
+    """(1 + s·t)^w = Σ_n (w)_n·s^n·t^n/n!, with (w)_n the classical falling factorial.
 
     The shift s may carry λ, and the exponent w may be a polynomial in x, as in
     (1 - t)^{-x} (eq57).
     """
-    if order < 0:
-        raise ValueError("order must be ≥ 0")
-    s = LambdaPoly.coerce(base_shift)
-    w = XPoly.coerce(exponent)
-    out = [XP_ONE]
-    binom = XP_ONE
-    s_pow = LP_ONE
-    for n in range(1, order + 1):
-        binom = binom * (w - (n - 1)) * Fraction(1, n)
-        s_pow = s_pow * s
-        out.append(binom * s_pow)
-    return Series(out, order=order)
+    _require_nonneg(order, "order")
+    falls = factorials(exponent, -LP_ONE, order)
+    powers = factorials(base_shift, LP_ZERO, order)
+    return egf(f * p for f, p in zip(falls, powers))
 
 
-@lru_cache(maxsize=None)
+_ONE_FALLS: list[LambdaPoly] = [LP_ONE]
+
+
 def _one_fall(j: int) -> LambdaPoly:
-    """(1)_{j,λ} = 1·(1-λ)···(1-(j-1)λ)."""
-    return falling_deg_prefix(1, j)[j]
+    """(1)_{j,λ} = 1·(1-λ)···(1-(j-1)λ), from one growing list."""
+    return factorials(1, -LP_LAMBDA, j, _ONE_FALLS)[j]
 
 
 @lru_cache(maxsize=None)
@@ -463,11 +444,6 @@ def _thm11_exp(n_max: int, order: int, tb: FamilyTables) -> Cases:
         lhs = op_apply(lhs)
 
 
-def _egf(values) -> Series:
-    """Σ_i values[i]·t^i/i!."""
-    return Series(v * Fraction(1, factorial(i)) for i, v in enumerate(values))
-
-
 def _thm12_rhs(bell_egf: Series, m: int, weighted: list[tuple[int, XLike]]) -> Series:
     """Σ_j w_j·Σ_k C(n,k)·Bel_k·Π_{i=m}^{m+n-k-1}(j - iλ) for every n, as an EGF in n.
 
@@ -482,16 +458,16 @@ def _thm12_rhs(bell_egf: Series, m: int, weighted: list[tuple[int, XLike]]) -> S
     """
     cap = bell_egf.order
     prefixes = series_combination(
-        ((w, Series(falling_deg_prefix(LambdaPoly((j, -m)), cap))) for j, w in weighted), cap
+        ((w, Series(factorials(LambdaPoly((j, -m)), -LP_LAMBDA, cap))) for j, w in weighted), cap
     )
-    return series_mul(bell_egf, _egf(prefixes.coeffs))
+    return series_mul(bell_egf, egf(prefixes.coeffs))
 
 
 @_identity("thm12", "double-sum recurrence with telescoped factorial quotient",
            "m,n=0..{cap} (symbolic x)")
 def _thm12(n_max: int, order: int, tb: FamilyTables) -> Cases:
     cap = min(n_max, DOUBLE_INDEX_CAP)
-    bell_egf = _egf(tb.bell(k) for k in range(cap + 1))
+    bell_egf = egf(tb.bell(k) for k in range(cap + 1))
     for m in range(cap + 1):
         rhs = _thm12_rhs(bell_egf, m, [
             (j, XPoly((0,) * j + (s2,)))
@@ -504,7 +480,7 @@ def _thm12(n_max: int, order: int, tb: FamilyTables) -> Cases:
 
 @_identity("thm12-x1", "x=1 specialization of the double-sum recurrence", "m,n=0..{n_max} (x=1)")
 def _thm12_x1(n_max: int, order: int, tb: FamilyTables) -> Cases:
-    bell_egf = _egf(tb.bell_at_one(k) for k in range(n_max + 1))
+    bell_egf = egf(tb.bell_at_one(k) for k in range(n_max + 1))
     for m in range(n_max + 1):
         rhs = _thm12_rhs(bell_egf, m, [
             (j, s2) for j in range(m + 1) if not (s2 := tb.stirling2(m, j)).is_zero
@@ -516,10 +492,10 @@ def _thm12_x1(n_max: int, order: int, tb: FamilyTables) -> Cases:
 @_identity("thm13", "Bel(x)/Bel(-x) convolution identity", "m,n=0..{cap} (symbolic x)")
 def _thm13(n_max: int, order: int, tb: FamilyTables) -> Cases:
     cap = min(n_max, DOUBLE_INDEX_CAP)
-    falls = [falling_deg_prefix(k, cap) for k in range(cap + 1)]  # (k)_{n,λ}
+    falls = [factorials(k, -LP_LAMBDA, cap) for k in range(cap + 1)]  # (k)_{n,λ}
     for m in range(cap + 1):
         # G(s) = Σ_j C(s,j)·(mλ)_{j,λ}·Bel_{s-j,λ}(-x); (mλ)_{j,λ} = λ^j·m(m-1)···
-        m_falls = falling_deg_prefix(LP_LAMBDA * m, m)
+        m_falls = factorials(LP_LAMBDA * m, -LP_LAMBDA, m)
         g = [
             sum_of_products(
                 (comb(s, j), tb.bell_neg(s - j), m_falls[j]) for j in range(min(s, m) + 1)
@@ -649,7 +625,7 @@ def _eq57(n_max: int, order: int, tb: FamilyTables) -> Cases:
     rhs = series_compose(e_lambda_series(-XP_X, order), log_of_minus_t)
     yield {"order": order}, lhs, rhs
     for n in range(order + 1):
-        yield {"n": n}, lhs.coeff(n), rising_classical(n) * Fraction(1, factorial(n))
+        yield {"n": n}, lhs.egf_coeff(n), rising_classical(n)
 
 
 @_identity("eq58", "⟨x⟩_n expanded in the deformed rising basis", "n=0..{n_max} (symbolic x)")
@@ -664,7 +640,7 @@ def _eq58(n_max: int, order: int, tb: FamilyTables) -> Cases:
 @_identity("eq59", "Bell GF composed with log_λ gives e^(xt)",
            "series order {order} (symbolic x)", series=True)
 def _eq59(n_max: int, order: int, tb: FamilyTables) -> Cases:
-    lhs = _egf(XPoly((0,) * n + (1,)) for n in range(order + 1))  # e^{xt}
+    lhs = egf(XPoly((0,) * n + (1,)) for n in range(order + 1))  # e^{xt}
     yield {"order": order}, lhs, series_compose(bell_gf(order), log_lambda_series(order))
 
 

@@ -4,7 +4,7 @@ Everything here is a polynomial identity in the deformation parameter λ:
 
 * ``falling_deg`` / ``rising_deg`` -- the deformed factorial bases
   (x)_{n,λ} = x(x-λ)···(x-(n-1)λ) and ⟨x⟩_{n,λ}, by one iterative cached
-  product P(n) = P(n-1)·(x + (n-1)·shift) with shift -λ or λ.
+  product: :func:`~degenbell.core.factorials` of x with step -λ or λ.
 * ``stirling2_deg`` -- S_{2,λ}(n,k), connecting (x)_{n,λ} to the classical
   falling factorials, by S(n,k) = S(n-1,k-1) + (k-(n-1)λ)S(n-1,k).
 * ``bracket_deg`` -- [n k]_λ, connecting ⟨x⟩_n to the deformed rising
@@ -13,10 +13,11 @@ Everything here is a polynomial identity in the deformation parameter λ:
 * ``bernoulli_deg`` -- β_{n,λ}, the coefficients of t/(e_λ(t)-1), in closed
   form over the classical Bernoulli numbers and the signed Stirling numbers
   of the first kind; ``bernoulli_gf``, that generating function, is read from
-  the β table as Σ_n β_{n,λ}tⁿ/n!.
+  the β table as Σ_n β_{n,λ}tⁿ/n!, the :func:`~degenbell.series.egf` of its rows.
 * ``bell_deg`` -- Bel_{n,λ}(x) = Σ_k S_{2,λ}(n,k)x^k, and ``bell_gf``, its
   generating function e^{x(e_λ(t)-1)}, read from the S₂ table as
-  Σ_n Bel_{n,λ}(x)tⁿ/n!; plus the certified Dobinski-style numeric evaluator.
+  Σ_n Bel_{n,λ}(x)tⁿ/n!, the egf of its rows; plus the certified
+  Dobinski-style numeric evaluator.
 
 Each table has one route: rows are stepped on integer λ-coefficient lists
 (β_n is put over one denominator) and each entry becomes a LambdaPoly once,
@@ -54,39 +55,28 @@ from .core import (
     LambdaPoly,
     XPoly,
     _from_ints,
+    _require_nonneg,
+    factorials,
 )
-from .series import Series
-
-
-def _require_nonneg(n: int, what: str) -> None:
-    if n < 0:
-        raise ValueError(f"{what} must be nonnegative, got {n}")
+from .series import Series, egf
 
 
 # ----------------------------------------------------------------------
 # Factorial families
 # ----------------------------------------------------------------------
 
-_FACTORIALS: dict[LambdaPoly, list[XPoly]] = {}
-
-
-def _factorial(shift: LambdaPoly, n: int) -> XPoly:
-    """P(n) = P(n-1)·(x + (n-1)·shift), P(0) = 1, from a growing list per shift."""
-    _require_nonneg(n, "factorial index")
-    built = _FACTORIALS.setdefault(shift, [XP_ONE])
-    while len(built) <= n:
-        built.append(built[-1] * (XP_X + shift * (len(built) - 1)))
-    return built[n]
+# The deformed bases, one growing list per step -λ (falling) and λ (rising).
+_FACTORIALS: dict[LambdaPoly, list[XPoly]] = {-LP_LAMBDA: [XP_ONE], LP_LAMBDA: [XP_ONE]}
 
 
 def falling_deg(n: int) -> XPoly:
     """(x)_{n,λ} = x(x-λ)(x-2λ)···(x-(n-1)λ) as an XPoly, monic of degree n."""
-    return _factorial(-LP_LAMBDA, n)
+    return factorials(XP_X, -LP_LAMBDA, n, _FACTORIALS[-LP_LAMBDA])[n]
 
 
 def rising_deg(n: int) -> XPoly:
     """⟨x⟩_{n,λ} = x(x+λ)(x+2λ)···(x+(n-1)λ) as an XPoly."""
-    return _factorial(LP_LAMBDA, n)
+    return factorials(XP_X, LP_LAMBDA, n, _FACTORIALS[LP_LAMBDA])[n]
 
 
 def basis_expand(p: XPoly, element: Callable[[int], XPoly]) -> list[LambdaPoly]:
@@ -242,15 +232,10 @@ def bernoulli_deg(n: int) -> LambdaPoly:
     return beta[n][2]
 
 
-def _egf_series(coeff: Callable[[int], LambdaPoly | XPoly], order: int) -> Series:
-    """Σ_{n≤order} coeff(n)·t^n/n!, read from a table whose row n is coeff(n)."""
-    _require_nonneg(order, "order")
-    return Series(coeff(n) * Fraction(1, factorial(n)) for n in range(order + 1))
-
-
 def bernoulli_gf(order: int) -> Series:
     """t/(e_λ(t)-1) truncated at the given order, read from the β table."""
-    return _egf_series(bernoulli_deg, order)
+    _require_nonneg(order, "order")
+    return egf(bernoulli_deg(n) for n in range(order + 1))
 
 
 def bell_gf(order: int) -> Series:
@@ -259,7 +244,8 @@ def bell_gf(order: int) -> Series:
     Read from the S₂ table, which is its memo: the t^n/n! coefficient is
     Bel_{n,λ}(x).
     """
-    return _egf_series(bell_deg, order)
+    _require_nonneg(order, "order")
+    return egf(bell_deg(n) for n in range(order + 1))
 
 
 def bell_deg(n: int) -> XPoly:

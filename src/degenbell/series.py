@@ -7,12 +7,16 @@ functions.  Arithmetic between two series truncates to the smaller order,
 and every result records its own order, so truncation error can never be
 mistaken for a real coefficient.
 
-The deformed exponential/logarithm pair lives here:
+The paper's second building block, Σ aₙtⁿ/n!, has one builder,
+:func:`egf`; :meth:`Series.egf_coeff` is its inverse.  The deformed
+exponential/logarithm pair are EGFs of :func:`~degenbell.core.factorials`:
 
-* ``e_lambda_series(w, N)`` -- Σ (w)_{k,λ} t^k / k!, the λ-deformation of
-  e^{wt}; w may be a rational or a polynomial in x.
-* ``log_lambda_series(N)`` -- its compositional inverse around 0, with
-  t^n/n! coefficient Π_{j=1}^{n-1}(λ - j).
+* ``e_lambda_series(w, N)`` -- Σ (w)_{k,λ} t^k / k!, the EGF of the
+  factorials of w with step -λ and the λ-deformation of e^{wt}; w may be a
+  rational, a polynomial in λ or a polynomial in x.
+* ``log_lambda_series(N)`` -- its compositional inverse around 0, the EGF of
+  0 followed by the factorials of λ - 1 with step -1, so its t^n/n!
+  coefficient is Π_{j=1}^{n-1}(λ - j).
 
 Both reduce to the classical exp/log at λ = 0.  Series that serve only to
 cross-check these, such as the binomial powers (1 + s·t)^w, belong to the
@@ -31,11 +35,14 @@ from typing import Iterable, Iterator
 from .core import (
     LP_LAMBDA,
     LP_ONE,
+    LP_ZERO,
     XP_ONE,
     XP_ZERO,
     XLike,
     XPoly,
+    _require_nonneg,
     _xpoly_products,
+    factorials,
     from_nested_lists,
     sum_of_products,
     to_nested_lists,
@@ -122,6 +129,11 @@ class Series:
         return Series(
             tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1)), order=n
         )
+
+
+def egf(values: Iterable[XLike]) -> Series:
+    """Σ values[n]·tⁿ/n!, truncated at the last value; ``egf_coeff(n)`` reads values[n] back."""
+    return Series(v * Fraction(1, factorial(n)) for n, v in enumerate(values))
 
 
 # ----------------------------------------------------------------------
@@ -215,27 +227,15 @@ def e_lambda_series(exponent: XLike, order: int) -> Series:
     The exponent w may be a rational, a LambdaPoly (e.g. 1-λ), or a
     polynomial in x; at λ = 0 the series is e^{wt}.
     """
-    if order < 0:
-        raise ValueError("order must be ≥ 0")
-    w = XPoly.coerce(exponent)
-    out = [XP_ONE]
-    fall = XP_ONE
-    for k in range(1, order + 1):
-        fall = fall * (w - XPoly.const(LP_LAMBDA * (k - 1)))
-        out.append(fall * Fraction(1, factorial(k)))
-    return Series(out, order=order)
+    _require_nonneg(order, "order")
+    return egf(factorials(exponent, -LP_LAMBDA, order))
 
 
 def log_lambda_series(order: int) -> Series:
     """Compositional inverse of e_λ(t) - 1: t^n/n! coefficient is Π_{j=1}^{n-1}(λ-j)."""
-    if order < 0:
-        raise ValueError("order must be ≥ 0")
-    out = [XP_ZERO, XP_ONE]
-    prod = LP_ONE
-    for n in range(2, order + 1):
-        prod = prod * (LP_LAMBDA - (n - 1))
-        out.append(XPoly.const(prod * Fraction(1, factorial(n))))
-    return Series(out[: order + 1], order=order)
+    _require_nonneg(order, "order")
+    falls = factorials(LP_LAMBDA - LP_ONE, -LP_ONE, max(order - 1, 0))
+    return egf([LP_ZERO] + falls).truncate(order)
 
 
 # ----------------------------------------------------------------------

@@ -256,7 +256,7 @@ def revert_series(f: list[Poly], order: int) -> list[Poly]:
 
 
 # ----------------------------------------------------------------------
-# Bivariate polynomial product, dict form
+# Bivariate polynomials, dict form
 # ----------------------------------------------------------------------
 
 def poly_mul_2d(a: dict, b: dict) -> dict:
@@ -270,4 +270,15 @@ def poly_mul_2d(a: dict, b: dict) -> dict:
                 out[key] = val
             else:
                 out.pop(key, None)
+    return out
+
+
+def generalized_factorial(w: dict, step: dict, n: int) -> dict:
+    """Π_{i<n}(w + i·step) for {(x_deg, λ_deg): Fraction} maps, by naive products."""
+    out = {(0, 0): Fraction(1)}
+    for i in range(n):
+        factor = dict(w)
+        for key, c in step.items():
+            factor[key] = factor.get(key, 0) + i * c
+        out = poly_mul_2d(out, {key: c for key, c in factor.items() if c})
     return out

@@ -12,9 +12,11 @@ from degenbell.core import (
     LP_LAMBDA,
     LP_ONE,
     LP_ZERO,
+    XP_X,
     XP_ZERO,
     LambdaPoly,
     XPoly,
+    factorials,
     format_rational,
     from_nested_lists,
     lambda_poly_from_ascii,
@@ -32,7 +34,7 @@ from degenbell.core import _from_ints
 from degenbell.identities import _x_antiderivative, _x_derivative
 from degenbell.series import Series, series_from_json
 
-from oracles import padd, pmul, pneg, poly_mul_2d, pstrip
+from oracles import generalized_factorial, padd, pmul, pneg, poly_mul_2d, pstrip
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 lpolys = st.lists(rationals, max_size=5).map(LambdaPoly)
@@ -169,6 +171,42 @@ def _as_2d(p: XPoly) -> dict:
 @given(xpolys, xpolys)
 def test_xpoly_product_matches_dict_oracle(p, q):
     assert _as_2d(p * q) == poly_mul_2d(_as_2d(p), _as_2d(q))
+
+
+# ----------------------------------------------------------------------
+# The generalized factorials w(w+s)···(w+(n-1)s)
+# ----------------------------------------------------------------------
+
+# (library value, the oracle's {(x_deg, λ_deg): Fraction} map) of each w and step
+FACTORIAL_BASES = {
+    "3": (3, {(0, 0): Fraction(3)}),
+    "1/2-2λ": (LambdaPoly((Fraction(1, 2), -2)), {(0, 0): Fraction(1, 2), (0, 1): Fraction(-2)}),
+    "x": (XP_X, {(1, 0): Fraction(1)}),
+}
+FACTORIAL_STEPS = {
+    "-λ": (-LP_LAMBDA, {(0, 1): Fraction(-1)}),
+    "λ": (LP_LAMBDA, {(0, 1): Fraction(1)}),
+    "-1": (-1, {(0, 0): Fraction(-1)}),
+    "1": (1, {(0, 0): Fraction(1)}),
+    "0": (0, {}),
+}
+
+
+@pytest.mark.parametrize("step", FACTORIAL_STEPS)
+@pytest.mark.parametrize("w", FACTORIAL_BASES)
+def test_factorials_match_the_plain_product(w, step):
+    (w, w_map), (step, step_map) = FACTORIAL_BASES[w], FACTORIAL_STEPS[step]
+    built = factorials(w, step, 12)
+    assert len(built) == 13
+    kind = XPoly if isinstance(w, XPoly) else LambdaPoly
+    for k, p in enumerate(built):
+        assert type(p) is kind, k
+        assert _as_2d(XPoly.coerce(p)) == generalized_factorial(w_map, step_map, k), k
+
+
+def test_factorials_refuse_a_negative_index():
+    with pytest.raises(ValueError, match="factorial index must be nonnegative, got -1"):
+        factorials(XP_X, -LP_LAMBDA, -1)
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ from math import factorial
 
 import pytest
 
-from degenbell.core import LP_LAMBDA, LambdaPoly, XPoly
+from degenbell.core import LP_LAMBDA, LambdaPoly, XPoly, factorials
 from degenbell.identities import (
     A_GRID,
     CATALOG,
@@ -18,7 +18,6 @@ from degenbell.identities import (
     _lemma1,
     _thm12_rhs,
     binomial_power_series,
-    falling_deg_prefix,
     verify,
     verify_all,
 )
@@ -190,7 +189,7 @@ def _thm12_rhs_per_j(bell_egf: Series, m: int, weighted: list) -> Series:
     cap = bell_egf.order
     products = []
     for j, w in weighted:
-        prefix = falling_deg_prefix(LambdaPoly((j, -m)), cap)
+        prefix = factorials(LambdaPoly((j, -m)), -LP_LAMBDA, cap)
         egf = Series(v * Fraction(1, factorial(s)) for s, v in enumerate(prefix))
         products.append((w, series_mul(bell_egf, egf)))
     return series_combination(products, cap)

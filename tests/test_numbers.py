@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenbell import numbers
-from degenbell.core import LP_ONE, LP_ZERO, LambdaPoly, XPoly
+from degenbell.core import LP_LAMBDA, LP_ONE, LP_ZERO, LambdaPoly, XPoly, factorials
 from degenbell.identities import (
+    binomial_power_series,
     falling_classical,
-    falling_deg_prefix,
     rising_classical,
     stirling2_alt_sums,
 )
@@ -34,7 +34,13 @@ from degenbell.numbers import (
     stirling2_deg,
 )
 from degenbell.opcalc import falling_classical_int
-from degenbell.series import Series, e_lambda_series, series_mul, series_recip_unit
+from degenbell.series import (
+    Series,
+    e_lambda_series,
+    log_lambda_series,
+    series_mul,
+    series_recip_unit,
+)
 
 from oracles import (
     bell_count,
@@ -61,7 +67,7 @@ def test_falling_deg_is_the_product(x0, lam, n):
     for i in range(n):
         expect.append(expect[-1] * (x0 - i * lam))
     assert falling_deg(n).eval(x0, lam) == expect[n]
-    assert [p.eval(lam) for p in falling_deg_prefix(x0, n)] == expect
+    assert [p.eval(lam) for p in factorials(x0, -LP_LAMBDA, n)] == expect
 
 
 @given(rationals, rationals, st.integers(min_value=0, max_value=8))
@@ -96,26 +102,34 @@ def test_falling_classical_int_matches_xpoly(r, k):
 
 
 def test_factorial_builders_need_no_recursion_depth():
-    """Each basis builds an index far above the recursion limit in force."""
+    """Each basis, the factorial builder and e_λ build an index far above the
+    recursion limit in force."""
     depth = len(inspect.stack(0))
     x0, lam = Fraction(7, 2), Fraction(-1, 3)
     cases = (
-        (falling_deg, depth + 50, -lam),
-        (rising_deg, depth + 50, lam),
-        (falling_classical, depth + 150, -1),
-        (rising_classical, depth + 150, 1),
+        (falling_deg, (depth + 50,), x0, -lam),
+        (rising_deg, (depth + 50,), x0, lam),
+        (falling_classical, (depth + 150,), x0, -1),
+        (rising_classical, (depth + 150,), x0, 1),
+        (factorials, (1, -LP_LAMBDA, depth + 150), 1, -lam),
+        (e_lambda_series, (1, depth + 50), 1, -lam),
     )
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 20)
     try:
-        built = [(build(n), n, shift) for build, n, shift in cases]
+        built = [build(*args) for build, args, _, _ in cases]
     finally:
         sys.setrecursionlimit(limit)
-    for poly, n, shift in built:
+    for result, (_, args, w0, shift) in zip(built, cases):
+        n = args[-1]
+        if isinstance(result, list):
+            result = XPoly.const(result[n])
+        elif isinstance(result, Series):
+            result = result.egf_coeff(n)
         expect = Fraction(1)
         for i in range(n):
-            expect *= x0 + i * shift
-        assert poly.eval(x0, lam) == expect, n
+            expect *= w0 + i * shift
+        assert result.eval(x0, lam) == expect, n
 
 
 # ----------------------------------------------------------------------
@@ -421,9 +435,15 @@ def test_bernoulli_builds_cold_to_the_cap_within_budget(monkeypatch):
     assert elapsed < 5.0
 
 
-@pytest.mark.parametrize("gf", [bell_gf, bernoulli_gf])
+@pytest.mark.parametrize("gf", [
+    bell_gf,
+    bernoulli_gf,
+    log_lambda_series,
+    pytest.param(lambda order: e_lambda_series(1, order), id="e_lambda_series"),
+    pytest.param(lambda order: binomial_power_series(1, 1, order), id="binomial_power_series"),
+])
 def test_generating_functions_refuse_a_negative_order(gf):
-    with pytest.raises(ValueError, match="order must be nonnegative"):
+    with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
         gf(-1)
 
 

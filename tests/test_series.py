@@ -16,6 +16,7 @@ from degenbell.series import (
     DEFAULT_ORDER,
     Series,
     e_lambda_series,
+    egf,
     log_lambda_series,
     series_combination,
     series_compose,
@@ -163,6 +164,23 @@ def test_mul_t_div_t_round_trip(a):
     times_t = series_mul(Series((0, 1), order=order), Series(a.coeffs, order=order))
     assert times_t.order == order
     assert times_t.coeffs == (XP_ZERO,) + a.coeffs
+
+
+egf_values = st.lists(
+    st.one_of(
+        rationals.map(LambdaPoly.const),
+        st.lists(st.lists(rationals, max_size=3), max_size=3).map(XPoly),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(egf_values)
+def test_egf_coeff_inverts_egf(values):
+    s = egf(values)
+    assert s.order == len(values) - 1
+    assert [s.egf_coeff(n) for n in range(len(values))] == values
 
 
 # ----------------------------------------------------------------------

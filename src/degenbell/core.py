@@ -2,10 +2,13 @@
 
 Three layers, each immutable and exact:
 
-* ``Rational`` -- arbitrary-precision fractions (``fractions.Fraction``),
-  always stored reduced with a positive denominator.
+* scalars -- a λ-coefficient is a Python ``int`` or a ``fractions.Fraction``
+  stored reduced with a positive denominator.  Integral values stay ints and
+  no code path turns an int into a Fraction: ``n == Fraction(n)`` and
+  ``hash(n) == hash(Fraction(n))``, so equality, hashing and rendering go by
+  value.  Only true quotients (β, 1/n!, rational λ and x) are Fractions.
 * ``LambdaPoly`` -- dense polynomials in the deformation parameter ``λ``
-  with Rational coefficients.
+  with such coefficients.
 * ``XPoly`` -- dense polynomials in ``x`` whose coefficients are
   ``LambdaPoly`` values.
 
@@ -22,12 +25,13 @@ brought over its one common denominator, each scalar weight wᵢ becomes an
 integer multiplier and a factor of that term's denominator, all terms are
 brought to one common denominator D (the lcm of theirs) and convolved into
 one int buffer, and each output coefficient becomes one reduced Fraction
-over D.  ``LambdaPoly``, ``XPoly`` and series products (``series_mul``)
-are its one-term case; :func:`sum_of_products` is the weighted sum that
-series recurrences and the identity harness use instead of adding
-products one at a time.  Plain sums, scalar multiples and evaluation work
-on the Fractions directly; a constant λ-polynomial multiplies as the scalar
-it holds, so a constant factor never reaches the kernel.  The types carry
+over D, or stays an int when D = 1.  ``LambdaPoly``, ``XPoly`` and series
+products (``series_mul``) are its one-term case; :func:`sum_of_products` is
+the weighted sum that series recurrences and the identity harness use
+instead of adding products one at a time.  Plain sums, scalar multiples and
+evaluation work on the coefficients directly; a constant λ-polynomial
+multiplies as the scalar it holds, so a constant factor never reaches the
+kernel.  The types carry
 no calculus: d/dx, the antiderivative and λ → c·λ serve only the identity
 harness and live beside their callers in :mod:`degenbell.identities` and
 :mod:`degenbell.opcalc`.
@@ -40,8 +44,10 @@ coefficients of e_λ and log_λ are all its prefixes.
 
 Results canonical by construction skip the normalising ``LambdaPoly(...)``: int
 numerators over a positive denominator, stripped on the ints (kernel outputs and
-the :mod:`degenbell.numbers` table rows), negations and nonzero scalar multiples.
-``Fraction`` reduces each coefficient, and ``-c`` or a nonzero factor makes no zero.
+the :mod:`degenbell.numbers` table rows), stripped sums, negations and nonzero
+scalar multiples.  Over the denominator 1 the int tuple itself is stored; over a
+larger one ``Fraction`` reduces each coefficient.  A sum of ints and reduced
+Fractions is one again, and ``-c`` or a nonzero factor makes no zero.
 
 Polynomials print in two notations by one renderer per type: the unicode
 display form (``*_pretty``, e.g. ``2λ² - (1/2)λ``) and the ASCII form of csv
@@ -61,13 +67,13 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
+#: The exact scalar that ``parse_rational`` returns and ``eval`` computes.
 Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 
+#: A λ-coefficient or scalar operand: an int, or a reduced Fraction.
 ScalarLike = Union[int, Fraction]
-
-_ZERO = Fraction(0)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -85,22 +91,24 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator: {text!r}") from None
 
 
-def format_rational(value: Fraction) -> str:
-    """Render a Fraction as ``p/q``, omitting ``/q`` when q = 1."""
+def format_rational(value: ScalarLike) -> str:
+    """Render an int or a Fraction as ``p/q``, omitting ``/q`` when q = 1."""
     return str(value)
 
 
-def _as_fraction(value: ScalarLike) -> Fraction:
-    if isinstance(value, Fraction):
+def _as_fraction(value: ScalarLike) -> ScalarLike:
+    """An exact scalar as it is stored: a Fraction or a plain int passes through,
+    a bool becomes its int; anything else raises TypeError."""
+    if type(value) is int or isinstance(value, Fraction):
         return value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
 
 
 # -- the integer multiply-accumulate kernel ---------------------------
 
-def _cells(coeffs: Sequence[Fraction], offset: int) -> list[tuple[int, int, int]]:
+def _cells(coeffs: Sequence[ScalarLike], offset: int) -> list[tuple[int, int, int]]:
     """(index, numerator, denominator) cells of λ-coefficients placed from ``offset``."""
     return [(offset + i, c.numerator, c.denominator) for i, c in enumerate(coeffs)]
 
@@ -120,8 +128,8 @@ def _multiply_accumulate(terms: list, size: int, stride: int) -> list["LambdaPol
     becomes an integer multiplier and its denominator joins the term's.  All
     terms are brought to one common denominator D, the lcm of theirs, their
     numerators are convolved into one int buffer, and each output
-    coefficient becomes one reduced Fraction over D.  Returns one LambdaPoly
-    per ``stride`` indices.
+    coefficient becomes one reduced Fraction over D (an int when D = 1).
+    Returns one LambdaPoly per ``stride`` indices.
     """
     scaled, dens = [], []
     for w, a, b in terms:
@@ -143,29 +151,32 @@ def _multiply_accumulate(terms: list, size: int, stride: int) -> list["LambdaPol
     return [_from_ints(out[start : start + stride], d) for start in range(0, size, stride)]
 
 
-def _canonical(coeffs: tuple[Fraction, ...]) -> "LambdaPoly":
-    """The LambdaPoly over reduced Fractions with no trailing zero, not normalised again."""
+def _canonical(coeffs: tuple[ScalarLike, ...]) -> "LambdaPoly":
+    """The LambdaPoly over ints and reduced Fractions, no trailing zero, not normalised again."""
     poly = object.__new__(LambdaPoly)
     object.__setattr__(poly, "coeffs", coeffs)
     return poly
 
 
 def _from_ints(numerators: list[int], den: int = 1) -> "LambdaPoly":
-    """Σ (numerators[i]/den)·λ^i for a positive ``den``, trailing zeros stripped on the ints."""
+    """Σ (numerators[i]/den)·λ^i for a positive ``den``, trailing zeros stripped on the ints.
+
+    Over ``den`` = 1 the coefficients are the ints themselves; over a larger
+    one each nonzero numerator becomes a reduced Fraction."""
     end = len(numerators)
     while end and not numerators[end - 1]:
         end -= 1
     if den == 1:
-        return _canonical(tuple(map(Fraction, numerators[:end])))
-    return _canonical(tuple([Fraction(c, den) if c else _ZERO for c in numerators[:end]]))
+        return _canonical(tuple(numerators[:end]))
+    return _canonical(tuple([Fraction(c, den) if c else 0 for c in numerators[:end]]))
 
 
 class LambdaPoly:
-    """Polynomial in λ with Rational coefficients, index i ↔ λ^i."""
+    """Polynomial in λ with int or Fraction coefficients, index i ↔ λ^i."""
 
     __slots__ = ("coeffs",)
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[ScalarLike, ...]
 
     def __init__(self, coeffs: Iterable[ScalarLike] = ()):
         cs = [_as_fraction(c) for c in coeffs]
@@ -227,7 +238,9 @@ class LambdaPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return LambdaPoly(out)
+        while out and not out[-1]:
+            out.pop()
+        return _canonical(tuple(out))
 
     __radd__ = __add__
 
@@ -431,7 +444,7 @@ def _xpoly_products(terms: Sequence[tuple], count: int) -> list[XPoly]:
 
 
 def sum_of_products(terms: Iterable[tuple[ScalarLike, XLike, XLike]]) -> XPoly:
-    """Σ w·a·b over ``(w, a, b)`` terms, exactly, with one Fraction per output coefficient.
+    """Σ w·a·b over ``(w, a, b)`` terms, exactly, with at most one Fraction per coefficient.
 
     The weight w is an int or a Fraction; a and b are XPoly, LambdaPoly or
     scalars.  λ-only callers read ``.coeff(0)`` of the result.
@@ -601,7 +614,7 @@ def _read_monomial(term: str, var: str) -> tuple[Fraction, int]:
     m = _MONOMIAL[var].fullmatch(term)
     if m is None:
         raise ValueError(f"cannot parse term {term!r} as a monomial in {var}")
-    value = parse_rational(m["num"]) if m["num"] else Fraction(1)
+    value = parse_rational(m["num"]) if m["num"] else 1
     return value, _ascii_exponent(m["pow"], 1 if m["var"] else 0)
 
 
@@ -618,8 +631,8 @@ def lambda_poly_from_ascii(text: str) -> LambdaPoly:
         sign = -1 if term.startswith("-") else 1
         term = term.removeprefix("-").strip()
         value, power = _read_monomial(term, "lambda")
-        acc[power] = acc.get(power, _ZERO) + sign * value
-    return LambdaPoly(tuple(acc.get(i, _ZERO) for i in range(max(acc) + 1)))
+        acc[power] = acc.get(power, 0) + sign * value
+    return LambdaPoly(tuple(acc.get(i, 0) for i in range(max(acc) + 1)))
 
 
 def _split_ascii_terms(s: str) -> list[tuple[int, str]]:

@@ -22,14 +22,11 @@ Everything here is a polynomial identity in the deformation parameter λ:
 Each table has one route: rows are stepped on integer λ-coefficient lists
 (β_n is put over one denominator) and each entry becomes a LambdaPoly once,
 straight from its ints, which are canonical once stripped (see :mod:`.core`).
-Indices above ``MAX_INDEX`` raise ValueError before anything is built.
-A cache miss builds the missing rows with the cyclic garbage collector
-paused: the builders allocate only acyclic objects, which reference counting
-frees, so its passes would only rescan the new rows.  The pause is
-process-wide, so other threads' cyclic garbage waits until the build ends; a
-cache hit never touches the collector.  Each row (each β_n) is built in
-locals and committed whole, so a build that raises, even by
-KeyboardInterrupt, leaves every cache as it was after the last complete row.
+The S₂, S₁ and bracket entries keep those ints as their coefficients; only
+β's are Fractions.  Indices above ``MAX_INDEX`` raise ValueError before
+anything is built.  Each row (each β_n) is built in locals and committed
+whole, so a build that raises, even by KeyboardInterrupt, leaves every cache
+as it was after the last complete row.
 Second routes that cross-check the tables live in :mod:`degenbell.identities`,
 except ``basis_expand``, which the benchmark's layer rows wrap by this name.
 
@@ -39,9 +36,7 @@ values are exposed only through that evaluation, never as separate code.
 
 from __future__ import annotations
 
-import gc
 import math
-from contextlib import contextmanager
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
 from typing import Callable
@@ -120,26 +115,6 @@ def require_index(n: int, what: str = "index") -> None:
         raise ValueError(f"{what} {n} exceeds the limit {MAX_INDEX}")
 
 
-@contextmanager
-def _collector_paused():
-    """Hold the cyclic garbage collector off for one table build.
-
-    The builders allocate only acyclic ints, Fractions, lists, tuples and
-    LambdaPolys, which reference counting frees, so a collection during a
-    build scans every new row and frees nothing.  The collector is
-    process-wide: other threads' cyclic garbage waits until the build ends.
-    It is switched on again only if it was on before, also when the build
-    raises.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
 def _add_linear_times(left: list[int], c: list[int], a: int, b: int) -> list[int]:
     """left + (a + bλ)·c on integer λ-coefficient lists (trailing zeros allowed)."""
     out = left + [0] * (len(c) + 1 - len(left))
@@ -162,17 +137,16 @@ class _Triangle:
         rows = self.rows
         if n < len(rows):
             return rows[n]
-        with _collector_paused():
-            for m in range(len(rows), n + 1):
-                prev = self._last + [[]]
-                last = [
-                    _add_linear_times(prev[k - 1] if k else [], prev[k], *self._weight(m, k))
-                    for k in range(m + 1)
-                ]
-                row = tuple(map(_from_ints, last))
-                # The cache is touched only here, once the row is whole.
-                self._last = last
-                rows.append(row)
+        for m in range(len(rows), n + 1):
+            prev = self._last + [[]]
+            last = [
+                _add_linear_times(prev[k - 1] if k else [], prev[k], *self._weight(m, k))
+                for k in range(m + 1)
+            ]
+            row = tuple(map(_from_ints, last))
+            # The cache is touched only here, once the row is whole.
+            self._last = last
+            rows.append(row)
         return rows[n]
 
 
@@ -216,19 +190,18 @@ def bernoulli_deg(n: int) -> LambdaPoly:
     beta = _BETA
     if n < len(beta):
         return beta[n][2]
-    with _collector_paused():
-        for m in range(len(beta), n + 1):
-            prev = beta[-1][0] + [0]
-            row = [(prev[k - 1] if k else 0) - (m - 1) * prev[k] for k in range(m + 1)]
-            bs = [entry[1] for entry in beta]
-            bs.append(-sum(comb(m + 1, k) * b for k, b in enumerate(bs)) / (m + 1))
-            terms = [bs[l] * Fraction(m * prev[l - 1], l) for l in range(m, 0, -1)]
-            common = lcm(*range(1, m + 2))
-            terms.append(Fraction(sum(c * (common // (k + 1)) for k, c in enumerate(row)), common))
-            den = lcm(*(c.denominator for c in terms))
-            num = [c.numerator * (den // c.denominator) for c in terms]
-            # One append commits β_m whole.
-            beta.append((row, bs[m], _from_ints(num, den)))
+    for m in range(len(beta), n + 1):
+        prev = beta[-1][0] + [0]
+        row = [(prev[k - 1] if k else 0) - (m - 1) * prev[k] for k in range(m + 1)]
+        bs = [entry[1] for entry in beta]
+        bs.append(-sum(comb(m + 1, k) * b for k, b in enumerate(bs)) / (m + 1))
+        terms = [bs[l] * Fraction(m * prev[l - 1], l) for l in range(m, 0, -1)]
+        common = lcm(*range(1, m + 2))
+        terms.append(Fraction(sum(c * (common // (k + 1)) for k, c in enumerate(row)), common))
+        den = lcm(*(c.denominator for c in terms))
+        num = [c.numerator * (den // c.denominator) for c in terms]
+        # One append commits β_m whole.
+        beta.append((row, bs[m], _from_ints(num, den)))
     return beta[n][2]
 
 

@@ -146,7 +146,7 @@ def series_mul(a: Series, b: Series) -> Series:
     return Series(_xpoly_products([(1, a.coeffs, b.coeffs)], n + 1), order=n)
 
 
-def _unit_constant(a: Series) -> Fraction:
+def _unit_constant(a: Series) -> int | Fraction:
     c0 = a.coeffs[0]
     if c0.degree == 0:
         lp = c0.coeffs[0]
@@ -157,7 +157,7 @@ def _unit_constant(a: Series) -> Fraction:
 
 def series_recip_unit(a: Series) -> Series:
     """Multiplicative inverse of a series whose constant term is an invertible rational."""
-    inv0 = 1 / _unit_constant(a)
+    inv0 = Fraction(1, _unit_constant(a))  # exact: 1 / an int constant would be a float
     out = [XPoly.const(inv0)]
     for n in range(1, a.order + 1):
         out.append(sum_of_products((-inv0, a.coeffs[k], out[n - k]) for k in range(1, n + 1)))

@@ -32,7 +32,7 @@ from degenbell.core import (
 from degenbell import core
 from degenbell.core import _from_ints
 from degenbell.identities import _x_antiderivative, _x_derivative
-from degenbell.series import Series, series_from_json
+from degenbell.series import Series, egf, series_from_json, series_mul, series_recip_unit
 
 from oracles import generalized_factorial, padd, pmul, pneg, poly_mul_2d, pstrip
 
@@ -132,12 +132,51 @@ int_rows = st.lists(st.one_of(st.just(0), st.integers(-50, 50), big_ints), max_s
 @example([0, 0, 0], 1)
 @example([0, 0], 6)
 def test_int_rows_are_canonical(row, den):
+    """Over den 1 the coefficients are the ints; over a larger den every nonzero
+    one is a Fraction (a zero between them is the int 0).  Either way the
+    polynomial equals and hashes as the one over the same Fraction values."""
     expect = pstrip(Fraction(c, den) for c in row)
     p = _from_ints(row, den)
-    assert p.coeffs == expect and all(type(c) is Fraction for c in p.coeffs)
-    assert hash(p) == hash(LambdaPoly(Fraction(c, den) for c in row))
+    assert p.coeffs == expect
+    assert all(type(c) is (int if den == 1 or not c else Fraction) for c in p.coeffs)
+    same = LambdaPoly(Fraction(c, den) for c in row)
+    assert p == same and hash(p) == hash(same)
     if den == 1:
         assert _from_ints(row) == LambdaPoly(row) and hash(_from_ints(row)) == hash(LambdaPoly(row))
+
+
+# Operands over ints, Fractions and bools mixed: a bool is an int subclass the
+# library must store as a number.
+exact_scalars = st.one_of(st.integers(-20, 20), rationals, st.booleans())
+mixed_lpolys = st.lists(exact_scalars, max_size=4).map(LambdaPoly)
+mixed_xpolys = st.lists(st.lists(exact_scalars, max_size=3), max_size=3).map(XPoly)
+
+
+def _scalars(value):
+    """Every λ-coefficient of a LambdaPoly, an XPoly or a Series."""
+    if isinstance(value, Series):
+        return [c for x in value.coeffs for c in _scalars(x)]
+    if isinstance(value, XPoly):
+        return [c for lp in value.coeffs for c in lp.coeffs]
+    return list(value.coeffs)
+
+
+@given(mixed_lpolys, mixed_lpolys, mixed_xpolys, mixed_xpolys, exact_scalars,
+       st.integers(-5, 5).filter(bool), st.integers(0, 4))
+def test_coefficients_stay_ints_or_fractions(p, q, a, b, c, unit, n):
+    sa, sb = Series([a, b, p], order=3), Series([b, q, a, c], order=3)
+    with_unit = Series([unit, a, q], order=3)
+    recip = series_recip_unit(with_unit)
+    assert series_mul(recip, with_unit) == Series.one(3)
+    assert (p + q).coeffs == padd(p.coeffs, q.coeffs)  # stripped with no second normalising pass
+    results = [
+        p + q, p - q, -p, p * c, c * p, p * q, a + b, -a, a * c, c * a, a * b,
+        a.eval_x(c), a.eval_x(unit), series_mul(sa, sb), egf([a, b, p, c]), recip,
+        *factorials(p, q, n), *factorials(c, unit, n), *factorials(a, q, n),
+    ]
+    for r in results:
+        assert all(type(x) in (int, Fraction) for x in _scalars(r)), r
+    assert type(p.eval(c)) is Fraction and type(a.eval(c, unit)) is Fraction
 
 
 @given(

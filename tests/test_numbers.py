@@ -1,6 +1,5 @@
 """Number families against brute-force oracles and their own recurrences."""
 
-import gc
 import inspect
 import sys
 import time
@@ -266,30 +265,17 @@ def _fresh_tables(monkeypatch):
     monkeypatch.setattr(numbers, "_BETA", numbers._BETA[:1])
 
 
-def _raise_on_entry(monkeypatch, nth, seen=None):
-    """Make the nth LambdaPoly a builder stores raise KeyboardInterrupt.
-
-    ``seen`` collects whether the collector was enabled at each entry."""
+def _raise_on_entry(monkeypatch, nth):
+    """Make the nth LambdaPoly a builder stores raise KeyboardInterrupt."""
     real, calls = numbers._from_ints, []
 
     def flaky(*args):
         calls.append(None)
-        if seen is not None:
-            seen.append(gc.isenabled())
         if len(calls) == nth:
             raise KeyboardInterrupt
         return real(*args)
 
     monkeypatch.setattr(numbers, "_from_ints", flaky)
-
-
-@pytest.fixture
-def collector():
-    """Restore the collector's state after a test that switches it; list it
-    before ``monkeypatch`` so that it runs after a patched ``gc`` is undone."""
-    was_enabled = gc.isenabled()
-    yield
-    (gc.enable if was_enabled else gc.disable)()
 
 
 # The 20th S₂ or bracket entry is the last of row 5; β_6 is the 6th β entry.
@@ -314,37 +300,6 @@ def test_an_interrupted_build_keeps_only_whole_rows(monkeypatch, build, nth):
             assert stirling1_deg(n, k).coeffs == s1[n][k], (n, k)
     for n, beta in enumerate(bernoulli_deg_rows(10)):
         assert bernoulli_deg(n).coeffs == beta, n
-
-
-@pytest.mark.parametrize("enabled", [True, False])
-@pytest.mark.parametrize("build, nth", INTERRUPTED_BUILDS)
-def test_a_build_pauses_the_collector_and_restores_its_state(
-    collector, monkeypatch, enabled, build, nth
-):
-    _fresh_tables(monkeypatch)
-    (gc.enable if enabled else gc.disable)()
-    with monkeypatch.context() as patch:
-        seen = []
-        _raise_on_entry(patch, nth, seen)
-        with pytest.raises(KeyboardInterrupt):
-            build()
-    assert gc.isenabled() is enabled and seen and not any(seen)
-    build()
-    assert gc.isenabled() is enabled
-
-
-def test_a_cache_hit_leaves_the_collector_alone(collector, monkeypatch):
-    gc.enable()
-    switches = []
-    monkeypatch.setattr(gc, "disable", lambda: switches.append("disable"))
-    monkeypatch.setattr(gc, "enable", lambda: switches.append("enable"))
-    _fresh_tables(monkeypatch)
-    bell_deg(6), bracket_deg(6, 2), bernoulli_deg(6)
-    assert switches == ["disable", "enable"] * 3
-    switches.clear()
-    for n in range(7):
-        bell_deg(n), stirling2_deg(n, 1), bracket_deg(n, 1), stirling1_deg(n, 1), bernoulli_deg(n)
-    assert switches == []
 
 
 def test_basis_expand_round_trips():

@@ -260,6 +260,8 @@ class LambdaPoly:
             c = _as_fraction(other)
             if c == 0:
                 return LP_ZERO
+            if c == 1:
+                return self
             return _canonical(tuple([c * a for a in self.coeffs]))
         if not isinstance(other, LambdaPoly):
             return NotImplemented

@@ -6,9 +6,9 @@ Everything here is a polynomial identity in the deformation parameter λ:
   (x)_{n,λ} = x(x-λ)···(x-(n-1)λ) and ⟨x⟩_{n,λ}, by one iterative cached
   product: :func:`~degenbell.core.factorials` of x with step -λ or λ.
 * ``stirling2_deg`` -- S_{2,λ}(n,k), connecting (x)_{n,λ} to the classical
-  falling factorials, by S(n,k) = S(n-1,k-1) + (k-(n-1)λ)S(n-1,k).
+  falling factorials: its λ^d coefficient is s(n,n-d)·S(n-d,k).
 * ``bracket_deg`` -- [n k]_λ, connecting ⟨x⟩_n to the deformed rising
-  factorials, by [n k] = [n-1,k-1] + ((n-1)-kλ)[n-1,k].
+  factorials: its λ^d coefficient is (-1)^{n-k}·s(n,k+d)·S(k+d,k).
 * ``stirling1_deg`` -- S_{1,λ}(n,k) = (-1)^{n-k}[n k]_λ, the inverse of S₂.
 * ``bernoulli_deg`` -- β_{n,λ}, the coefficients of t/(e_λ(t)-1), in closed
   form over the classical Bernoulli numbers and the signed Stirling numbers
@@ -19,14 +19,16 @@ Everything here is a polynomial identity in the deformation parameter λ:
   Σ_n Bel_{n,λ}(x)tⁿ/n!, the egf of its rows; plus the certified
   Dobinski-style numeric evaluator.
 
-Each table has one route: rows are stepped on integer λ-coefficient lists
-(β_n is put over one denominator) and each entry becomes a LambdaPoly once,
-straight from its ints, which are canonical once stripped (see :mod:`.core`).
-The S₂, S₁ and bracket entries keep those ints as their coefficients; only
-β's are Fractions.  Indices above ``MAX_INDEX`` raise ValueError before
-anything is built.  Each row (each β_n) is built in locals and committed
-whole, so a build that raises, even by KeyboardInterrupt, leaves every cache
-as it was after the last complete row.
+Each table has one route.  s and S are the classical Stirling numbers, s of
+the first kind (signed) and S of the second; one shared store holds both
+integer triangles, and row n of S₂ or of the brackets is built alone from it.
+Every entry is an integer λ-coefficient list (β_n over one denominator) that
+becomes a LambdaPoly once, straight from its ints, which are canonical once
+stripped (see :mod:`.core`); only β's coefficients are Fractions.  Indices
+above ``MAX_INDEX`` raise ValueError before anything is built.  Each row (each
+β_n, each classical row) is built in locals and committed whole, so a build
+that raises, even by KeyboardInterrupt, leaves every cache as it was after
+the last complete row.
 Second routes that cross-check the tables live in :mod:`degenbell.identities`,
 except ``basis_expand``, which the benchmark's layer rows wrap by this name.
 
@@ -36,9 +38,8 @@ values are exposed only through that evaluation, never as separate code.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, isfinite, lcm, prod
 from typing import Callable
 
 from .core import (
@@ -82,15 +83,12 @@ def basis_expand(p: XPoly, element: Callable[[int], XPoly]) -> list[LambdaPoly]:
     degree, so the top coefficient of the remainder is read off directly
     and one subtraction strictly lowers the degree.  Exact for any p.
     """
-    coeffs: list[LambdaPoly] = []
+    coeffs = [LP_ZERO] * len(p.coeffs)
     rem = p
     while not rem.is_zero:
         d = rem.degree
-        while len(coeffs) <= d:
-            coeffs.append(LP_ZERO)
-        top = rem.coeff(d)
-        coeffs[d] = top
-        rem = rem - element(d) * XPoly.const(top)
+        coeffs[d] = rem.coeff(d)
+        rem = rem - element(d) * XPoly.const(coeffs[d])
         if not rem.is_zero and rem.degree >= d:
             raise AssertionError("basis elimination failed to reduce degree")
     return coeffs
@@ -115,57 +113,58 @@ def require_index(n: int, what: str = "index") -> None:
         raise ValueError(f"{what} {n} exceeds the limit {MAX_INDEX}")
 
 
-def _add_linear_times(left: list[int], c: list[int], a: int, b: int) -> list[int]:
-    """left + (a + bλ)·c on integer λ-coefficient lists (trailing zeros allowed)."""
-    out = left + [0] * (len(c) + 1 - len(left))
-    for i, ci in enumerate(c):
-        out[i] += a * ci
-        out[i + 1] += b * ci
-    return out
+# _CLASSICAL[n] is (s(n,0)…s(n,n), S(n,0)…S(n,n)) as ints, s signed as above.
+_CLASSICAL: list[tuple[list[int], list[int]]] = [([1], [1])]
 
 
-class _Triangle:
-    """Rows of T(n,k) = T(n-1,k-1) + (a + bλ)·T(n-1,k), with (a, b) = weight(n, k)."""
-
-    def __init__(self, weight):
-        self._weight = weight
-        self._last: list[list[int]] = [[1]]
-        self.rows: list[tuple[LambdaPoly, ...]] = [(LP_ONE,)]
-
-    def row(self, n: int) -> tuple[LambdaPoly, ...]:
-        require_index(n, "row index")
-        rows = self.rows
-        if n < len(rows):
-            return rows[n]
-        for m in range(len(rows), n + 1):
-            prev = self._last + [[]]
-            last = [
-                _add_linear_times(prev[k - 1] if k else [], prev[k], *self._weight(m, k))
-                for k in range(m + 1)
-            ]
-            row = tuple(map(_from_ints, last))
-            # The cache is touched only here, once the row is whole.
-            self._last = last
-            rows.append(row)
-        return rows[n]
+def _classical(n: int) -> list[tuple[list[int], list[int]]]:
+    """_CLASSICAL grown to row n by the two classical integer recurrences."""
+    for m in range(len(_CLASSICAL), n + 1):
+        s, S = _CLASSICAL[-1][0] + [0], _CLASSICAL[-1][1] + [0]
+        # One append commits row m whole.
+        _CLASSICAL.append((
+            [(s[k - 1] if k else 0) - (m - 1) * s[k] for k in range(m + 1)],
+            [(S[k - 1] if k else 0) + k * S[k] for k in range(m + 1)],
+        ))
+    return _CLASSICAL
 
 
-# S(n,k) = S(n-1,k-1) + (k - (n-1)λ)·S(n-1,k)
-_STIRLING2 = _Triangle(lambda n, k: (k, 1 - n))
-# [n k] = [n-1,k-1] + ((n-1) - kλ)·[n-1,k]
-_BRACKET = _Triangle(lambda n, k: (n - 1, -k))
+# Row n of S_{2,λ} and of [n k]_λ, each built alone and stored whole under n.
+_STIRLING2: dict[int, tuple[LambdaPoly, ...]] = {}
+_BRACKET: dict[int, tuple[LambdaPoly, ...]] = {}
+
+
+def _stirling2_row(n: int) -> tuple[LambdaPoly, ...]:
+    """S_{2,λ}(n,0)…S_{2,λ}(n,n) in closed form."""
+    require_index(n, "row index")
+    if n not in _STIRLING2:
+        classical = _classical(n)
+        s = classical[n][0]
+        _STIRLING2[n] = tuple(
+            _from_ints([s[l] * classical[l][1][k] for l in range(n, k - 1, -1)])
+            for k in range(n + 1)
+        )
+    return _STIRLING2[n]
 
 
 def stirling2_deg(n: int, k: int) -> LambdaPoly:
-    """S_{2,λ}(n,k) by the triangular recurrence; zero outside 0 ≤ k ≤ n."""
-    row = _STIRLING2.row(n)
+    """S_{2,λ}(n,k) in closed form; zero outside 0 ≤ k ≤ n."""
+    row = _stirling2_row(n)
     return row[k] if 0 <= k <= n else LP_ZERO
 
 
 def bracket_deg(n: int, k: int) -> LambdaPoly:
-    """[n k]_λ, the coefficient of ⟨x⟩_{k,λ} in ⟨x⟩_n, by its triangular recurrence."""
-    row = _BRACKET.row(n)
-    return row[k] if 0 <= k <= n else LP_ZERO
+    """[n k]_λ, the coefficient of ⟨x⟩_{k,λ} in ⟨x⟩_n, in closed form; 0 unless 0 ≤ k ≤ n."""
+    require_index(n, "row index")
+    if n not in _BRACKET:
+        classical = _classical(n)
+        s = classical[n][0]
+        signed = (s, [-c for c in s])  # (-1)^{n-j}·s(n,·) sits at (n - j) % 2
+        _BRACKET[n] = tuple(
+            _from_ints([signed[(n - j) % 2][l] * classical[l][1][j] for l in range(j, n + 1)])
+            for j in range(n + 1)
+        )
+    return _BRACKET[n][k] if 0 <= k <= n else LP_ZERO
 
 
 def stirling1_deg(n: int, k: int) -> LambdaPoly:
@@ -174,9 +173,8 @@ def stirling1_deg(n: int, k: int) -> LambdaPoly:
     return c if (n - k) % 2 == 0 else -c
 
 
-# _BETA[n] is (s(n,0)…s(n,n), B_n, β_n): the signed Stirling row of the first
-# kind as ints and the classical Bernoulli number (B₁ = -1/2) that β_{n+1} needs.
-_BETA: list[tuple[list[int], Fraction, LambdaPoly]] = [([1], Fraction(1), LP_ONE)]
+# _BETA[n] is (B_n, β_n): the classical Bernoulli number (B₁ = -1/2) and β_n.
+_BETA: list[tuple[Fraction, LambdaPoly]] = [(Fraction(1), LP_ONE)]
 
 
 def bernoulli_deg(n: int) -> LambdaPoly:
@@ -187,13 +185,12 @@ def bernoulli_deg(n: int) -> LambdaPoly:
     the λ^n one is Σ_k s(n,k)/(k+1).  B_n comes from Σ_{k≤n} C(n+1,k)·B_k = 0.
     """
     require_index(n)
-    beta = _BETA
-    if n < len(beta):
-        return beta[n][2]
-    for m in range(len(beta), n + 1):
-        prev = beta[-1][0] + [0]
-        row = [(prev[k - 1] if k else 0) - (m - 1) * prev[k] for k in range(m + 1)]
-        bs = [entry[1] for entry in beta]
+    if n < len(_BETA):
+        return _BETA[n][1]
+    classical = _classical(n)
+    for m in range(len(_BETA), n + 1):
+        prev, row = classical[m - 1][0], classical[m][0]
+        bs = [entry[0] for entry in _BETA]
         bs.append(-sum(comb(m + 1, k) * b for k, b in enumerate(bs)) / (m + 1))
         terms = [bs[l] * Fraction(m * prev[l - 1], l) for l in range(m, 0, -1)]
         common = lcm(*range(1, m + 2))
@@ -201,8 +198,8 @@ def bernoulli_deg(n: int) -> LambdaPoly:
         den = lcm(*(c.denominator for c in terms))
         num = [c.numerator * (den // c.denominator) for c in terms]
         # One append commits β_m whole.
-        beta.append((row, bs[m], _from_ints(num, den)))
-    return beta[n][2]
+        _BETA.append((bs[m], _from_ints(num, den)))
+    return _BETA[n][1]
 
 
 def bernoulli_gf(order: int) -> Series:
@@ -223,7 +220,7 @@ def bell_gf(order: int) -> Series:
 
 def bell_deg(n: int) -> XPoly:
     """Bel_{n,λ}(x) = Σ_k S_{2,λ}(n,k)·x^k."""
-    return XPoly(_STIRLING2.row(n))
+    return XPoly(_stirling2_row(n))
 
 
 def bell_dobinski_numeric(n: int, x: float, lam: float, terms: int) -> float:
@@ -245,7 +242,7 @@ def bell_dobinski_numeric(n: int, x: float, lam: float, terms: int) -> float:
         raise ValueError(f"terms must be ≥ 1, got {terms}")
     if terms > MAX_DOBINSKI_TERMS:
         raise ValueError(f"{terms} Dobinski terms exceed the limit {MAX_DOBINSKI_TERMS}")
-    if not (math.isfinite(x) and math.isfinite(lam)):
+    if not (isfinite(x) and isfinite(lam)):
         raise ValueError("non-finite input")
     xq = Fraction(x)
     if xq <= 0:

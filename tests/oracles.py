@@ -2,9 +2,9 @@
 
 Nothing in this module imports from ``degenbell``.  Every function is
 written directly from first principles (brute-force enumeration, naive
-convolution, order-by-order inversion, closed forms over classical integer
-tables) so that agreement with the library is real evidence, not a
-tautology.
+convolution, order-by-order inversion, three-term recurrences, closed forms
+over classical integer tables) so that agreement with the library is real
+evidence, not a tautology.
 
 Polynomials in the deformation parameter are represented as bare tuples
 of Fractions with trailing zeros stripped — the same canonical shape as
@@ -98,7 +98,8 @@ def stirling1_unsigned_count(n: int, k: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Deformed tables in closed form, from classical integer Stirling numbers
+# Deformed tables: S₂ and S₁ by their three-term recurrences, β in closed
+# form over classical integer Stirling numbers
 # ----------------------------------------------------------------------
 
 def classical_stirling(n_max: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -113,34 +114,32 @@ def classical_stirling(n_max: int) -> tuple[list[list[int]], list[list[int]]]:
     return s, S
 
 
-def stirling2_deg_rows(n_max: int) -> list[list[Poly]]:
-    """S_{2,λ}(n, k) for k ≤ n ≤ n_max: the λ^d coefficient is s(n, n-d)·S(n-d, k).
+def _three_term_rows(n_max: int, factor) -> list[list[Poly]]:
+    """T(n, k) for k ≤ n ≤ n_max on Fraction tuples, from T(0, 0) = 1 by
+    T(n,k) = T(n-1,k-1) + factor(n,k)·T(n-1,k), where factor is a λ-polynomial."""
+    rows = [[(Fraction(1),)]]
+    for n in range(1, n_max + 1):
+        prev = rows[-1] + [()]
+        rows.append([
+            padd(prev[k - 1] if k else (), pmul(factor(n, k), prev[k])) for k in range(n + 1)
+        ])
+    return rows
 
-    (x)_{n,λ} = Σ_l s(n,l)·λ^{n-l}·x^l and x^l = Σ_k S(l,k)·(x)_k.
+
+def stirling2_deg_rows(n_max: int) -> list[list[Poly]]:
+    """S_{2,λ}(n, k) for k ≤ n ≤ n_max by S(n,k) = S(n-1,k-1) + (k-(n-1)λ)·S(n-1,k).
+
+    (x)_{n,λ} = (x)_{n-1,λ}·(x-(n-1)λ) and x·(x)_k = (x)_{k+1} + k·(x)_k.
     """
-    s, S = classical_stirling(n_max)
-    return [
-        [
-            pstrip(Fraction(s[n][n - d] * S[n - d][k]) for d in range(n - k + 1))
-            for k in range(n + 1)
-        ]
-        for n in range(n_max + 1)
-    ]
+    return _three_term_rows(n_max, lambda n, k: (Fraction(k), Fraction(1 - n)))
 
 
 def stirling1_deg_rows(n_max: int) -> list[list[Poly]]:
-    """S_{1,λ}(n, k) for k ≤ n ≤ n_max: the λ^d coefficient is s(n, k+d)·S(k+d, k).
+    """S_{1,λ}(n, k) for k ≤ n ≤ n_max by S(n,k) = S(n-1,k-1) + (kλ-(n-1))·S(n-1,k).
 
-    (x)_n = Σ_l s(n,l)·x^l and x^l = Σ_k S(l,k)·λ^{l-k}·(x)_{k,λ}.
+    (x)_n = (x)_{n-1}·(x-(n-1)) and x·(x)_{k,λ} = (x)_{k+1,λ} + kλ·(x)_{k,λ}.
     """
-    s, S = classical_stirling(n_max)
-    return [
-        [
-            pstrip(Fraction(s[n][k + d] * S[k + d][k]) for d in range(n - k + 1))
-            for k in range(n + 1)
-        ]
-        for n in range(n_max + 1)
-    ]
+    return _three_term_rows(n_max, lambda n, k: (Fraction(1 - n), Fraction(k)))
 
 
 def gregory(n_max: int) -> list[Fraction]:

@@ -176,6 +176,9 @@ def test_coefficients_stay_ints_or_fractions(p, q, a, b, c, unit, n):
     ]
     for r in results:
         assert all(type(x) in (int, Fraction) for x in _scalars(r)), r
+    # 0! = 1! = 1, so egf keeps the types of the t⁰ and t¹ coefficients: ints stay ints
+    for v, coeff in zip((a, b), egf([a, b, p, c]).coeffs):
+        assert [type(x) for x in _scalars(coeff)] == [type(x) for x in _scalars(v)], v
     assert type(p.eval(c)) is Fraction and type(a.eval(c, unit)) is Fraction
 
 

@@ -46,6 +46,7 @@ from oracles import (
     bernoulli_deg_by_inversion,
     bernoulli_deg_rows,
     classical_bernoulli,
+    classical_stirling,
     pneg,
     stirling1_deg_rows,
     stirling1_unsigned_count,
@@ -215,11 +216,12 @@ def test_bracket_triangular_recurrence():
             assert bracket_deg(n, k) == expanded[k], (n, k)
 
 
-def test_big_tables_match_closed_forms():
-    """S₂ and brackets to 60, S₁ and β to 40, against closed forms over classical
-    integer Stirling numbers; the S₂ coefficients reach 283 bits at n = 60.  β is
-    also checked against the order-by-order inversion of (e_λ(t)-1)/t, which
-    shares no step with the library's closed form."""
+def test_big_tables_match_three_term_recurrences():
+    """S₂ and brackets to 60, S₁ to 40, against their three-term recurrences on
+    Fraction tuples, which share no step with the library's closed forms; the S₂
+    coefficients reach 283 bits at n = 60.  β to 40 against its closed form over
+    classical integer Stirling numbers and the order-by-order inversion of
+    (e_λ(t)-1)/t, which shares no step with the library's closed form either."""
     s2, s1 = stirling2_deg_rows(60), stirling1_deg_rows(60)
     for n in range(61):
         for k in range(n + 1):
@@ -243,8 +245,14 @@ def test_out_of_range_and_errors():
         falling_deg(-2)
 
 
+def _cache_sizes():
+    return tuple(len(cache) for cache in (
+        numbers._STIRLING2, numbers._BRACKET, numbers._BETA, numbers._CLASSICAL
+    ))
+
+
 def test_builders_refuse_indices_above_the_limit():
-    built = len(numbers._STIRLING2.rows), len(numbers._BRACKET.rows), len(numbers._BETA)
+    built = _cache_sizes()
     n = MAX_INDEX + 1
     for build in (
         lambda: stirling2_deg(n, 1),
@@ -255,14 +263,33 @@ def test_builders_refuse_indices_above_the_limit():
     ):
         with pytest.raises(ValueError, match="exceeds the limit"):
             build()
-    assert (len(numbers._STIRLING2.rows), len(numbers._BRACKET.rows), len(numbers._BETA)) == built
+    assert _cache_sizes() == built
 
 
 def _fresh_tables(monkeypatch):
-    """Empty S₂, bracket and β caches for this test; the shared ones come back after."""
-    monkeypatch.setattr(numbers, "_STIRLING2", numbers._Triangle(numbers._STIRLING2._weight))
-    monkeypatch.setattr(numbers, "_BRACKET", numbers._Triangle(numbers._BRACKET._weight))
+    """Empty S₂, bracket, β and classical caches for this test; the shared ones come back after."""
+    monkeypatch.setattr(numbers, "_STIRLING2", {})
+    monkeypatch.setattr(numbers, "_BRACKET", {})
     monkeypatch.setattr(numbers, "_BETA", numbers._BETA[:1])
+    monkeypatch.setattr(numbers, "_CLASSICAL", numbers._CLASSICAL[:1])
+
+
+@pytest.mark.parametrize("build, cache", [
+    pytest.param(stirling2_deg, "_STIRLING2", id="stirling2"),
+    pytest.param(bracket_deg, "_BRACKET", id="bracket"),
+])
+def test_a_row_is_built_alone_by_its_closed_form(monkeypatch, build, cache):
+    """Row 200 alone, from empty caches; at λ = 0 it is the classical row
+    (S(200, ·), or |s(200, ·)| for the brackets), at λ = 1 the unit vector δ_{200,k}."""
+    _fresh_tables(monkeypatch)
+    build(MAX_INDEX, 3)
+    assert list(getattr(numbers, cache)) == [MAX_INDEX]
+    s, S = classical_stirling(MAX_INDEX)
+    at_zero = S[MAX_INDEX] if build is stirling2_deg else [abs(c) for c in s[MAX_INDEX]]
+    for k in range(MAX_INDEX + 1):
+        entry = build(MAX_INDEX, k)
+        assert entry.eval(0) == at_zero[k], k
+        assert entry.eval(1) == (1 if k == MAX_INDEX else 0), k
 
 
 def _raise_on_entry(monkeypatch, nth):
@@ -278,10 +305,11 @@ def _raise_on_entry(monkeypatch, nth):
     monkeypatch.setattr(numbers, "_from_ints", flaky)
 
 
-# The 20th S₂ or bracket entry is the last of row 5; β_6 is the 6th β entry.
+# Only row 8 is built, so the 5th S₂ or bracket entry is the middle of row 8
+# (k = 4); β_6 is the 6th β entry.
 INTERRUPTED_BUILDS = [
-    pytest.param(lambda: stirling2_deg(8, 2), 20, id="stirling2"),
-    pytest.param(lambda: bracket_deg(8, 2), 20, id="bracket"),
+    pytest.param(lambda: stirling2_deg(8, 2), 5, id="stirling2"),
+    pytest.param(lambda: bracket_deg(8, 2), 5, id="bracket"),
     pytest.param(lambda: bernoulli_deg(8), 6, id="bernoulli"),
 ]
 

@@ -176,6 +176,7 @@ def verify_cmd(identity: str, n_max: int, order: int | None, fmt: str) -> bool:
     _require_index(n_max, "--n-max", MAX_INDEX // 2)  # the grids read rows up to 2·n_max
     if order is not None:
         _require_index(order, "--order")  # the t^n/n! coefficient is row n of a family
+    from dataclasses import asdict  # the harness loads dataclasses anyway
     from .identities import verify, verify_all  # only this command needs the harness
 
     try:
@@ -196,7 +197,7 @@ def verify_cmd(identity: str, n_max: int, order: int | None, fmt: str) -> bool:
                 + (["", "", ""] if ce is None else ["; ".join(ce.params), ce.lhs, ce.rhs])
             )
     elif fmt == "json":
-        _echo_json([r.to_json_dict() for r in reports])
+        _echo_json([asdict(r) for r in reports])
     else:
         for r in reports:
             print(f"{r.status.upper():<5} {r.identity:<16} [{r.grid}]")

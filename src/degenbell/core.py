@@ -20,7 +20,8 @@ polynomials never store a trailing zero coefficient, which makes equality
 structural.
 
 Products and sums of products run on integer numerators in one
-multiply-accumulate kernel that computes Σ wᵢ·aᵢ·bᵢ: each operand is
+multiply-accumulate kernel that computes Σ wᵢ·aᵢ·bᵢ: each operand is read
+straight from its stored coefficient tuples, each placed at an offset, and
 brought over its one common denominator, each scalar weight wᵢ becomes an
 integer multiplier and a factor of that term's denominator, all terms are
 brought to one common denominator D (the lcm of theirs) and convolved into
@@ -31,10 +32,9 @@ the weighted sum that series recurrences and the identity harness use
 instead of adding products one at a time.  Plain sums, scalar multiples and
 evaluation work on the coefficients directly; a constant λ-polynomial
 multiplies as the scalar it holds, so a constant factor never reaches the
-kernel.  The types carry
-no calculus: d/dx, the antiderivative and λ → c·λ serve only the identity
-harness and live beside their callers in :mod:`degenbell.identities` and
-:mod:`degenbell.opcalc`.
+kernel.  The types carry no calculus: d/dx, the antiderivative and λ → c·λ
+serve only the identity harness and live beside their callers in
+:mod:`degenbell.identities` and :mod:`degenbell.opcalc`.
 
 The paper's first building block, the generalized factorial
 w(w+s)···(w+(n-1)s), has one builder, :func:`factorials`, which returns the
@@ -54,10 +54,12 @@ display form (``*_pretty``, e.g. ``2λ² - (1/2)λ``) and the ASCII form of csv
 and json cells (``*_to_ascii``, e.g. ``2*lambda^2 - 1/2*lambda``).  A
 notation record gives the spelling of λ, of a power, of a fraction and of
 the coefficient–power product; everything else, term order and signs
-included, is shared.  Both ASCII parsers (``*_from_ascii``) read terms with
-one monomial grammar, ``c``, ``c*v^k`` or ``v^k``, and round-trip the ASCII
-form exactly.  The nested lists of the series JSON schema and ``repr``
-(``to_nested_lists`` / ``from_nested_lists``) round-trip too.
+included, is shared.  Both ASCII parsers (``*_from_ascii``) split terms at
+the top-level `` + `` and `` - `` (``1 + -v`` is refused), read each with one
+monomial grammar, ``c``, ``c*v^k`` or ``v^k``, store an integral coefficient
+they read as an int and round-trip the ASCII form exactly, as the nested lists
+of the series JSON schema and ``repr`` (``to_nested_lists`` /
+``from_nested_lists``) do.
 """
 
 from __future__ import annotations
@@ -91,6 +93,12 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator: {text!r}") from None
 
 
+def _parse_stored(text: str) -> ScalarLike:
+    """``parse_rational``'s value as it is stored: an int when it is integral."""
+    q = parse_rational(text)
+    return q.numerator if q.denominator == 1 else q
+
+
 def format_rational(value: ScalarLike) -> str:
     """Render an int or a Fraction as ``p/q``, omitting ``/q`` when q = 1."""
     return str(value)
@@ -108,28 +116,32 @@ def _as_fraction(value: ScalarLike) -> ScalarLike:
 
 # -- the integer multiply-accumulate kernel ---------------------------
 
-def _cells(coeffs: Sequence[ScalarLike], offset: int) -> list[tuple[int, int, int]]:
-    """(index, numerator, denominator) cells of λ-coefficients placed from ``offset``."""
-    return [(offset + i, c.numerator, c.denominator) for i, c in enumerate(coeffs)]
+def _numerators(operand: list[tuple[int, tuple]]) -> tuple[list[tuple[int, int]], int]:
+    """The nonzero (index, numerator) pairs of an operand over its one common denominator.
 
-
-def _numerators(cells: list) -> tuple[list[tuple[int, int]], int]:
-    """The nonzero (index, numerator) pairs of ``cells`` over their one common denominator."""
-    d = lcm(*[q for _, _, q in cells])
-    return [(i, p * (d // q)) for i, p, q in cells if p], d
+    The operand lists (offset, coefficients) pairs: entry i of a stored
+    ``LambdaPoly.coeffs`` tuple sits at index offset + i."""
+    d = lcm(*[c.denominator for _, coeffs in operand for c in coeffs])
+    pairs = []
+    for offset, coeffs in operand:
+        for i, c in enumerate(coeffs):
+            if c:
+                pairs.append((offset + i, c.numerator * (d // c.denominator)))
+    return pairs, d
 
 
 def _multiply_accumulate(terms: list, size: int, stride: int) -> list["LambdaPoly"]:
-    """Exact Σ w·a·b over ``(w, a, b)`` terms packed as cells, cut to ``size`` indices.
+    """Exact Σ w·a·b over ``(w, a, b)`` terms, cut to ``size`` indices.
 
-    The cells of each operand are in increasing index order and the weight
-    w is an int or a Fraction.  Each operand's coefficients are brought to
-    integer numerators over its one common denominator; w's numerator
-    becomes an integer multiplier and its denominator joins the term's.  All
-    terms are brought to one common denominator D, the lcm of theirs, their
-    numerators are convolved into one int buffer, and each output
-    coefficient becomes one reduced Fraction over D (an int when D = 1).
-    Returns one LambdaPoly per ``stride`` indices.
+    Each operand a or b is a list of (offset, coefficient tuple) pairs in
+    increasing index order, the weight w an int or a Fraction.  Each
+    operand's coefficients are brought to integer numerators over its one
+    common denominator; w's numerator becomes an integer multiplier and its
+    denominator joins the term's.  All terms are brought to one common
+    denominator D, the lcm of theirs, their numerators are convolved into
+    one int buffer, and each output coefficient becomes one reduced Fraction
+    over D (an int when D = 1).  Returns one LambdaPoly per ``stride``
+    indices.
     """
     scaled, dens = [], []
     for w, a, b in terms:
@@ -269,7 +281,7 @@ class LambdaPoly:
         if not a or not b:
             return LP_ZERO
         size = len(a) + len(b) - 1
-        return _multiply_accumulate([(1, _cells(a, 0), _cells(b, 0))], size, size)[0]
+        return _multiply_accumulate([(1, [(0, a)], [(0, b)])], size, size)[0]
 
     __rmul__ = __mul__
 
@@ -433,16 +445,15 @@ def _xpoly_products(terms: Sequence[tuple], count: int) -> list[XPoly]:
     if not packed:
         return [XP_ZERO] * count
     block = rows * stride
-    cells = []
-    for w, a, b in packed:
-        cells_a, cells_b = [], []
-        for out, operand in ((cells_a, a), (cells_b, b)):
-            for n, q in enumerate(operand):
-                for r, p in enumerate(q.coeffs):
-                    out += _cells(p.coeffs, n * block + r * stride)
-        cells.append((w, cells_a, cells_b))
-    polys = _multiply_accumulate(cells, count * block, stride)
+    operands = [(w, _placed(a, block, stride), _placed(b, block, stride)) for w, a, b in packed]
+    polys = _multiply_accumulate(operands, count * block, stride)
     return [XPoly(polys[n * rows : (n + 1) * rows]) for n in range(count)]
+
+
+def _placed(operand: Sequence[XPoly], block: int, stride: int) -> list[tuple[int, tuple]]:
+    """The stored λ-coefficients of each t^n·x^r, each tuple at offset n·block + r·stride."""
+    return [(n * block + r * stride, p.coeffs) for n, q in enumerate(operand)
+            for r, p in enumerate(q.coeffs)]
 
 
 def sum_of_products(terms: Iterable[tuple[ScalarLike, XLike, XLike]]) -> XPoly:
@@ -496,7 +507,7 @@ def to_nested_lists(p: XPoly) -> list[list[str]]:
 
 
 def from_nested_lists(data: Sequence[Sequence[str]]) -> XPoly:
-    return XPoly(LambdaPoly(parse_rational(s) for s in row) for row in data)
+    return XPoly(LambdaPoly(_parse_stored(s) for s in row) for row in data)
 
 
 # -- the two text forms: one renderer, two notations, one monomial grammar --
@@ -611,12 +622,12 @@ _MONOMIAL = {
 }
 
 
-def _read_monomial(term: str, var: str) -> tuple[Fraction, int]:
+def _read_monomial(term: str, var: str) -> tuple[ScalarLike, int]:
     """The (coefficient, power) of one unsigned monomial term in ``var``."""
     m = _MONOMIAL[var].fullmatch(term)
     if m is None:
         raise ValueError(f"cannot parse term {term!r} as a monomial in {var}")
-    value = parse_rational(m["num"]) if m["num"] else 1
+    value = _parse_stored(m["num"]) if m["num"] else 1
     return value, _ascii_exponent(m["pow"], 1 if m["var"] else 0)
 
 
@@ -627,11 +638,8 @@ def lambda_poly_from_ascii(text: str) -> LambdaPoly:
         raise ValueError("empty λ-polynomial expression")
     if s == "0":
         return LP_ZERO
-    acc: dict[int, Fraction] = {}
-    for raw in s.replace(" - ", " + -").split(" + "):
-        term = raw.strip()
-        sign = -1 if term.startswith("-") else 1
-        term = term.removeprefix("-").strip()
+    acc: dict[int, ScalarLike] = {}
+    for sign, term in _split_ascii_terms(s):
         value, power = _read_monomial(term, "lambda")
         acc[power] = acc.get(power, 0) + sign * value
     return LambdaPoly(tuple(acc.get(i, 0) for i in range(max(acc) + 1)))

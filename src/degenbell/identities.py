@@ -105,9 +105,6 @@ class Counterexample:
     lhs: str
     rhs: str
 
-    def to_json_dict(self) -> dict:
-        return {"params": list(self.params), "lhs": self.lhs, "rhs": self.rhs}
-
 
 @dataclass(frozen=True)
 class VerifyReport:
@@ -115,16 +112,6 @@ class VerifyReport:
     grid: str
     status: str  # "pass" | "fail"
     counterexample: Optional[Counterexample]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "grid": self.grid,
-            "status": self.status,
-            "counterexample": (
-                None if self.counterexample is None else self.counterexample.to_json_dict()
-            ),
-        }
 
 
 def _show(value) -> str:

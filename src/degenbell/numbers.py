@@ -22,6 +22,8 @@ Everything here is a polynomial identity in the deformation parameter λ:
 Each table has one route.  s and S are the classical Stirling numbers, s of
 the first kind (signed) and S of the second; one shared store holds both
 integer triangles, and row n of S₂ or of the brackets is built alone from it.
+Row n of S₂ is kept as the XPoly Bel_{n,λ}(x), built once: ``bell_deg``
+returns it as stored and ``stirling2_deg`` reads its x^k coefficient.
 Every entry is an integer λ-coefficient list (β_n over one denominator) that
 becomes a LambdaPoly once, straight from its ints, which are canonical once
 stripped (see :mod:`.core`); only β's coefficients are Fractions.  Indices
@@ -129,28 +131,29 @@ def _classical(n: int) -> list[tuple[list[int], list[int]]]:
     return _CLASSICAL
 
 
-# Row n of S_{2,λ} and of [n k]_λ, each built alone and stored whole under n.
-_STIRLING2: dict[int, tuple[LambdaPoly, ...]] = {}
+# Row n of S_{2,λ}, kept as the XPoly Bel_{n,λ}(x) whose x^k coefficient is
+# S_{2,λ}(n,k), and row n of [n k]_λ; each built alone and stored whole under n.
+_STIRLING2: dict[int, XPoly] = {}
 _BRACKET: dict[int, tuple[LambdaPoly, ...]] = {}
 
 
-def _stirling2_row(n: int) -> tuple[LambdaPoly, ...]:
-    """S_{2,λ}(n,0)…S_{2,λ}(n,n) in closed form."""
+def _stirling2_row(n: int) -> XPoly:
+    """Σ_k S_{2,λ}(n,k)·x^k, its coefficients S_{2,λ}(n,0)…S_{2,λ}(n,n) in closed form."""
     require_index(n, "row index")
     if n not in _STIRLING2:
         classical = _classical(n)
         s = classical[n][0]
-        _STIRLING2[n] = tuple(
+        _STIRLING2[n] = XPoly(tuple(
             _from_ints([s[l] * classical[l][1][k] for l in range(n, k - 1, -1)])
             for k in range(n + 1)
-        )
+        ))
     return _STIRLING2[n]
 
 
 def stirling2_deg(n: int, k: int) -> LambdaPoly:
     """S_{2,λ}(n,k) in closed form; zero outside 0 ≤ k ≤ n."""
     row = _stirling2_row(n)
-    return row[k] if 0 <= k <= n else LP_ZERO
+    return row.coeffs[k] if 0 <= k <= n else LP_ZERO
 
 
 def bracket_deg(n: int, k: int) -> LambdaPoly:
@@ -219,8 +222,8 @@ def bell_gf(order: int) -> Series:
 
 
 def bell_deg(n: int) -> XPoly:
-    """Bel_{n,λ}(x) = Σ_k S_{2,λ}(n,k)·x^k."""
-    return XPoly(_stirling2_row(n))
+    """Bel_{n,λ}(x) = Σ_k S_{2,λ}(n,k)·x^k: row n of the S₂ table, as stored."""
+    return _stirling2_row(n)
 
 
 def bell_dobinski_numeric(n: int, x: float, lam: float, terms: int) -> float:

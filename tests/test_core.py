@@ -32,7 +32,10 @@ from degenbell.core import (
 from degenbell import core
 from degenbell.core import _from_ints
 from degenbell.identities import _x_antiderivative, _x_derivative
-from degenbell.series import Series, egf, series_from_json, series_mul, series_recip_unit
+from degenbell.numbers import bell_gf
+from degenbell.series import (
+    Series, egf, series_from_json, series_json_chunks, series_mul, series_recip_unit,
+)
 
 from oracles import generalized_factorial, padd, pmul, pneg, poly_mul_2d, pstrip
 
@@ -211,6 +214,12 @@ def _as_2d(p: XPoly) -> dict:
 
 
 @given(xpolys, xpolys)
+# Interior zeros, and a Fraction x-row packed beside int rows: the operand's
+# one denominator rescales the int rows too.
+@example(
+    XPoly([[1, 0, 3], [], [Fraction(1, 2), 0, Fraction(-2, 3)]]),
+    XPoly([[0, 2], [5, 0, 0, -7]]),
+)
 def test_xpoly_product_matches_dict_oracle(p, q):
     assert _as_2d(p * q) == poly_mul_2d(_as_2d(p), _as_2d(q))
 
@@ -427,6 +436,50 @@ def test_ascii_parser_rejects_garbage():
     for text in ("x^99999999999", "(1)*x^99999999999", "(lambda^99999999999)*x"):
         with pytest.raises(ValueError, match="exceeds the limit"):
             xpoly_from_ascii(text)
+
+
+def test_parsed_integral_coefficients_are_ints():
+    """The parsers store an integral coefficient as an int, as the core does."""
+    parsed = [
+        lambda_poly_from_ascii("1 - 2*lambda"),
+        lambda_poly_from_ascii("4/2*lambda^2 - 1/2"),
+        *xpoly_from_ascii("(1 - 2*lambda)*x^2 - 6/3*x + 1/3").coeffs,
+        *from_nested_lists([["1", "-2/2", "1/2"], [], ["0", "3"]]).coeffs,
+        *(c for x in series_from_json("".join(series_json_chunks(bell_gf(3)))).coeffs
+          for c in x.coeffs),
+    ]
+    coeffs = [c for p in parsed for c in p.coeffs]
+    assert any(type(c) is Fraction for c in coeffs)
+    for c in coeffs:
+        assert type(c) is (int if c.denominator == 1 else Fraction), c
+
+
+# A leading sign, or one between terms with spaces on both sides, is a sign;
+# any other sign is refused, by both parsers alike.
+SIGN_FORMS = [
+    ("-v", True),
+    ("- v", True),
+    ("1 - v", True),
+    ("-1 - 2*v", True),
+    ("1 + -v", False),
+    ("1 - -v", False),
+    ("1 -v", False),
+    ("1-v", False),
+    ("--v", False),
+    ("-", False),
+    ("1 +", False),
+]
+
+
+@pytest.mark.parametrize("form, accepted", SIGN_FORMS, ids=[form for form, _ in SIGN_FORMS])
+def test_both_parsers_read_signs_alike(form, accepted):
+    lam_text, x_text = form.replace("v", "lambda"), form.replace("v", "x")
+    if accepted:
+        assert xpoly_from_ascii(x_text) == XPoly(lambda_poly_from_ascii(lam_text).coeffs)
+    else:
+        for parse, text in ((lambda_poly_from_ascii, lam_text), (xpoly_from_ascii, x_text)):
+            with pytest.raises(ValueError):
+                parse(text)
 
 
 PARSERS = (

@@ -391,6 +391,16 @@ def test_bell_coefficients_are_the_stirling_row():
             assert b.coeff(k) == stirling2_deg(n, k)
 
 
+def test_bell_is_the_stored_stirling_row():
+    """Bel_n is built once: a warm call returns the stored XPoly, whose x^k
+    coefficient is the very S₂ entry stirling2_deg returns."""
+    for n in range(9):
+        b = bell_deg(n)
+        assert bell_deg(n) is b
+        for k in range(n + 1):
+            assert stirling2_deg(n, k) is b.coeffs[k]
+
+
 def test_bell_at_lambda_zero_counts_partitions():
     for n in range(9):
         assert bell_deg(n).eval(1, 0) == bell_count(n), n

@@ -2,13 +2,17 @@
 
 Three layers, each immutable and exact:
 
-* scalars -- a λ-coefficient is a Python ``int`` or a ``fractions.Fraction``
-  stored reduced with a positive denominator.  Integral values stay ints and
-  no code path turns an int into a Fraction: ``n == Fraction(n)`` and
-  ``hash(n) == hash(Fraction(n))``, so equality, hashing and rendering go by
-  value.  Only true quotients (β, 1/n!, rational λ and x) are Fractions.
-* ``LambdaPoly`` -- dense polynomials in the deformation parameter ``λ``
-  with such coefficients.
+* scalars -- a λ-coefficient reads as a Python ``int`` or a reduced
+  ``fractions.Fraction``.  Integral values are ints, after arithmetic too:
+  ``n == Fraction(n)`` and ``hash(n) == hash(Fraction(n))``, so equality,
+  hashing and rendering go by value.  Only true quotients (β, 1/n!, rational
+  λ and x) are Fractions.
+* ``LambdaPoly`` -- dense polynomials in the deformation parameter ``λ``,
+  stored as FLINT's ``fmpq_poly`` is: a tuple of int numerators over one
+  denominator d ≥ 1, coprime to them.  ``.coeffs`` is the coefficient view,
+  built on first read and kept: the numerator tuple itself when d = 1,
+  otherwise an int where d divides the numerator and a reduced Fraction
+  elsewhere.
 * ``XPoly`` -- dense polynomials in ``x`` whose coefficients are
   ``LambdaPoly`` values.
 
@@ -19,21 +23,22 @@ once.  The zero polynomial is the empty coefficient sequence; nonzero
 polynomials never store a trailing zero coefficient, which makes equality
 structural.
 
-Products and sums of products run on integer numerators in one
-multiply-accumulate kernel that computes Σ wᵢ·aᵢ·bᵢ: each operand is read
-straight from its stored coefficient tuples, each placed at an offset, and
-brought over its one common denominator, each scalar weight wᵢ becomes an
-integer multiplier and a factor of that term's denominator, all terms are
-brought to one common denominator D (the lcm of theirs) and convolved into
-one int buffer, and each output coefficient becomes one reduced Fraction
-over D, or stays an int when D = 1.  ``LambdaPoly``, ``XPoly`` and series
-products (``series_mul``) are its one-term case; :func:`sum_of_products` is
-the weighted sum that series recurrences and the identity harness use
-instead of adding products one at a time.  Plain sums, scalar multiples and
-evaluation work on the coefficients directly; a constant λ-polynomial
-multiplies as the scalar it holds, so a constant factor never reaches the
-kernel.  The types carry no calculus: d/dx, the antiderivative and λ → c·λ
-serve only the identity harness and live beside their callers in
+Products and sums of products run on the stored numerators in one
+multiply-accumulate kernel that computes Σ wᵢ·aᵢ·bᵢ: each operand's
+polynomials, each placed at an offset, are brought over the operand's one
+common denominator (one lcm), each scalar weight wᵢ becomes an integer
+multiplier and a factor of that term's denominator, all terms are brought
+to one common denominator D (the lcm of theirs) and convolved into one int
+buffer, and each output polynomial is its numerators over D divided through
+by their one gcd.  ``LambdaPoly``, ``XPoly`` and series products
+(``series_mul``) are its one-term case; :func:`sum_of_products` is the
+weighted sum that series recurrences and the identity harness use instead
+of adding products one at a time.  Sums, negations and scalar multiples
+work on the stored ints too, with one lcm and one gcd at most; a constant
+λ-polynomial multiplies as the scalar it holds, so a constant factor never
+reaches the kernel.  Evaluation runs Horner over ``.coeffs``.  The types
+carry no calculus: d/dx, the antiderivative and λ → c·λ serve only the
+identity harness and live beside their callers in
 :mod:`degenbell.identities` and :mod:`degenbell.opcalc`.
 
 The paper's first building block, the generalized factorial
@@ -42,12 +47,12 @@ whole prefix k = 0 … n, each product the one before times one linear factor.
 The deformed and classical falling and rising bases, the powers sⁿ and the
 coefficients of e_λ and log_λ are all its prefixes.
 
-Results canonical by construction skip the normalising ``LambdaPoly(...)``: int
-numerators over a positive denominator, stripped on the ints (kernel outputs and
-the :mod:`degenbell.numbers` table rows), stripped sums, negations and nonzero
-scalar multiples.  Over the denominator 1 the int tuple itself is stored; over a
-larger one ``Fraction`` reduces each coefficient.  A sum of ints and reduced
-Fractions is one again, and ``-c`` or a nonzero factor makes no zero.
+Results skip the normalising ``LambdaPoly(...)`` and are stored from their
+ints: kernel outputs, the :mod:`degenbell.numbers` table rows, sums and scalar
+multiples are stripped on the numerators and divided by one gcd when the
+denominator exceeds 1, and a negation is stored as it comes, since ``-c``
+makes no zero and keeps the gcd.  The form is canonical, so ``==`` and
+``hash`` compare the stored pair and never build the view.
 
 Polynomials print in two notations by one renderer per type: the unicode
 display form (``*_pretty``, e.g. ``2λ² - (1/2)λ``) and the ASCII form of csv
@@ -66,7 +71,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 #: The exact scalar that ``parse_rational`` returns and ``eval`` computes.
@@ -116,32 +121,40 @@ def _as_fraction(value: ScalarLike) -> ScalarLike:
 
 # -- the integer multiply-accumulate kernel ---------------------------
 
-def _numerators(operand: list[tuple[int, tuple]]) -> tuple[list[tuple[int, int]], int]:
+def _over(p: "LambdaPoly", d: int) -> Sequence[int]:
+    """The numerators of p over d, a multiple of its denominator."""
+    if p._den == d:
+        return p._num
+    m = d // p._den
+    return [c * m for c in p._num]
+
+
+def _numerators(operand: list[tuple[int, "LambdaPoly"]]) -> tuple[list[tuple[int, int]], int]:
     """The nonzero (index, numerator) pairs of an operand over its one common denominator.
 
-    The operand lists (offset, coefficients) pairs: entry i of a stored
-    ``LambdaPoly.coeffs`` tuple sits at index offset + i."""
-    d = lcm(*[c.denominator for _, coeffs in operand for c in coeffs])
+    The operand lists (offset, LambdaPoly) pairs: coefficient i of the
+    polynomial sits at index offset + i."""
+    d = lcm(*[p._den for _, p in operand])
     pairs = []
-    for offset, coeffs in operand:
-        for i, c in enumerate(coeffs):
+    for offset, p in operand:
+        for i, c in enumerate(_over(p, d)):
             if c:
-                pairs.append((offset + i, c.numerator * (d // c.denominator)))
+                pairs.append((offset + i, c))
     return pairs, d
 
 
 def _multiply_accumulate(terms: list, size: int, stride: int) -> list["LambdaPoly"]:
     """Exact Σ w·a·b over ``(w, a, b)`` terms, cut to ``size`` indices.
 
-    Each operand a or b is a list of (offset, coefficient tuple) pairs in
+    Each operand a or b is a list of (offset, LambdaPoly) pairs in
     increasing index order, the weight w an int or a Fraction.  Each
-    operand's coefficients are brought to integer numerators over its one
-    common denominator; w's numerator becomes an integer multiplier and its
+    operand's stored numerators are brought over its one common
+    denominator; w's numerator becomes an integer multiplier and its
     denominator joins the term's.  All terms are brought to one common
     denominator D, the lcm of theirs, their numerators are convolved into
-    one int buffer, and each output coefficient becomes one reduced Fraction
-    over D (an int when D = 1).  Returns one LambdaPoly per ``stride``
-    indices.
+    one int buffer, and each output polynomial is its numerators over D,
+    divided through by their one gcd.  Returns one LambdaPoly per
+    ``stride`` indices.
     """
     scaled, dens = [], []
     for w, a, b in terms:
@@ -163,47 +176,73 @@ def _multiply_accumulate(terms: list, size: int, stride: int) -> list["LambdaPol
     return [_from_ints(out[start : start + stride], d) for start in range(0, size, stride)]
 
 
-def _canonical(coeffs: tuple[ScalarLike, ...]) -> "LambdaPoly":
-    """The LambdaPoly over ints and reduced Fractions, no trailing zero, not normalised again."""
+# -- the stored form: int numerators over one denominator -------------
+
+def _stored(num: tuple[int, ...], den: int) -> "LambdaPoly":
+    """The LambdaPoly Σ (num[i]/den)·λ^i, stored as given: num has no trailing
+    zero, den ≥ 1 and gcd(den, *num) = 1."""
     poly = object.__new__(LambdaPoly)
-    object.__setattr__(poly, "coeffs", coeffs)
+    poly._num = num
+    poly._den = den
+    poly._view = num if den == 1 else None
     return poly
 
 
-def _from_ints(numerators: list[int], den: int = 1) -> "LambdaPoly":
-    """Σ (numerators[i]/den)·λ^i for a positive ``den``, trailing zeros stripped on the ints.
+def _from_ints(numerators: Sequence[int], den: int = 1) -> "LambdaPoly":
+    """Σ (numerators[i]/den)·λ^i for a positive ``den``, in lowest terms.
 
-    Over ``den`` = 1 the coefficients are the ints themselves; over a larger
-    one each nonzero numerator becomes a reduced Fraction."""
+    Trailing zeros are stripped on the ints, and over ``den`` > 1 the
+    numerators and ``den`` are divided through by their one gcd."""
     end = len(numerators)
     while end and not numerators[end - 1]:
         end -= 1
-    if den == 1:
-        return _canonical(tuple(numerators[:end]))
-    return _canonical(tuple([Fraction(c, den) if c else 0 for c in numerators[:end]]))
+    num = numerators[:end]
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return _stored(tuple(num), den)
+
+
+def _scaled(p: "LambdaPoly", n: int, d: int) -> "LambdaPoly":
+    """p·(n/d) for a nonzero n/d in lowest terms with d ≥ 1."""
+    if n == 1 and d == 1:
+        return p
+    return _from_ints([c * n for c in p._num], p._den * d)
 
 
 class LambdaPoly:
-    """Polynomial in λ with int or Fraction coefficients, index i ↔ λ^i."""
+    """Polynomial in λ with int or Fraction coefficients, index i ↔ λ^i.
 
-    __slots__ = ("coeffs",)
+    Stored as int numerators with no trailing zero over one denominator
+    d ≥ 1, the two coprime, so equal polynomials store equal pairs.
+    ``coeffs`` is the coefficient view: ints where d divides the numerator,
+    reduced Fractions otherwise, and the numerator tuple itself when d = 1.
+    It is read-only, and only :func:`_stored` sets the private slots, once
+    per polynomial (the view: once more, on its first read).
+    """
 
-    coeffs: tuple[ScalarLike, ...]
+    __slots__ = ("_num", "_den", "_view")
 
-    def __init__(self, coeffs: Iterable[ScalarLike] = ()):
+    _num: tuple[int, ...]
+    _den: int
+    _view: tuple[ScalarLike, ...] | None
+
+    def __new__(cls, coeffs: Iterable[ScalarLike] = ()):
         cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        while cs and not cs[-1]:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("LambdaPoly is immutable")
+        # Over the lcm of reduced Fractions' denominators the numerators are coprime to it.
+        d = lcm(*[c.denominator for c in cs])
+        return _stored(tuple([c.numerator * (d // c.denominator) for c in cs]), d)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def const(cls, value: ScalarLike) -> "LambdaPoly":
-        return cls((value,))
+        c = _as_fraction(value)
+        return _from_ints([c.numerator], c.denominator)
 
     @classmethod
     def coerce(cls, value: "LambdaLike") -> "LambdaPoly":
@@ -211,28 +250,38 @@ class LambdaPoly:
             return value
         if isinstance(value, (list, tuple)):
             return cls(value)
-        return cls.const(_as_fraction(value))
+        return cls.const(value)
 
     # -- structure ----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[ScalarLike, ...]:
+        """The coefficients, built on first read and kept."""
+        view = self._view
+        if view is None:
+            d = self._den
+            view = tuple([c // d if c % d == 0 else Fraction(c, d) for c in self._num])
+            self._view = view
+        return view
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     @property
     def degree(self) -> int | None:
         """Degree in λ, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self._num) - 1 if self._num else None
 
     def __eq__(self, other) -> bool:
         if isinstance(other, LambdaPoly):
-            return self.coeffs == other.coeffs
+            return self._den == other._den and self._num == other._num
         if isinstance(other, (int, Fraction)):
             return self == LambdaPoly.coerce(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("LambdaPoly", self.coeffs))
+        return hash(("LambdaPoly", self._num, self._den))
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -244,44 +293,41 @@ class LambdaPoly:
 
     def __add__(self, other: "LambdaLike") -> "LambdaPoly":
         other = LambdaPoly.coerce(other)
-        a, b = self.coeffs, other.coeffs
+        d = self._den
+        if d == other._den:
+            a, b = self._num, other._num
+        else:
+            d = lcm(d, other._den)
+            a, b = _over(self, d), _over(other, d)
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        while out and not out[-1]:
-            out.pop()
-        return _canonical(tuple(out))
+        return _from_ints(out, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LambdaPoly":
-        return _canonical(tuple([-c for c in self.coeffs]))
+        return _stored(tuple([-c for c in self._num]), self._den)
 
     def __sub__(self, other: "LambdaLike") -> "LambdaPoly":
         return self + (-LambdaPoly.coerce(other))
 
     def __mul__(self, other: "LambdaLike") -> "LambdaPoly":
         if isinstance(other, LambdaPoly):
-            if len(self.coeffs) == 1:
-                self, other = other, self.coeffs[0]
-            elif len(other.coeffs) == 1:
-                other = other.coeffs[0]
+            if len(self._num) == 1:
+                self, other = other, self
+            if len(other._num) == 1:
+                return _scaled(self, other._num[0], other._den)
+            if not self._num or not other._num:
+                return LP_ZERO
+            size = len(self._num) + len(other._num) - 1
+            return _multiply_accumulate([(1, [(0, self)], [(0, other)])], size, size)[0]
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
-            if c == 0:
-                return LP_ZERO
-            if c == 1:
-                return self
-            return _canonical(tuple([c * a for a in self.coeffs]))
-        if not isinstance(other, LambdaPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return LP_ZERO
-        size = len(a) + len(b) - 1
-        return _multiply_accumulate([(1, [(0, a)], [(0, b)])], size, size)[0]
+            return _scaled(self, c.numerator, c.denominator) if c else LP_ZERO
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -436,8 +482,8 @@ def _xpoly_products(terms: Sequence[tuple], count: int) -> list[XPoly]:
     packed = []
     for w, a, b in terms:
         a, b = a[:count], b[:count]
-        wa = _width(p.coeffs for q in a for p in q.coeffs)
-        wb = _width(p.coeffs for q in b for p in q.coeffs)
+        wa = _width(p._num for q in a for p in q.coeffs)
+        wb = _width(p._num for q in b for p in q.coeffs)
         if w and wa and wb:
             stride = max(stride, wa + wb - 1)
             rows = max(rows, _width(q.coeffs for q in a) + _width(q.coeffs for q in b) - 1)
@@ -450,9 +496,9 @@ def _xpoly_products(terms: Sequence[tuple], count: int) -> list[XPoly]:
     return [XPoly(polys[n * rows : (n + 1) * rows]) for n in range(count)]
 
 
-def _placed(operand: Sequence[XPoly], block: int, stride: int) -> list[tuple[int, tuple]]:
-    """The stored λ-coefficients of each t^n·x^r, each tuple at offset n·block + r·stride."""
-    return [(n * block + r * stride, p.coeffs) for n, q in enumerate(operand)
+def _placed(operand: Sequence[XPoly], block: int, stride: int) -> list[tuple[int, LambdaPoly]]:
+    """The λ-polynomial of each t^n·x^r, each at offset n·block + r·stride."""
+    return [(n * block + r * stride, p) for n, q in enumerate(operand)
             for r, p in enumerate(q.coeffs)]
 
 

@@ -26,11 +26,11 @@ Row n of S₂ is kept as the XPoly Bel_{n,λ}(x), built once: ``bell_deg``
 returns it as stored and ``stirling2_deg`` reads its x^k coefficient.
 Every entry is an integer λ-coefficient list (β_n over one denominator) that
 becomes a LambdaPoly once, straight from its ints, which are canonical once
-stripped (see :mod:`.core`); only β's coefficients are Fractions.  Indices
-above ``MAX_INDEX`` raise ValueError before anything is built.  Each row (each
-β_n, each classical row) is built in locals and committed whole, so a build
-that raises, even by KeyboardInterrupt, leaves every cache as it was after
-the last complete row.
+stripped and reduced (see :mod:`.core`); only β's coefficients read as
+Fractions.  Indices above ``MAX_INDEX`` raise ValueError before anything is
+built.  Each row (each β_n, each classical row) is built in locals and
+committed whole, so a build that raises, even by KeyboardInterrupt, leaves
+every cache as it was after the last complete row.
 Second routes that cross-check the tables live in :mod:`degenbell.identities`,
 except ``basis_expand``, which the benchmark's layer rows wrap by this name.
 
@@ -101,7 +101,8 @@ def basis_expand(p: XPoly, element: Callable[[int], XPoly]) -> list[LambdaPoly]:
 # ----------------------------------------------------------------------
 
 #: Largest row index n served by the S₂, S₁, bracket, Bel and β builders; their
-#: time and memory grow as n³ (β's as n² Fractions), with figures in the README.
+#: time and memory grow as n³ (β's as n² int numerators over one denominator per
+#: β_n), with figures in the README.
 MAX_INDEX = 200
 #: Most terms ``bell_dobinski_numeric`` sums; the cost of its exact sum grows
 #: steeply with the term count, with figures in the README.

@@ -2,7 +2,7 @@
 exact polynomial layer."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -135,13 +135,13 @@ int_rows = st.lists(st.one_of(st.just(0), st.integers(-50, 50), big_ints), max_s
 @example([0, 0, 0], 1)
 @example([0, 0], 6)
 def test_int_rows_are_canonical(row, den):
-    """Over den 1 the coefficients are the ints; over a larger den every nonzero
-    one is a Fraction (a zero between them is the int 0).  Either way the
+    """Over den 1 the coefficients are the ints; over a larger den each one is
+    an int where den divides it and a Fraction otherwise.  Either way the
     polynomial equals and hashes as the one over the same Fraction values."""
     expect = pstrip(Fraction(c, den) for c in row)
     p = _from_ints(row, den)
     assert p.coeffs == expect
-    assert all(type(c) is (int if den == 1 or not c else Fraction) for c in p.coeffs)
+    assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in p.coeffs)
     same = LambdaPoly(Fraction(c, den) for c in row)
     assert p == same and hash(p) == hash(same)
     if den == 1:
@@ -198,6 +198,59 @@ def test_negation_and_scalar_multiples_are_canonical(p, c):
     for product in (p * c, c * p):
         assert product.coeffs == scaled and hash(product) == hash(LambdaPoly(scaled))
     assert p * 0 == LP_ZERO and p * Fraction(0) == LP_ZERO
+
+
+def test_integral_values_are_ints_after_arithmetic():
+    """A product, a sum or a scalar multiple over a denominator > 1 that comes
+    out integral reads back as an int, not as Fraction(n, 1)."""
+    half = Fraction(1, 2)
+    cases = [
+        (LambdaPoly([half, half]) * LambdaPoly([1, 1]), (half, 1, half)),
+        (LambdaPoly([half]) + LambdaPoly([half]), (1,)),
+        (LambdaPoly([half, 3]) * 2, (1, 6)),
+    ]
+    for p, expect in cases:
+        assert p.coeffs == expect
+        assert [type(c) for c in p.coeffs] == [type(c) for c in expect], p.coeffs
+
+
+def _assert_stored_form(p, expect):
+    """p is stored as coprime int numerators over a positive denominator with no
+    trailing zero, and reads, equals and hashes as the Fraction tuple ``expect``."""
+    num, den = p._num, p._den
+    assert type(den) is int and den >= 1
+    assert all(type(c) is int for c in num)
+    assert gcd(den, *num) == 1
+    assert not num or num[-1] != 0
+    assert p.coeffs == expect
+    same = LambdaPoly(expect)
+    assert p == same and hash(p) == hash(same)
+    assert p.coeffs is p.coeffs
+
+
+@given(st.lists(exact_scalars, max_size=5), int_rows,
+       st.one_of(st.just(1), st.integers(2, 10**6), st.integers(2**500, 2**510)),
+       wide_lpolys, wide_lpolys, exact_scalars.filter(bool), mixed_xpolys)
+@example([True, Fraction(1, 2), 0, False], [0, 6, 0, 3], 6,
+         LambdaPoly([Fraction(1, 2), 1]), LambdaPoly([0, Fraction(1, 2)]), 2, XP_ZERO)
+def test_every_route_stores_the_canonical_form(scalars, row, den, p, q, c, x):
+    """The constructor, _from_ints, the kernel (a product and sum_of_products),
+    sums, negation, scalar multiples and both ASCII parsers all store one form."""
+    _assert_stored_form(LambdaPoly(scalars), pstrip(Fraction(v) for v in scalars))
+    _assert_stored_form(_from_ints(row, den), pstrip(Fraction(v, den) for v in row))
+    pq = pmul(p.coeffs, q.coeffs)
+    _assert_stored_form(p * q, pq)
+    _assert_stored_form(
+        sum_of_products([(c, p, q), (-1, q, LambdaPoly([1, 1]))]).coeff(0),
+        padd(tuple(Fraction(c) * v for v in pq), pneg(pmul(q.coeffs, (1, 1)))),
+    )
+    _assert_stored_form(p + q, padd(p.coeffs, q.coeffs))
+    _assert_stored_form(p - p, ())
+    _assert_stored_form(-p, pneg(p.coeffs))
+    _assert_stored_form(p * c, tuple(Fraction(c) * v for v in p.coeffs))
+    _assert_stored_form(lambda_poly_from_ascii(lambda_poly_to_ascii(p)), p.coeffs)
+    for got, want in zip(xpoly_from_ascii(xpoly_to_ascii(x)).coeffs, x.coeffs):
+        _assert_stored_form(got, want.coeffs)
 
 
 # ----------------------------------------------------------------------

@@ -108,12 +108,12 @@ def table(family: str, n_max: int, lam, fmt: str) -> None:
     k column empty.
     """
     _require_index(n_max, "--n-max")
-    rows: list[tuple[int, int | None, object]]
+    # Each row is built as it is printed, so csv and pretty output stream.
     if family in TRIANGULAR:
         fn = TRIANGULAR[family]
-        rows = [(n, k, fn(n, k)) for n in range(n_max + 1) for k in range(n + 1)]
+        rows = ((n, k, fn(n, k)) for n in range(n_max + 1) for k in range(n + 1))
     else:
-        rows = [(n, None, LINEAR[family](n)) for n in range(n_max + 1)]
+        rows = ((n, None, LINEAR[family](n)) for n in range(n_max + 1))
 
     def cell(value, symbolic=lambda_poly_to_ascii) -> str:
         return symbolic(value) if lam == "sym" else format_rational(value.eval(lam))

@@ -503,7 +503,7 @@ def _placed(operand: Sequence[XPoly], block: int, stride: int) -> list[tuple[int
 
 
 def sum_of_products(terms: Iterable[tuple[ScalarLike, XLike, XLike]]) -> XPoly:
-    """Σ w·a·b over ``(w, a, b)`` terms, exactly, with at most one Fraction per coefficient.
+    """Σ w·a·b over ``(w, a, b)`` terms, exactly, in one kernel call that builds no Fraction.
 
     The weight w is an int or a Fraction; a and b are XPoly, LambdaPoly or
     scalars.  λ-only callers read ``.coeff(0)`` of the result.

@@ -114,26 +114,16 @@ class VerifyReport:
     counterexample: Optional[Counterexample]
 
 
-def _show(value) -> str:
-    """Render any comparable object fully for a counterexample."""
+def _show(value: LambdaPoly | XPoly | ExpExpr | Series) -> str:
+    """Render one side of a case fully for a counterexample."""
     if isinstance(value, LambdaPoly):
         return lambda_poly_pretty(value)
     if isinstance(value, XPoly):
         return xpoly_pretty(value)
     if isinstance(value, ExpExpr):
         return render(value)
-    if isinstance(value, Series):
-        terms = ", ".join(
-            f"t^{n}: {xpoly_pretty(c)}" for n, c in enumerate(value.coeffs)
-        )
-        return f"series[order {value.order}]({terms})"
-    if isinstance(value, dict):  # bivariate normal form
-        keys = sorted(value)
-        terms = ", ".join(
-            f"x^{i}·y^{j}: {lambda_poly_pretty(value[i, j])}" for (i, j) in keys
-        )
-        return f"{{{terms}}}"
-    return str(value)
+    terms = ", ".join(f"t^{n}: {xpoly_pretty(c)}" for n, c in enumerate(value.coeffs))
+    return f"series[order {value.order}]({terms})"
 
 
 def _ce(params: dict, lhs, rhs) -> Counterexample:
@@ -221,18 +211,19 @@ def stirling2_alt_sums(n_max: int) -> list[list[LambdaPoly]]:
 
     Entry [n][k] equals S_{2,λ}(n,k) for n ≥ k and the zero polynomial for
     n < k.  Independent of the recurrence: (j)_{n,λ} comes from one prefix of
-    ``factorials`` per j, and each entry is one sum of products.
+    ``factorials`` per j, read as a series in n, and column k for every n is
+    one combination of those series.
     """
-    falls = [factorials(j, -LP_LAMBDA, n_max) for j in range(n_max + 1)]
-    weights = [
-        [Fraction((-1) ** (k - j) * comb(k, j), factorial(k)) for j in range(k + 1)]
+    falls = [Series(factorials(j, -LP_LAMBDA, n_max)) for j in range(n_max + 1)]
+    columns = [
+        series_combination(
+            ((Fraction((-1) ** (k - j) * comb(k, j), factorial(k)), falls[j])
+             for j in range(k + 1)),
+            n_max,
+        )
         for k in range(n_max + 1)
     ]
-    return [
-        [sum_of_products((w, falls[j][n], 1) for j, w in enumerate(row)).coeff(0)
-         for row in weights]
-        for n in range(n_max + 1)
-    ]
+    return [[column.coeff(n).coeff(0) for column in columns] for n in range(n_max + 1)]
 
 
 def binomial_power_series(base_shift: LambdaLike, exponent: XLike, order: int) -> Series:
@@ -366,21 +357,20 @@ def _cor7(n_max: int, order: int, tb: FamilyTables) -> Cases:
 
 @_identity("thm8", "binomial convolution of Bel(x+y)", "n=0..{n_max} (bivariate x,y)")
 def _thm8(n_max: int, order: int, tb: FamilyTables) -> Cases:
+    """Both sides as series in y (the series' t) over XPoly in x: Σ_k S_{2,λ}(n,k)·(x+y)ᵏ
+    has y^j coefficient Σ_i S_{2,λ}(n,i+j)·C(i+j,i)·xⁱ, and the right side is one
+    combination of the Bel_{n-l,λ}(y) with the constants C(n,l)·Bel_{l,λ}(x)."""
     for n in range(n_max + 1):
-        lhs = {
-            (i, k - i): c
-            for k in range(n + 1)
-            for i in range(k + 1)
-            if (c := tb.stirling2(n, k) * comb(k, i))
-        }
-        # Σ_l C(n,l)·Bel_l[i]·Bel_{n-l}[j] for each x^i·y^j, one sum of products per (i, j)
-        terms: dict[tuple[int, int], list] = {}
-        for l in range(n + 1):
-            bm = tb.bell(n - l).coeffs
-            for i, p in enumerate(tb.bell(l).coeffs):
-                for j, q in enumerate(bm):
-                    terms.setdefault((i, j), []).append((comb(n, l), p, q))
-        rhs = {ij: c for ij, ts in terms.items() if (c := sum_of_products(ts).coeff(0))}
+        lhs = Series(
+            (XPoly(tb.stirling2(n, i + j) * comb(i + j, i) for i in range(n - j + 1))
+             for j in range(n + 1)),
+            order=n,
+        )
+        rhs = series_combination(
+            ((tb.bell(l) * comb(n, l), Series(tb.bell(n - l).coeffs, order=n))
+             for l in range(n + 1)),
+            n,
+        )
         yield {"n": n}, lhs, rhs
 
 

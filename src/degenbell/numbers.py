@@ -90,7 +90,7 @@ def basis_expand(p: XPoly, element: Callable[[int], XPoly]) -> list[LambdaPoly]:
     while not rem.is_zero:
         d = rem.degree
         coeffs[d] = rem.coeff(d)
-        rem = rem - element(d) * XPoly.const(coeffs[d])
+        rem = rem - element(d) * coeffs[d]
         if not rem.is_zero and rem.degree >= d:
             raise AssertionError("basis elimination failed to reduce degree")
     return coeffs

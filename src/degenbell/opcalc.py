@@ -27,9 +27,10 @@ from fractions import Fraction
 from math import prod
 from typing import Iterable
 
-from .core import LP_ONE, LP_ZERO, LambdaLike, LambdaPoly, ScalarLike, XPoly, _as_fraction
+from .core import (LP_ONE, LP_ZERO, LambdaLike, LambdaPoly, ScalarLike, XPoly, _as_fraction,
+                   _from_ints)
 from .core import lambda_poly_pretty
-from .numbers import stirling2_deg
+from .numbers import bell_deg, stirling2_deg
 
 Shape = tuple[Fraction, int, int, int]  # (a, p, m, k): x^(m + kλ) · e^(a·x^p)
 
@@ -169,12 +170,14 @@ def prop10_rhs(n: int, a: ScalarLike, p: int) -> ExpExpr:
     a = _as_fraction(a)
     if a == 0:
         raise ValueError("degenerate exponential argument")
-    # p^n·S_{2,λ/p}(n,k) has λ^i coefficient p^(n-i)·[λ^i]S_{2,λ}(n,k), i ≤ n - k
-    return ExpExpr(
-        ((a, p, p * k, -n),
-         LambdaPoly([c * a**k * p ** (n - i) for i, c in enumerate(stirling2_deg(n, k).coeffs)]))
-        for k in range(n + 1)
-    )
+    # p^n·S_{2,λ/p}(n,k)·a^k has λ^i coefficient p^(n-i)·[λ^i]S_{2,λ}(n,k)·a^k, i ≤ n - k:
+    # the S₂ row's ints times num^k·p^(n-i), over its denominator times den^k
+    terms = []
+    for k, s2 in enumerate(bell_deg(n).coeffs):
+        ak = a.numerator**k
+        row = [c * ak * p ** (n - i) for i, c in enumerate(s2._num)]
+        terms.append(((a, p, p * k, -n), _from_ints(row, s2._den * a.denominator**k)))
+    return ExpExpr(terms)
 
 
 def falling_classical_int(r: int, k: int) -> int:

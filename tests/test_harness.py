@@ -4,7 +4,7 @@ import hashlib
 import json
 from dataclasses import asdict
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -17,6 +17,7 @@ from degenbell.identities import (
     FamilyTables,
     VerifyReport,
     _lemma1,
+    _thm8,
     _thm12_rhs,
     binomial_power_series,
     verify,
@@ -30,6 +31,8 @@ from degenbell.series import (
     series_exp,
     series_mul,
 )
+
+from oracles import stirling2_deg_rows
 
 
 def test_catalog_has_the_full_roster():
@@ -158,7 +161,7 @@ def test_bump_reports_match_recorded_digest(bump_reports):
     assert len(reports) == 21 * 29
     assert sum(r["status"] == "fail" for r in reports) == 420
     digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
-    assert digest == "2051478d302833fb4096e2e56159a4e4b54960b54329a2b4b887b521a5161b60"
+    assert digest == "95fd7524fda71c3bbf978f7088ff3ab8597acab8fbde745db2b0574b5a493e1c"
 
 
 def test_lemma1_left_side_is_the_derivative_times_the_unit():
@@ -183,6 +186,21 @@ def test_every_single_entry_bump_fails_lemma1_at_the_bumped_n():
             report = verify("lemma1", 6, tables=FamilyTables.with_bump(n, k))
             assert report.status == "fail", (n, k)
             assert report.counterexample.params == (f"n={n}", "a=1"), (n, k)
+
+
+def test_thm8_sides_match_the_recurrence_oracle():
+    """Both sides' y^j coefficient is Σ_i S_{2,λ}(n,i+j)·C(i+j,i)·xⁱ, S₂ by its recurrence."""
+    rows = stirling2_deg_rows(6)
+    for n, (params, lhs, rhs) in enumerate(_thm8(6, 12, FamilyTables())):
+        assert params == {"n": n}
+        for side in (lhs, rhs):
+            assert side.order == n
+            for j in range(n + 1):
+                expected = [
+                    tuple(c * comb(i + j, i) for c in rows[n][i + j]) for i in range(n - j + 1)
+                ]
+                assert [p.coeffs for p in side.coeff(j).coeffs] == expected, (n, j)
+    assert n == 6
 
 
 def _thm12_rhs_per_j(bell_egf: Series, m: int, weighted: list) -> Series:

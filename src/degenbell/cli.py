@@ -27,7 +27,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import NoReturn
+from typing import Iterator, NoReturn
 
 from . import __version__
 from .core import (
@@ -211,8 +211,8 @@ def verify_cmd(identity: str, n_max: int, order: int | None, fmt: str) -> bool:
 
 # -- series ------------------------------------------------------------
 
-def _pretty_series(s: Series) -> str:
-    parts: list[str] = []
+def _pretty_series(s: Series) -> Iterator[str]:
+    """The nonzero terms of the pretty form, each as it is made."""
     for n in range(s.order + 1):
         c = s.egf_coeff(n)
         if c.is_zero:
@@ -227,8 +227,7 @@ def _pretty_series(s: Series) -> str:
             term = coeff_part.rstrip("·") or "1"
         else:
             term = coeff_part + PRETTY.power("t", n) + ("" if n == 1 else f"/{n}!")
-        parts.append(term)
-    return " + ".join(parts) if parts else "0"
+        yield term
 
 
 def series_cmd(which: str, order: int, fmt: str) -> None:
@@ -249,7 +248,11 @@ def series_cmd(which: str, order: int, fmt: str) -> None:
         for n in range(s.order + 1):
             w.writerow([n, xpoly_to_ascii(s.coeff(n))])
     else:
-        print(_pretty_series(s))
+        sep = ""
+        for term in _pretty_series(s):
+            sys.stdout.write(sep + term)
+            sep = " + "
+        print("" if sep else "0")
 
 
 # -- the parser --------------------------------------------------------
@@ -318,6 +321,11 @@ def main(args: list[str] | None = None, prog_name: str | None = None,
     """
     options = vars(_PARSER.parse_args(args))
     run = options.pop("run")
+    # Parsed input keeps the interpreter's digit limit; exact results of any
+    # size print (the limit and its setter exist from 3.10.7 on).
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         failed = run(**options)
         sys.stdout.flush()
@@ -326,6 +334,9 @@ def main(args: list[str] | None = None, prog_name: str | None = None,
         # interpreter's last flush cannot fail, and exit 1 without a traceback.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
     if failed:
         sys.exit(1)
 

@@ -6,10 +6,12 @@ Everything here is a polynomial identity in the deformation parameter λ:
   (x)_{n,λ} = x(x-λ)···(x-(n-1)λ) and ⟨x⟩_{n,λ}, by one iterative cached
   product: :func:`~degenbell.core.factorials` of x with step -λ or λ.
 * ``stirling2_deg`` -- S_{2,λ}(n,k), connecting (x)_{n,λ} to the classical
-  falling factorials: its λ^d coefficient is s(n,n-d)·S(n-d,k).
-* ``bracket_deg`` -- [n k]_λ, connecting ⟨x⟩_n to the deformed rising
-  factorials: its λ^d coefficient is (-1)^{n-k}·s(n,k+d)·S(k+d,k).
-* ``stirling1_deg`` -- S_{1,λ}(n,k) = (-1)^{n-k}[n k]_λ, the inverse of S₂.
+  falling factorials: its λ^{n-l} coefficient is s(n,l)·S(l,k).
+* ``stirling1_deg`` -- S_{1,λ}(n,k), the inverse of S₂: its λ^{l-k}
+  coefficient is the same s(n,l)·S(l,k), so S_{1,λ}(n,k) = λ^{n-k}·S_{2,1/λ}(n,k)
+  is the S₂ entry with its coefficients reversed.
+* ``bracket_deg`` -- [n k]_λ = (-1)^{n-k}·S_{1,λ}(n,k), connecting ⟨x⟩_n to
+  the deformed rising factorials.
 * ``bernoulli_deg`` -- β_{n,λ}, the coefficients of t/(e_λ(t)-1), in closed
   form over the classical Bernoulli numbers and the signed Stirling numbers
   of the first kind; ``bernoulli_gf``, that generating function, is read from
@@ -21,16 +23,18 @@ Everything here is a polynomial identity in the deformation parameter λ:
 
 Each table has one route.  s and S are the classical Stirling numbers, s of
 the first kind (signed) and S of the second; one shared store holds both
-integer triangles, and row n of S₂ or of the brackets is built alone from it.
-Row n of S₂ is kept as the XPoly Bel_{n,λ}(x), built once: ``bell_deg``
-returns it as stored and ``stirling2_deg`` reads its x^k coefficient.
-Every entry is an integer λ-coefficient list (β_n over one denominator) that
-becomes a LambdaPoly once, straight from its ints, which are canonical once
-stripped and reduced (see :mod:`.core`); only β's coefficients read as
-Fractions.  Indices above ``MAX_INDEX`` raise ValueError before anything is
-built.  Each row (each β_n, each classical row) is built in locals and
-committed whole, so a build that raises, even by KeyboardInterrupt, leaves
-every cache as it was after the last complete row.
+integer triangles, and row n of S₂ is built alone from it.  That row is the
+one λ-triangle: ``bell_deg`` builds it once and returns it as the XPoly
+Bel_{n,λ}(x), ``stirling2_deg`` reads its x^k coefficient, and S₁ and the
+brackets read that coefficient backwards in λ.
+Every stored entry is an integer λ-coefficient list (β_n over one
+denominator) that becomes a LambdaPoly once, straight from its ints, which are
+canonical once stripped and reduced (see :mod:`.core`); an S₁ or bracket entry
+is made the same way on each read.  Only β's coefficients read as Fractions.
+Indices above ``MAX_INDEX`` raise ValueError before anything is built.  Each
+row (each β_n, each classical row) is built in locals and committed whole, so
+a build that raises, even by KeyboardInterrupt, leaves every cache as it was
+after the last complete row.
 Second routes that cross-check the tables live in :mod:`degenbell.identities`,
 except ``basis_expand``, which the benchmark's layer rows wrap by this name.
 
@@ -133,13 +137,13 @@ def _classical(n: int) -> list[tuple[list[int], list[int]]]:
 
 
 # Row n of S_{2,λ}, kept as the XPoly Bel_{n,λ}(x) whose x^k coefficient is
-# S_{2,λ}(n,k), and row n of [n k]_λ; each built alone and stored whole under n.
+# S_{2,λ}(n,k); each built alone and stored whole under n.  The one λ-triangle:
+# S₁ and the brackets read it backwards in λ.
 _STIRLING2: dict[int, XPoly] = {}
-_BRACKET: dict[int, tuple[LambdaPoly, ...]] = {}
 
 
-def _stirling2_row(n: int) -> XPoly:
-    """Σ_k S_{2,λ}(n,k)·x^k, its coefficients S_{2,λ}(n,0)…S_{2,λ}(n,n) in closed form."""
+def bell_deg(n: int) -> XPoly:
+    """Bel_{n,λ}(x) = Σ_k S_{2,λ}(n,k)·x^k: row n of the S₂ table in closed form, as stored."""
     require_index(n, "row index")
     if n not in _STIRLING2:
         classical = _classical(n)
@@ -153,27 +157,19 @@ def _stirling2_row(n: int) -> XPoly:
 
 def stirling2_deg(n: int, k: int) -> LambdaPoly:
     """S_{2,λ}(n,k) in closed form; zero outside 0 ≤ k ≤ n."""
-    row = _stirling2_row(n)
-    return row.coeffs[k] if 0 <= k <= n else LP_ZERO
-
-
-def bracket_deg(n: int, k: int) -> LambdaPoly:
-    """[n k]_λ, the coefficient of ⟨x⟩_{k,λ} in ⟨x⟩_n, in closed form; 0 unless 0 ≤ k ≤ n."""
-    require_index(n, "row index")
-    if n not in _BRACKET:
-        classical = _classical(n)
-        s = classical[n][0]
-        signed = (s, [-c for c in s])  # (-1)^{n-j}·s(n,·) sits at (n - j) % 2
-        _BRACKET[n] = tuple(
-            _from_ints([signed[(n - j) % 2][l] * classical[l][1][j] for l in range(j, n + 1)])
-            for j in range(n + 1)
-        )
-    return _BRACKET[n][k] if 0 <= k <= n else LP_ZERO
+    return bell_deg(n).coeff(k)
 
 
 def stirling1_deg(n: int, k: int) -> LambdaPoly:
-    """S_{1,λ}(n,k) = (-1)^{n-k}·[n k]_λ: coefficient of (x)_{k,λ} in (x)_n."""
-    c = bracket_deg(n, k)
+    """S_{1,λ}(n,k), the coefficient of (x)_{k,λ} in (x)_n: λ^{n-k}·S_{2,1/λ}(n,k)."""
+    # Canonical as reversed: an S₂ entry is ints over 1 that start with S(n,k) and
+    # end with s(n,k), both nonzero for 1 ≤ k ≤ n (k = 0 < n gives zero).
+    return _from_ints(stirling2_deg(n, k).coeffs[::-1])
+
+
+def bracket_deg(n: int, k: int) -> LambdaPoly:
+    """[n k]_λ = (-1)^{n-k}·S_{1,λ}(n,k), the coefficient of ⟨x⟩_{k,λ} in ⟨x⟩_n."""
+    c = stirling1_deg(n, k)
     return c if (n - k) % 2 == 0 else -c
 
 
@@ -220,11 +216,6 @@ def bell_gf(order: int) -> Series:
     """
     _require_nonneg(order, "order")
     return egf(bell_deg(n) for n in range(order + 1))
-
-
-def bell_deg(n: int) -> XPoly:
-    """Bel_{n,λ}(x) = Σ_k S_{2,λ}(n,k)·x^k: row n of the S₂ table, as stored."""
-    return _stirling2_row(n)
 
 
 def bell_dobinski_numeric(n: int, x: float, lam: float, terms: int) -> float:

@@ -17,14 +17,13 @@ application stays polynomial — no rational functions ever appear.
 ``LambdaPoly`` coefficient, held as a tuple of ``(shape, coeff)`` pairs:
 merged per shape, free of zero coefficients and sorted by shape, which
 makes equality structural and rendering deterministic.  A zero
-exponential is stored as p = 1.  ``falling_classical_int`` lives here
-because only ``theorem11_apply_monomial`` uses it.
+exponential is stored as p = 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import perm
 from typing import Iterable
 
 from .core import (LP_ONE, LP_ZERO, LambdaLike, LambdaPoly, ScalarLike, XPoly, _as_fraction,
@@ -180,18 +179,13 @@ def prop10_rhs(n: int, a: ScalarLike, p: int) -> ExpExpr:
     return ExpExpr(terms)
 
 
-def falling_classical_int(r: int, k: int) -> int:
-    """(r)_k = r(r-1)···(r-k+1) for integer r and k ≥ 0; zero when 0 ≤ r < k."""
-    return prod(range(r, r - k, -1))
-
-
 def theorem11_apply_monomial(n: int, r: int) -> ExpExpr:
-    """Σ_k S_{2,λ}(n,k)·(r)_k · x^(r - nλ): the operator-expansion route for f = x^r."""
+    """Σ_k S_{2,λ}(n,k)·(r)_k · x^(r - nλ): the operator-expansion route for f = x^r.
+
+    (r)_k is ``perm(r, k)``, zero for k > r."""
     if n < 0 or r < 0:
         raise ValueError("indices must be nonnegative")
-    coeff = sum(
-        (stirling2_deg(n, k) * falling_classical_int(r, k) for k in range(n + 1)), LP_ZERO
-    )
+    coeff = sum((stirling2_deg(n, k) * perm(r, k) for k in range(n + 1)), LP_ZERO)
     return ExpExpr.monomial(r, -n, coeff)
 
 

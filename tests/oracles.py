@@ -142,6 +142,15 @@ def stirling1_deg_rows(n_max: int) -> list[list[Poly]]:
     return _three_term_rows(n_max, lambda n, k: (Fraction(1 - n), Fraction(k)))
 
 
+def bell_deg_at(n: int, x: Fraction, lam: Fraction) -> Fraction:
+    """Bel_{n,λ}(x) = Σ_k S_{2,λ}(n,k)·x^k at rational x and λ, from the recurrence rows."""
+    return sum(
+        (sum(c * lam**d for d, c in enumerate(entry)) * x**k
+         for k, entry in enumerate(stirling2_deg_rows(n)[n])),
+        Fraction(0),
+    )
+
+
 def gregory(n_max: int) -> list[Fraction]:
     """G_0..G_{n_max} with t/log(1+t) = Σ G_m t^m, by inverting log(1+t)/t."""
     a = [Fraction((-1) ** m, m + 1) for m in range(n_max + 1)]

@@ -33,6 +33,7 @@ from degenbell.numbers import (
 from degenbell.series import e_lambda_series, log_lambda_series, series_from_json
 
 from cli_runner import invoke
+from oracles import bell_deg_at
 
 
 # ----------------------------------------------------------------------
@@ -264,6 +265,25 @@ def test_eval_dobinski_refuses_too_few_terms_with_one_line():
         assert result.stderr == (
             f"Error: {terms} Dobinski terms cannot certify 1e-9 at x = 30; use more terms\n"
         )
+
+
+def test_eval_prints_exact_values_past_the_digit_limit():
+    """Bel_{30,1/3}(10^150) has about 4,500 digits, more than the interpreter
+    converts to text by default: it prints exactly, and the limit is the same
+    after the command as before.  A --x past the limit is still refused."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    result = invoke("eval", 30, "--x", 10**150, "--lambda", "1/3")
+    assert (result.exit_code, limit()) == (0, before)
+    expected = bell_deg_at(30, Fraction(10**150), Fraction(1, 3))
+    if before is not None:
+        assert invoke("eval", 3, "--x", "7" * 5000, "--lambda", "1/3").exit_code == 2
+        sys.set_int_max_str_digits(0)
+    try:
+        assert result.stdout == f"{expected}\n"
+    finally:
+        if before is not None:
+            sys.set_int_max_str_digits(before)
 
 
 def test_eval_rejects_bad_input():

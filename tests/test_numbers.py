@@ -32,7 +32,6 @@ from degenbell.numbers import (
     stirling1_deg,
     stirling2_deg,
 )
-from degenbell.opcalc import falling_classical_int
 from degenbell.series import (
     Series,
     e_lambda_series,
@@ -92,13 +91,6 @@ def test_deformed_factorials_specialize_to_classical_at_lambda_one():
         for x0 in (Fraction(3), Fraction(-2), Fraction(5, 2)):
             assert falling_deg(n).eval(x0, 1) == falling_classical(n).eval(x0, 0)
             assert rising_deg(n).eval(x0, 1) == rising_classical(n).eval(x0, 0)
-    assert falling_classical_int(5, 3) == 60
-    assert falling_classical_int(2, 5) == 0
-
-
-@given(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=10))
-def test_falling_classical_int_matches_xpoly(r, k):
-    assert falling_classical_int(r, k) == falling_classical(k).eval(r, 0)
 
 
 def test_factorial_builders_need_no_recursion_depth():
@@ -235,6 +227,15 @@ def test_big_tables_match_three_term_recurrences():
         assert bernoulli_deg(n).coeffs == closed[n] == inverted[n], n
 
 
+def test_first_kind_oracle_is_second_kind_reversed_in_lambda():
+    """S_{1,λ}(n,k) = λ^{n-k}·S_{2,1/λ}(n,k), on the two recurrence oracles alone:
+    each S₁ row entry is the S₂ entry's coefficients reversed, already stripped."""
+    s2, s1 = stirling2_deg_rows(40), stirling1_deg_rows(40)
+    for n in range(41):
+        for k in range(n + 1):
+            assert s1[n][k] == s2[n][k][::-1], (n, k)
+
+
 def test_out_of_range_and_errors():
     assert stirling2_deg(3, 5).is_zero
     assert stirling1_deg(0, 0) == LP_ONE
@@ -247,7 +248,7 @@ def test_out_of_range_and_errors():
 
 def _cache_sizes():
     return tuple(len(cache) for cache in (
-        numbers._STIRLING2, numbers._BRACKET, numbers._BETA, numbers._CLASSICAL
+        numbers._STIRLING2, numbers._BETA, numbers._CLASSICAL
     ))
 
 
@@ -267,23 +268,23 @@ def test_builders_refuse_indices_above_the_limit():
 
 
 def _fresh_tables(monkeypatch):
-    """Empty S₂, bracket, β and classical caches for this test; the shared ones come back after."""
+    """Empty S₂, β and classical caches for this test; the shared ones come back after."""
     monkeypatch.setattr(numbers, "_STIRLING2", {})
-    monkeypatch.setattr(numbers, "_BRACKET", {})
     monkeypatch.setattr(numbers, "_BETA", numbers._BETA[:1])
     monkeypatch.setattr(numbers, "_CLASSICAL", numbers._CLASSICAL[:1])
 
 
-@pytest.mark.parametrize("build, cache", [
-    pytest.param(stirling2_deg, "_STIRLING2", id="stirling2"),
-    pytest.param(bracket_deg, "_BRACKET", id="bracket"),
+@pytest.mark.parametrize("build", [
+    pytest.param(stirling2_deg, id="stirling2"),
+    pytest.param(bracket_deg, id="bracket"),
 ])
-def test_a_row_is_built_alone_by_its_closed_form(monkeypatch, build, cache):
-    """Row 200 alone, from empty caches; at λ = 0 it is the classical row
-    (S(200, ·), or |s(200, ·)| for the brackets), at λ = 1 the unit vector δ_{200,k}."""
+def test_a_row_is_built_alone_by_its_closed_form(monkeypatch, build):
+    """Row 200 alone, from empty caches: S₂ row 200 and nothing else, also for
+    the brackets, which read it backwards in λ.  At λ = 0 the row is the classical
+    one (S(200, ·), or |s(200, ·)| for the brackets), at λ = 1 the unit vector δ_{200,k}."""
     _fresh_tables(monkeypatch)
     build(MAX_INDEX, 3)
-    assert list(getattr(numbers, cache)) == [MAX_INDEX]
+    assert list(numbers._STIRLING2) == [MAX_INDEX]
     s, S = classical_stirling(MAX_INDEX)
     at_zero = S[MAX_INDEX] if build is stirling2_deg else [abs(c) for c in s[MAX_INDEX]]
     for k in range(MAX_INDEX + 1):
@@ -305,22 +306,24 @@ def _raise_on_entry(monkeypatch, nth):
     monkeypatch.setattr(numbers, "_from_ints", flaky)
 
 
-# Only row 8 is built, so the 5th S₂ or bracket entry is the middle of row 8
-# (k = 4); β_6 is the 6th β entry.
+# Only row 8 is built, so the 5th entry of an S₂ row, which a bracket read
+# builds too, is the middle of row 8 (k = 4); β_6 is the 6th β entry.  The
+# interrupted store keeps the rows it had: none, or β_0…β_5.
 INTERRUPTED_BUILDS = [
-    pytest.param(lambda: stirling2_deg(8, 2), 5, id="stirling2"),
-    pytest.param(lambda: bracket_deg(8, 2), 5, id="bracket"),
-    pytest.param(lambda: bernoulli_deg(8), 6, id="bernoulli"),
+    pytest.param(lambda: stirling2_deg(8, 2), 5, "_STIRLING2", 0, id="stirling2"),
+    pytest.param(lambda: bracket_deg(8, 2), 5, "_STIRLING2", 0, id="bracket"),
+    pytest.param(lambda: bernoulli_deg(8), 6, "_BETA", 6, id="bernoulli"),
 ]
 
 
-@pytest.mark.parametrize("build, nth", INTERRUPTED_BUILDS)
-def test_an_interrupted_build_keeps_only_whole_rows(monkeypatch, build, nth):
+@pytest.mark.parametrize("build, nth, store, kept", INTERRUPTED_BUILDS)
+def test_an_interrupted_build_keeps_only_whole_rows(monkeypatch, build, nth, store, kept):
     _fresh_tables(monkeypatch)
     with monkeypatch.context() as patch:
         _raise_on_entry(patch, nth)
         with pytest.raises(KeyboardInterrupt):
             build()
+    assert len(getattr(numbers, store)) == kept
     s2, s1 = stirling2_deg_rows(10), stirling1_deg_rows(10)
     for n in range(11):
         for k in range(n + 1):

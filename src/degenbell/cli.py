@@ -21,7 +21,6 @@ the operator calculus) is imported inside ``verify``.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import re
@@ -50,11 +49,25 @@ LINEAR = {"bernoulli": bernoulli_deg, "bell": lambda n: bell_deg(n).eval_x(1)}
 SERIES = {"elam": lambda order: e_lambda_series(1, order), "loglam": log_lambda_series,
           "bellgf": bell_gf, "bernoulligf": bernoulli_gf}
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+# A quoted or bare word of more than 40 characters, such as a long argument in a refusal.
+_LONG_WORD_RE = re.compile(
+    r"'(?P<single>[^']{41,})'|\"(?P<double>[^\"]{41,})\"|(?P<bare>[^\s'\"]{41,})")
+# A csv cell is quoted when it holds one of these.
+_CSV_QUOTED_RE = re.compile(r'[,"\r\n]')
+
+
+def _bounded(word: re.Match) -> str:
+    """A long word as its first 20 characters, ``…`` and its length, in its quotes."""
+    quote = "'" if word["single"] else '"' if word["double"] else ""
+    text = word["single"] or word["double"] or word["bare"]
+    return f"{quote}{text[:20]}…{quote} ({len(text)} characters)"
 
 
 def _refuse(message: str) -> NoReturn:
-    """Exit 2 with one ``Error:`` line on stderr, also when an argument quoted in it has one."""
-    sys.stderr.write(f"Error: {' '.join(message.splitlines())}\n")
+    """Exit 2 with one ``Error:`` line on stderr, also when an argument quoted in it has
+    one; an argument over 40 characters is shown by its start and its length."""
+    message = _LONG_WORD_RE.sub(_bounded, " ".join(message.splitlines()))
+    sys.stderr.write(f"Error: {message}\n")
     sys.exit(2)
 
 
@@ -90,8 +103,17 @@ def _require_index(n: int, what: str, limit: int = MAX_INDEX) -> None:
         _refuse(f"{what} {n} exceeds the limit {limit}")
 
 
-def _csv_writer():
-    return csv.writer(sys.stdout, lineterminator="\n")
+def _csv_row(*cells: object) -> str:
+    """One csv line of the cells' ``str``, as ``csv.writer(lineterminator="\\n")`` writes a
+    row of two or more: a cell that holds ``,``, ``"`` or a line break is quoted, its
+    ``"`` doubled.  A carriage return is quoted on every Python, so the row reads back."""
+    out = []
+    for cell in cells:
+        text = str(cell)
+        if _CSV_QUOTED_RE.search(text):
+            text = '"' + text.replace('"', '""') + '"'
+        out.append(text)
+    return ",".join(out) + "\n"
 
 
 def _echo_json(payload) -> None:
@@ -119,10 +141,9 @@ def table(family: str, n_max: int, lam, fmt: str) -> None:
         return symbolic(value) if lam == "sym" else format_rational(value.eval(lam))
 
     if fmt == "csv":
-        w = _csv_writer()
-        w.writerow(["n", "k", "value"])
+        sys.stdout.write(_csv_row("n", "k", "value"))
         for n, k, value in rows:
-            w.writerow([n, "" if k is None else k, cell(value)])
+            sys.stdout.write(_csv_row(n, "" if k is None else k, cell(value)))
     elif fmt == "json":
         _echo_json({
             "family": family,
@@ -155,7 +176,7 @@ def eval_cmd(n: int, x: Rational, lam: Rational, dobinski_terms: int | None, fmt
         if approx is not None:
             header += ["dobinski_terms", "dobinski"]
             row += [dobinski_terms, repr(approx)]
-        _csv_writer().writerows([header, row])
+        sys.stdout.write(_csv_row(*header) + _csv_row(*row))
     elif fmt == "json":
         payload = {"n": n, "x": format_rational(x), "lambda": format_rational(lam),
                    "value": format_rational(value)}
@@ -188,14 +209,13 @@ def verify_cmd(identity: str, n_max: int, order: int | None, fmt: str) -> bool:
         _refuse(str(exc))
 
     if fmt == "csv":
-        w = _csv_writer()
-        w.writerow(["identity", "grid", "status", "params", "lhs", "rhs"])
+        sys.stdout.write(_csv_row("identity", "grid", "status", "params", "lhs", "rhs"))
         for r in reports:
             ce = r.counterexample
-            w.writerow(
-                [r.identity, r.grid, r.status]
-                + (["", "", ""] if ce is None else ["; ".join(ce.params), ce.lhs, ce.rhs])
-            )
+            sys.stdout.write(_csv_row(
+                r.identity, r.grid, r.status,
+                *(["", "", ""] if ce is None else ["; ".join(ce.params), ce.lhs, ce.rhs]),
+            ))
     elif fmt == "json":
         _echo_json([asdict(r) for r in reports])
     else:
@@ -243,10 +263,9 @@ def series_cmd(which: str, order: int, fmt: str) -> None:
             sys.stdout.write(chunk)
         sys.stdout.write("\n")
     elif fmt == "csv":
-        w = _csv_writer()
-        w.writerow(["n", "value"])
+        sys.stdout.write(_csv_row("n", "value"))
         for n in range(s.order + 1):
-            w.writerow([n, xpoly_to_ascii(s.coeff(n))])
+            sys.stdout.write(_csv_row(n, xpoly_to_ascii(s.coeff(n))))
     else:
         sep = ""
         for term in _pretty_series(s):

@@ -230,11 +230,22 @@ class LambdaPoly:
     _view: tuple[ScalarLike, ...] | None
 
     def __new__(cls, coeffs: Iterable[ScalarLike] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
+        # One pass reads each coefficient as an int or a reduced Fraction and
+        # takes the lcm d of the denominators; all-int input is stored as read.
+        cs, d = [], 1
+        for c in coeffs:
+            if type(c) is not int:
+                c = _as_fraction(c)
+                if c.denominator == 1:
+                    c = c.numerator
+                else:
+                    d = lcm(d, c.denominator)
+            cs.append(c)
         while cs and not cs[-1]:
             cs.pop()
+        if d == 1:
+            return _stored(tuple(cs), 1)
         # Over the lcm of reduced Fractions' denominators the numerators are coprime to it.
-        d = lcm(*[c.denominator for c in cs])
         return _stored(tuple([c.numerator * (d // c.denominator) for c in cs]), d)
 
     # -- constructors -------------------------------------------------

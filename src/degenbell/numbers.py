@@ -22,19 +22,21 @@ Everything here is a polynomial identity in the deformation parameter λ:
   Dobinski-style numeric evaluator.
 
 Each table has one route.  s and S are the classical Stirling numbers, s of
-the first kind (signed) and S of the second; one shared store holds both
-integer triangles, and row n of S₂ is built alone from it.  That row is the
-one λ-triangle: ``bell_deg`` builds it once and returns it as the XPoly
-Bel_{n,λ}(x), ``stirling2_deg`` reads its x^k coefficient, and S₁ and the
-brackets read that coefficient backwards in λ.
-Every stored entry is an integer λ-coefficient list (β_n over one
-denominator) that becomes a LambdaPoly once, straight from its ints, which are
-canonical once stripped and reduced (see :mod:`.core`); an S₁ or bracket entry
-is made the same way on each read.  Only β's coefficients read as Fractions.
-Indices above ``MAX_INDEX`` raise ValueError before anything is built.  Each
-row (each β_n, each classical row) is built in locals and committed whole, so
-a build that raises, even by KeyboardInterrupt, leaves every cache as it was
-after the last complete row.
+the first kind (signed) and S of the second, kept as int triangles: s by rows,
+which β and the S₂ rows read, and S by columns, which only the S₂ rows read.
+Row n of S₂ is built alone from them.  That row is the one λ-triangle:
+``bell_deg`` builds it once and returns it as the XPoly Bel_{n,λ}(x),
+``stirling2_deg`` reads its x^k coefficient, and S₁ and the brackets read that
+coefficient backwards in λ.
+Every entry is an integer λ-coefficient list (β_n over one denominator) that
+becomes a LambdaPoly once, from its ints (see :mod:`.core`).  An S₂ entry, and
+an S₁ or bracket entry made from it on each read, is already canonical and is
+stored as built; β_n is stripped and reduced once.  Only β's coefficients read
+as Fractions.  Indices above ``MAX_INDEX`` raise ValueError before anything is
+built.  Each S₂ row, each β_n and each s row is built in locals and committed
+whole, and each S column grows by one commit at a time in increasing k, so a
+build that raises, even by KeyboardInterrupt, leaves every row store as it was
+after the last complete row and every S column a correct prefix.
 Second routes that cross-check the tables live in :mod:`degenbell.identities`,
 except ``basis_expand``, which the benchmark's layer rows wrap by this name.
 
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, isfinite, lcm, prod
+from operator import mul
 from typing import Callable
 
 from .core import (
@@ -58,6 +61,7 @@ from .core import (
     XPoly,
     _from_ints,
     _require_nonneg,
+    _stored,
     factorials,
 )
 from .series import Series, egf
@@ -120,20 +124,29 @@ def require_index(n: int, what: str = "index") -> None:
         raise ValueError(f"{what} {n} exceeds the limit {MAX_INDEX}")
 
 
-# _CLASSICAL[n] is (s(n,0)…s(n,n), S(n,0)…S(n,n)) as ints, s signed as above.
-_CLASSICAL: list[tuple[list[int], list[int]]] = [([1], [1])]
+# _FIRST[n] is s(n,0)…s(n,n), row-major, s signed as above; _SECOND[k] is column k
+# of S, S(k,k), S(k+1,k), … down to the largest row grown.
+_FIRST: list[list[int]] = [[1]]
+_SECOND: list[list[int]] = [[1]]
 
 
-def _classical(n: int) -> list[tuple[list[int], list[int]]]:
-    """_CLASSICAL grown to row n by the two classical integer recurrences."""
-    for m in range(len(_CLASSICAL), n + 1):
-        s, S = _CLASSICAL[-1][0] + [0], _CLASSICAL[-1][1] + [0]
-        # One append commits row m whole.
-        _CLASSICAL.append((
-            [(s[k - 1] if k else 0) - (m - 1) * s[k] for k in range(m + 1)],
-            [(S[k - 1] if k else 0) + k * S[k] for k in range(m + 1)],
-        ))
-    return _CLASSICAL
+def _classical(n: int) -> None:
+    """Grow the s rows to row n, one append per row, and every S column k ≤ n down to
+    row n, in increasing k by S(l,k) = S(l-1,k-1) + k·S(l-1,k), one ``+=`` per column."""
+    for m in range(len(_FIRST), n + 1):
+        s = _FIRST[-1] + [0]
+        _FIRST.append([(s[k - 1] if k else 0) - (m - 1) * s[k] for k in range(m + 1)])
+    for k in range(n + 1):
+        if k == len(_SECOND):
+            _SECOND.append([1])
+        column = _SECOND[k]
+        have, need = len(column), n - k + 1
+        tail, acc = [], column[-1]
+        # Column -1 is zero: S(l,0) = 0 below row 0.
+        for left in (_SECOND[k - 1][have:need] if k else [0] * (need - have)):
+            acc = left + k * acc
+            tail.append(acc)
+        column += tail
 
 
 # Row n of S_{2,λ}, kept as the XPoly Bel_{n,λ}(x) whose x^k coefficient is
@@ -144,15 +157,18 @@ _STIRLING2: dict[int, XPoly] = {}
 
 def bell_deg(n: int) -> XPoly:
     """Bel_{n,λ}(x) = Σ_k S_{2,λ}(n,k)·x^k: row n of the S₂ table in closed form, as stored."""
-    require_index(n, "row index")
-    if n not in _STIRLING2:
-        classical = _classical(n)
-        s = classical[n][0]
-        _STIRLING2[n] = XPoly(tuple(
-            _from_ints([s[l] * classical[l][1][k] for l in range(n, k - 1, -1)])
-            for k in range(n + 1)
+    row = _STIRLING2.get(n)
+    if row is None:
+        require_index(n, "row index")
+        _classical(n)
+        # The λ^d coefficient of S_{2,λ}(n,k) is s(n,n-d)·S(n-d,k), d = 0…n-k.  For
+        # 1 ≤ k ≤ n no factor is zero, so the products are stored as built;
+        # S_{2,λ}(n,0) is 1 at n = 0 and 0 after.
+        s = _FIRST[n][::-1]
+        row = _STIRLING2[n] = XPoly((LP_ZERO if n else LP_ONE,) + tuple(
+            _stored(tuple(map(mul, s, _SECOND[k][n - k::-1])), 1) for k in range(1, n + 1)
         ))
-    return _STIRLING2[n]
+    return row
 
 
 def stirling2_deg(n: int, k: int) -> LambdaPoly:
@@ -164,13 +180,13 @@ def stirling1_deg(n: int, k: int) -> LambdaPoly:
     """S_{1,λ}(n,k), the coefficient of (x)_{k,λ} in (x)_n: λ^{n-k}·S_{2,1/λ}(n,k)."""
     # Canonical as reversed: an S₂ entry is ints over 1 that start with S(n,k) and
     # end with s(n,k), both nonzero for 1 ≤ k ≤ n (k = 0 < n gives zero).
-    return _from_ints(stirling2_deg(n, k).coeffs[::-1])
+    return _stored(stirling2_deg(n, k)._num[::-1], 1)
 
 
 def bracket_deg(n: int, k: int) -> LambdaPoly:
     """[n k]_λ = (-1)^{n-k}·S_{1,λ}(n,k), the coefficient of ⟨x⟩_{k,λ} in ⟨x⟩_n."""
-    c = stirling1_deg(n, k)
-    return c if (n - k) % 2 == 0 else -c
+    num = stirling2_deg(n, k)._num
+    return _stored(num[::-1] if (n - k) % 2 == 0 else tuple([-c for c in reversed(num)]), 1)
 
 
 # _BETA[n] is (B_n, β_n): the classical Bernoulli number (B₁ = -1/2) and β_n.
@@ -187,9 +203,9 @@ def bernoulli_deg(n: int) -> LambdaPoly:
     require_index(n)
     if n < len(_BETA):
         return _BETA[n][1]
-    classical = _classical(n)
+    _classical(n)
     for m in range(len(_BETA), n + 1):
-        prev, row = classical[m - 1][0], classical[m][0]
+        prev, row = _FIRST[m - 1], _FIRST[m]
         bs = [entry[0] for entry in _BETA]
         bs.append(-sum(comb(m + 1, k) * b for k, b in enumerate(bs)) / (m + 1))
         terms = [bs[l] * Fraction(m * prev[l - 1], l) for l in range(m, 0, -1)]

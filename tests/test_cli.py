@@ -19,7 +19,7 @@ from degenbell.core import (
     parse_rational,
     xpoly_from_ascii,
 )
-from degenbell.cli import FORMATS, LINEAR, SERIES, TRIANGULAR
+from degenbell.cli import FORMATS, LINEAR, SERIES, TRIANGULAR, _csv_row
 from degenbell.identities import CATALOG, FamilyTables
 from degenbell.numbers import (
     MAX_DOBINSKI_TERMS,
@@ -137,6 +137,52 @@ def test_refusals_exit_2_with_one_line():
         assert result.exit_code == 2
         assert result.stdout == ""
         assert _one_error_line(result.stderr) and part in result.stderr
+
+
+# Each refusal stays under its byte limit; the unknown-identity one also lists the 29 keys.
+@pytest.mark.parametrize("args, shown, limit", [
+    (("eval", 3, "--x", "7" * 5000, "--lambda", "1/3"),
+     "'77777777777777777777…' (5000 characters)", 200),
+    (("eval", 3, "--x", "1 " * 3000, "--lambda", "1/3"),
+     "'1 1 1 1 1 1 1 1 1 1 …' (6000 characters)", 200),
+    (("table", "bell", "--n-max", "9" * 4000), "99999999999999999999… (4000 characters)", 200),
+    (("table", "b" * 60), "'bbbbbbbbbbbbbbbbbbbb…' (60 characters)", 200),
+    (("verify", "v" * 50), "'vvvvvvvvvvvvvvvvvvvv…' (50 characters)", 400),
+    (("series", "elam", "u" * 45), "uuuuuuuuuuuuuuuuuuuu… (45 characters)", 200),
+    (("eval", 3, "--x", "a" * 40, "--lambda", "1/3"), "'" + "a" * 40 + "'", 200),
+])
+def test_a_refusal_quotes_a_bounded_part_of_a_long_argument(args, shown, limit):
+    """An argument over 40 characters shows its first 20, ``…`` and its length; a
+    shorter one is echoed whole."""
+    result = invoke(*args)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert _one_error_line(result.stderr)
+    assert shown in result.stderr
+    assert len(result.stderr.encode()) < limit
+
+
+# Cells that csv quoting must get right: separators, quotes, line breaks, blanks.
+ADVERSARIAL_CELLS = (
+    "", " ", "plain", "a,b", ",", '"', 'say "hi"', '""', "two\nlines", "\n", "tab\there",
+    "semi;colon", "x = 1, λ = 1/2", "2*lambda^2 - 1/2*lambda", "'quoted'", "back\\slash",
+    "\u2028", "\x85", ' lead, "trail" ',
+)
+
+
+# Python 3.10's csv writer refuses NUL, so the drawn text holds none.
+@given(st.lists(st.sampled_from(ADVERSARIAL_CELLS) | st.integers()
+                | st.text(st.characters(blacklist_characters="\x00")), min_size=2, max_size=6))
+def test_csv_rows_match_the_csv_module(cells):
+    """``_csv_row`` writes a row as ``csv.writer(lineterminator="\\n")`` does, and it
+    reads back; a carriage return, which csv leaves bare on some Pythons, is quoted."""
+    line = _csv_row(*cells)
+    assert next(csv.reader(io.StringIO(line, newline=""))) == [str(c) for c in cells]
+    if not any("\r" in str(c) for c in cells):
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerow(cells)
+        assert line == expected.getvalue()
+    else:
+        assert all(('"' + str(c).replace('"', '""') + '"') in line for c in cells if "\r" in str(c))
 
 
 @pytest.mark.parametrize(
@@ -482,7 +528,7 @@ def test_a_closed_stdout_exits_1_without_a_traceback():
 INDICES = ("-1", "0", "1", "3", str(MAX_INDEX + 1), str(10**30))
 RATIONAL_TEXT = (
     "sym", "0", "1/2", "-2/3", "-3/2", "0.5", "-1e3", "1/0", "", " ", "٣", "1/٣", "1_0",
-    "junk", "-", "--",
+    "junk", "-", "--", str(10**150), f"1/{10**150}",
 )
 NAMES = {
     "table": sorted(TRIANGULAR) + sorted(LINEAR) + ["nope"],

@@ -1,6 +1,8 @@
 """The identity harness: catalog coverage, discrimination, reporting."""
 
+import csv
 import hashlib
+import io
 import json
 from dataclasses import asdict
 from fractions import Fraction
@@ -8,6 +10,7 @@ from math import comb, factorial
 
 import pytest
 
+from degenbell.cli import _csv_row
 from degenbell.core import LP_LAMBDA, LambdaPoly, XPoly, factorials
 from degenbell.identities import (
     A_GRID,
@@ -162,6 +165,18 @@ def test_bump_reports_match_recorded_digest(bump_reports):
     assert sum(r["status"] == "fail" for r in reports) == 420
     digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
     assert digest == "95fd7524fda71c3bbf978f7088ff3ab8597acab8fbde745db2b0574b5a493e1c"
+
+
+def test_csv_rows_of_the_bump_reports_match_the_csv_module(bump_reports):
+    """``verify --format csv`` rows, written by ``_csv_row``, are ``csv.writer``'s for
+    every bump report, counterexamples with commas, quotes and unicode included."""
+    for _, _, r in bump_reports:
+        ce = r.counterexample
+        cells = [r.identity, r.grid, r.status] + (
+            ["", "", ""] if ce is None else ["; ".join(ce.params), ce.lhs, ce.rhs])
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerow(cells)
+        assert _csv_row(*cells) == expected.getvalue(), r.identity
 
 
 def test_lemma1_left_side_is_the_derivative_times_the_unit():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenbell import numbers
-from degenbell.core import LP_LAMBDA, LP_ONE, LP_ZERO, LambdaPoly, XPoly, factorials
+from degenbell.core import LP_LAMBDA, LP_ONE, LP_ZERO, LambdaPoly, XPoly, _from_ints, factorials
 from degenbell.identities import (
     binomial_power_series,
     falling_classical,
@@ -248,8 +248,8 @@ def test_out_of_range_and_errors():
 
 def _cache_sizes():
     return tuple(len(cache) for cache in (
-        numbers._STIRLING2, numbers._BETA, numbers._CLASSICAL
-    ))
+        numbers._STIRLING2, numbers._BETA, numbers._FIRST, numbers._SECOND
+    )) + tuple(len(column) for column in numbers._SECOND)
 
 
 def test_builders_refuse_indices_above_the_limit():
@@ -271,7 +271,21 @@ def _fresh_tables(monkeypatch):
     """Empty S₂, β and classical caches for this test; the shared ones come back after."""
     monkeypatch.setattr(numbers, "_STIRLING2", {})
     monkeypatch.setattr(numbers, "_BETA", numbers._BETA[:1])
-    monkeypatch.setattr(numbers, "_CLASSICAL", numbers._CLASSICAL[:1])
+    monkeypatch.setattr(numbers, "_FIRST", numbers._FIRST[:1])
+    monkeypatch.setattr(numbers, "_SECOND", [[1]])
+
+
+def test_every_stored_entry_is_canonical_to_the_cap(monkeypatch):
+    """Every S₂ entry, stored as built, and every S₁ and bracket read to MAX_INDEX is
+    the canonical form: ints over 1, no trailing zero, equal to its own _from_ints."""
+    _fresh_tables(monkeypatch)
+    for n in range(MAX_INDEX + 1):
+        for k in range(n + 1):
+            for entry in (stirling2_deg(n, k), stirling1_deg(n, k), bracket_deg(n, k)):
+                assert entry._den == 1, (n, k)
+                assert not entry._num or entry._num[-1], (n, k)
+                assert _from_ints(entry._num) == entry, (n, k)
+        del numbers._STIRLING2[n]  # the row is checked; the test holds one at a time
 
 
 @pytest.mark.parametrize("build", [
@@ -294,21 +308,26 @@ def test_a_row_is_built_alone_by_its_closed_form(monkeypatch, build):
 
 
 def _raise_on_entry(monkeypatch, nth):
-    """Make the nth LambdaPoly a builder stores raise KeyboardInterrupt."""
-    real, calls = numbers._from_ints, []
+    """Make the nth LambdaPoly a builder makes raise KeyboardInterrupt: through
+    _stored, which stores each S₂ entry as built, or _from_ints, which makes β_n."""
+    calls = []
 
-    def flaky(*args):
-        calls.append(None)
-        if len(calls) == nth:
-            raise KeyboardInterrupt
-        return real(*args)
+    def flaky(real):
+        def constructor(*args):
+            calls.append(None)
+            if len(calls) == nth:
+                raise KeyboardInterrupt
+            return real(*args)
+        return constructor
 
-    monkeypatch.setattr(numbers, "_from_ints", flaky)
+    for name in ("_stored", "_from_ints"):
+        monkeypatch.setattr(numbers, name, flaky(getattr(numbers, name)))
 
 
-# Only row 8 is built, so the 5th entry of an S₂ row, which a bracket read
-# builds too, is the middle of row 8 (k = 4); β_6 is the 6th β entry.  The
-# interrupted store keeps the rows it had: none, or β_0…β_5.
+# Only row 8 is built, so the 5th entry an S₂ row stores, which a bracket read
+# builds too, is the middle of row 8 (k = 5; S₂(8, 0) is the zero constant);
+# β_6 is the 6th β entry.  The interrupted store keeps the rows it had: none,
+# or β_0…β_5.
 INTERRUPTED_BUILDS = [
     pytest.param(lambda: stirling2_deg(8, 2), 5, "_STIRLING2", 0, id="stirling2"),
     pytest.param(lambda: bracket_deg(8, 2), 5, "_STIRLING2", 0, id="bracket"),
@@ -331,6 +350,52 @@ def test_an_interrupted_build_keeps_only_whole_rows(monkeypatch, build, nth, sto
             assert stirling1_deg(n, k).coeffs == s1[n][k], (n, k)
     for n, beta in enumerate(bernoulli_deg_rows(10)):
         assert bernoulli_deg(n).coeffs == beta, n
+
+
+def _interrupt_at_line(stop, code, run):
+    """Run ``run()`` and raise KeyboardInterrupt in it at the ``stop``th line event
+    of ``code``; return whether it was interrupted."""
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+            if lines == stop:
+                raise KeyboardInterrupt
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        run()
+    except KeyboardInterrupt:
+        return True
+    finally:
+        sys.settrace(previous)
+    return False
+
+
+def test_an_interrupted_column_growth_leaves_every_column_a_correct_prefix(monkeypatch):
+    """Interrupt the classical growth from row 4 to row 9 at every line it runs, in
+    turn: each s row stays whole, and each S column is a correct prefix S(k,k), S(k+1,k), …
+    that a later growth completes."""
+    s, S = classical_stirling(9)
+    stop = 0
+    interrupted = True
+    while interrupted:
+        stop += 1
+        _fresh_tables(monkeypatch)
+        numbers._classical(4)
+        interrupted = _interrupt_at_line(
+            stop, numbers._classical.__code__, lambda: numbers._classical(9))
+        assert numbers._FIRST == s[:len(numbers._FIRST)], stop
+        for k, column in enumerate(numbers._SECOND):
+            assert column == [S[l][k] for l in range(k, k + len(column))], (stop, k)
+        numbers._classical(9)
+        assert numbers._FIRST == s
+        assert [len(column) for column in numbers._SECOND] == [10 - k for k in range(10)]
+    assert stop > 50  # the growth ran line by line
 
 
 def test_basis_expand_round_trips():

@@ -75,12 +75,24 @@ def _index(minimum: int):
     """An argparse ``type=``: an integer of ASCII digits, at least ``minimum``."""
 
     def index(text: str) -> int:  # argparse names it in "invalid index value" on ValueError
-        if not _INTEGER_RE.fullmatch(text.strip()) or int(text) < minimum:
+        s = text.strip()
+        n = _read_int(s) if _INTEGER_RE.fullmatch(s) else None
+        if n is None or n < minimum:
             raise argparse.ArgumentTypeError(
                 f"{text!r} is not an integer ≥ {minimum} (ASCII digits only)")
-        return int(text)
+        return n
 
     return index
+
+
+def _read_int(text: str) -> int:
+    """Signed ASCII digits as their int, read 4,000 digits at a time: ``int()`` refuses
+    over 4,300, and an over-long index must meet the limit check by its value."""
+    digits, n = text.lstrip("+-"), 0
+    for start in range(0, len(digits), 4000):
+        piece = digits[start:start + 4000]
+        n = n * 10 ** len(piece) + int(piece)
+    return -n if text.startswith("-") else n
 
 
 def _rational(text: str) -> Fraction:

@@ -47,12 +47,20 @@ whole prefix k = 0 … n, each product the one before times one linear factor.
 The deformed and classical falling and rising bases, the powers sⁿ and the
 coefficients of e_λ and log_λ are all its prefixes.
 
-Results skip the normalising ``LambdaPoly(...)`` and are stored from their
-ints: kernel outputs, the :mod:`degenbell.numbers` table rows, sums and scalar
-multiples are stripped on the numerators and divided by one gcd when the
-denominator exceeds 1, and a negation is stored as it comes, since ``-c``
-makes no zero and keeps the gcd.  The form is canonical, so ``==`` and
-``hash`` compare the stored pair and never build the view.
+Results skip the normalising public constructors and are stored as built.
+A ``LambdaPoly`` result is stored from its ints by :func:`_stored`: kernel
+outputs, the :mod:`degenbell.numbers` table rows, sums and scalar multiples
+are stripped on the numerators and divided by one gcd when the denominator
+exceeds 1, and a negation is stored as it comes, since ``-c`` makes no zero
+and keeps the gcd.  An ``XPoly`` result, already a sequence of stored
+``LambdaPoly`` values, is stored by :func:`_xstored`, which strips its
+trailing zero polynomials and coerces nothing: the kernel's outputs (and so
+``XPoly`` and series products), sums, negations, scalar multiples,
+``XPoly.const`` and the S₂ rows.  :mod:`degenbell.series` does the same for
+``Series`` with ``_sstored``.  The forms are canonical, so ``==`` and ``hash``
+compare what is stored and never build a view.  ``LambdaPoly(...)``,
+``XPoly(...)`` and ``Series(...)`` keep full coercion and validation for
+input from outside: the parsers, the harness's literals and users.
 
 Polynomials print in two notations by one renderer per type: the unicode
 display form (``*_pretty``, e.g. ``2λ² - (1/2)λ``) and the ASCII form of csv
@@ -380,7 +388,7 @@ class XPoly:
 
     @classmethod
     def const(cls, value: "CoeffLike") -> "XPoly":
-        return cls((value,))
+        return _xstored((LambdaPoly.coerce(value),))
 
     @classmethod
     def coerce(cls, value: "XLike") -> "XPoly":
@@ -431,12 +439,12 @@ class XPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return XPoly(out)
+        return _xstored(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "XPoly":
-        return XPoly(tuple(-c for c in self.coeffs))
+        return _xstored([-c for c in self.coeffs])
 
     def __sub__(self, other: "XLike") -> "XPoly":
         return self + (-XPoly.coerce(other))
@@ -445,7 +453,7 @@ class XPoly:
         if isinstance(other, (int, Fraction, LambdaPoly)):
             if not other:
                 return XP_ZERO
-            return XPoly(tuple([a * other for a in self.coeffs]))
+            return _xstored([a * other for a in self.coeffs])
         if not isinstance(other, XPoly):
             return NotImplemented
         return _xpoly_products([(1, (self,), (other,))], 1)[0]
@@ -474,6 +482,18 @@ class XPoly:
 CoeffLike = Union[LambdaPoly, int, Fraction]
 XLike = Union[XPoly, LambdaPoly, int, Fraction]
 
+
+def _xstored(cs: Sequence[LambdaPoly]) -> XPoly:
+    """The XPoly Σ cs[j]·x^j of stored LambdaPoly values, stripped of its trailing
+    zero polynomials and otherwise stored as given: nothing is coerced."""
+    cs = tuple(cs)
+    end = len(cs)
+    while end and not cs[end - 1]._num:
+        end -= 1
+    poly = object.__new__(XPoly)
+    object.__setattr__(poly, "coeffs", cs[:end])
+    return poly
+
 XP_ZERO = XPoly(())
 XP_ONE = XPoly((LP_ONE,))
 XP_X = XPoly((LP_ZERO, LP_ONE))
@@ -497,14 +517,14 @@ def _xpoly_products(terms: Sequence[tuple], count: int) -> list[XPoly]:
         wb = _width(p._num for q in b for p in q.coeffs)
         if w and wa and wb:
             stride = max(stride, wa + wb - 1)
-            rows = max(rows, _width(q.coeffs for q in a) + _width(q.coeffs for q in b) - 1)
+            rows = max(rows, max(len(q.coeffs) for q in a) + max(len(q.coeffs) for q in b) - 1)
             packed.append((w, a, b))
     if not packed:
         return [XP_ZERO] * count
     block = rows * stride
     operands = [(w, _placed(a, block, stride), _placed(b, block, stride)) for w, a, b in packed]
     polys = _multiply_accumulate(operands, count * block, stride)
-    return [XPoly(polys[n * rows : (n + 1) * rows]) for n in range(count)]
+    return [_xstored(polys[n * rows : (n + 1) * rows]) for n in range(count)]
 
 
 def _placed(operand: Sequence[XPoly], block: int, stride: int) -> list[tuple[int, LambdaPoly]]:

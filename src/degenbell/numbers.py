@@ -23,7 +23,8 @@ Everything here is a polynomial identity in the deformation parameter λ:
 
 Each table has one route.  s and S are the classical Stirling numbers, s of
 the first kind (signed) and S of the second, kept as int triangles: s by rows,
-which β and the S₂ rows read, and S by columns, which only the S₂ rows read.
+which β and the S₂ rows read, and S by columns, which only the S₂ rows read, so
+β grows the s rows alone.
 Row n of S₂ is built alone from them.  That row is the one λ-triangle:
 ``bell_deg`` builds it once and returns it as the XPoly Bel_{n,λ}(x),
 ``stirling2_deg`` reads its x^k coefficient, and S₁ and the brackets read that
@@ -62,6 +63,7 @@ from .core import (
     _from_ints,
     _require_nonneg,
     _stored,
+    _xstored,
     factorials,
 )
 from .series import Series, egf
@@ -130,12 +132,16 @@ _FIRST: list[list[int]] = [[1]]
 _SECOND: list[list[int]] = [[1]]
 
 
-def _classical(n: int) -> None:
-    """Grow the s rows to row n, one append per row, and every S column k ≤ n down to
-    row n, in increasing k by S(l,k) = S(l-1,k-1) + k·S(l-1,k), one ``+=`` per column."""
+def _first_rows(n: int) -> None:
+    """Grow the s rows to row n, one append per row."""
     for m in range(len(_FIRST), n + 1):
         s = _FIRST[-1] + [0]
         _FIRST.append([(s[k - 1] if k else 0) - (m - 1) * s[k] for k in range(m + 1)])
+
+
+def _second_columns(n: int) -> None:
+    """Grow every S column k ≤ n down to row n, in increasing k by
+    S(l,k) = S(l-1,k-1) + k·S(l-1,k), one ``+=`` per column."""
     for k in range(n + 1):
         if k == len(_SECOND):
             _SECOND.append([1])
@@ -160,12 +166,13 @@ def bell_deg(n: int) -> XPoly:
     row = _STIRLING2.get(n)
     if row is None:
         require_index(n, "row index")
-        _classical(n)
+        _first_rows(n)
+        _second_columns(n)
         # The λ^d coefficient of S_{2,λ}(n,k) is s(n,n-d)·S(n-d,k), d = 0…n-k.  For
         # 1 ≤ k ≤ n no factor is zero, so the products are stored as built;
-        # S_{2,λ}(n,0) is 1 at n = 0 and 0 after.
+        # S_{2,λ}(n,0) is 1 at n = 0 and 0 after, and S_{2,λ}(n,n) = 1 ends the row.
         s = _FIRST[n][::-1]
-        row = _STIRLING2[n] = XPoly((LP_ZERO if n else LP_ONE,) + tuple(
+        row = _STIRLING2[n] = _xstored((LP_ZERO if n else LP_ONE,) + tuple(
             _stored(tuple(map(mul, s, _SECOND[k][n - k::-1])), 1) for k in range(1, n + 1)
         ))
     return row
@@ -203,7 +210,7 @@ def bernoulli_deg(n: int) -> LambdaPoly:
     require_index(n)
     if n < len(_BETA):
         return _BETA[n][1]
-    _classical(n)
+    _first_rows(n)
     for m in range(len(_BETA), n + 1):
         prev, row = _FIRST[m - 1], _FIRST[m]
         bs = [entry[0] for entry in _BETA]

@@ -17,7 +17,9 @@ application stays polynomial — no rational functions ever appear.
 ``LambdaPoly`` coefficient, held as a tuple of ``(shape, coeff)`` pairs:
 merged per shape, free of zero coefficients and sorted by shape, which
 makes equality structural and rendering deterministic.  A zero
-exponential is stored as p = 1.
+exponential is stored as p = 1.  ``ExpExpr(...)`` merges and sorts the terms
+it is given; :meth:`ExpExpr.mul_monomial`, whose shift keeps the shapes
+distinct and in order, stores its terms as built by ``_estored``.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ class ExpExpr:
 
     def mul_monomial(self, m: int, k: int = 0) -> "ExpExpr":
         """Multiply by x^(m + kλ)."""
-        return ExpExpr(((a, p, i + m, j + k), c) for (a, p, i, j), c in self.terms)
+        return _estored(tuple([((a, p, i + m, j + k), c) for (a, p, i, j), c in self.terms]))
 
     def __mul__(self, other: "ExpExpr") -> "ExpExpr":
         if not isinstance(other, ExpExpr):
@@ -129,6 +131,13 @@ class ExpExpr:
                 power = (p if a else q) if s else 1  # e^0 is stored with power 1
                 out.append(((s, power, m + i, k + j), c * d))
         return ExpExpr(out)
+
+
+def _estored(terms: tuple[tuple[Shape, LambdaPoly], ...]) -> ExpExpr:
+    """The ExpExpr of ``terms``, already merged, free of zeros and sorted, stored as given."""
+    e = object.__new__(ExpExpr)
+    object.__setattr__(e, "terms", terms)
+    return e
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,11 @@ cross-check these, such as the binomial powers (1 + s·t)^w, belong to the
 identity harness (:mod:`degenbell.identities`), as do d/dt and the
 substitution t → -t, which it builds from the coefficients.  A weighted sum
 Σ cᵢ·Sᵢ with t-free constants cᵢ is one :func:`series_combination`.
+
+``Series(...)`` coerces and pads its coefficients, for input from outside.
+A result built here from parts already stored (the products, sums,
+combinations, exp and reciprocal, truncations and :func:`egf`) is stored as
+built by ``_sstored``, as :mod:`degenbell.core` stores its results.
 """
 
 from __future__ import annotations
@@ -98,7 +103,8 @@ class Series:
     def truncate(self, order: int) -> "Series":
         if order >= self.order:
             return self
-        return Series(self.coeffs[: order + 1], order=order)
+        _require_nonneg(order, "series order")
+        return _sstored(self.coeffs[: order + 1], order)
 
     def __eq__(self, other) -> bool:
         """Structural equality: same order and identical coefficients."""
@@ -118,22 +124,29 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         n = min(self.order, other.order)
-        return Series(
-            tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1)), order=n
-        )
+        return _sstored([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)], n)
 
     def __sub__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
         n = min(self.order, other.order)
-        return Series(
-            tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1)), order=n
-        )
+        return _sstored([self.coeffs[i] - other.coeffs[i] for i in range(n + 1)], n)
+
+
+def _sstored(coeffs: Iterable[XPoly], order: int) -> Series:
+    """The Series of exactly ``order + 1`` XPoly coefficients, stored as given."""
+    s = object.__new__(Series)
+    object.__setattr__(s, "order", order)
+    object.__setattr__(s, "coeffs", tuple(coeffs))
+    return s
 
 
 def egf(values: Iterable[XLike]) -> Series:
     """Σ values[n]·tⁿ/n!, truncated at the last value; ``egf_coeff(n)`` reads values[n] back."""
-    return Series(v * Fraction(1, factorial(n)) for n, v in enumerate(values))
+    cs = [XPoly.coerce(v * Fraction(1, factorial(n))) for n, v in enumerate(values)]
+    if not cs:
+        raise ValueError("empty series needs an explicit order")
+    return _sstored(cs, len(cs) - 1)
 
 
 # ----------------------------------------------------------------------
@@ -143,7 +156,7 @@ def egf(values: Iterable[XLike]) -> Series:
 def series_mul(a: Series, b: Series) -> Series:
     """Cauchy product truncated to the smaller order."""
     n = min(a.order, b.order)
-    return Series(_xpoly_products([(1, a.coeffs, b.coeffs)], n + 1), order=n)
+    return _sstored(_xpoly_products([(1, a.coeffs, b.coeffs)], n + 1), n)
 
 
 def _unit_constant(a: Series) -> int | Fraction:
@@ -161,7 +174,7 @@ def series_recip_unit(a: Series) -> Series:
     out = [XPoly.const(inv0)]
     for n in range(1, a.order + 1):
         out.append(sum_of_products((-inv0, a.coeffs[k], out[n - k]) for k in range(1, n + 1)))
-    return Series(out, order=a.order)
+    return _sstored(out, a.order)
 
 
 def series_exp(a: Series) -> Series:
@@ -177,7 +190,7 @@ def series_exp(a: Series) -> Series:
         out.append(
             sum_of_products((Fraction(k, n), a.coeffs[k], out[n - k]) for k in range(1, n + 1))
         )
-    return Series(out, order=a.order)
+    return _sstored(out, a.order)
 
 
 def series_compose(outer: Series, inner: Series) -> Series:
@@ -209,12 +222,13 @@ def series_combination(pairs: Iterable[tuple[XLike, Series]], order: int) -> Ser
     One kernel call for the whole sum: each pair is the Cauchy product of
     the length-1 sequence (c) with S.  Every S must reach ``order``.
     """
+    _require_nonneg(order, "series order")
     terms = []
     for c, s in pairs:
         if s.order < order:
             raise ValueError(f"series of order {s.order} cannot give terms up to t^{order}")
         terms.append((1, (XPoly.coerce(c),), s.coeffs))
-    return Series(_xpoly_products(terms, order + 1), order=order)
+    return _sstored(_xpoly_products(terms, order + 1), order)
 
 
 # ----------------------------------------------------------------------

@@ -150,6 +150,13 @@ def test_refusals_exit_2_with_one_line():
     (("verify", "v" * 50), "'vvvvvvvvvvvvvvvvvvvv…' (50 characters)", 400),
     (("series", "elam", "u" * 45), "uuuuuuuuuuuuuuuuuuuu… (45 characters)", 200),
     (("eval", 3, "--x", "a" * 40, "--lambda", "1/3"), "'" + "a" * 40 + "'", 200),
+    # Past int()'s 4,300 digits an index is refused as over the limit all the same.
+    (("table", "bell", "--n-max", "1" * 5000),
+     "--n-max 11111111111111111111… (5000 characters) exceeds the limit 200", 200),
+    (("eval", "9" * 5000, "--lambda", "1/3"),
+     "N 99999999999999999999… (5000 characters) exceeds the limit 200", 200),
+    (("series", "elam", "--order", "2" * 5000),
+     "--order 22222222222222222222… (5000 characters) exceeds the limit 200", 200),
 ])
 def test_a_refusal_quotes_a_bounded_part_of_a_long_argument(args, shown, limit):
     """An argument over 40 characters shows its first 20, ``…`` and its length; a

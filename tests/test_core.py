@@ -32,9 +32,11 @@ from degenbell.core import (
 from degenbell import core
 from degenbell.core import _from_ints
 from degenbell.identities import _x_antiderivative, _x_derivative
-from degenbell.numbers import bell_gf
+from degenbell.numbers import bell_deg, bell_gf
+from degenbell.opcalc import ExpExpr
 from degenbell.series import (
-    Series, egf, series_from_json, series_json_chunks, series_mul, series_recip_unit,
+    Series, egf, series_combination, series_exp, series_from_json, series_json_chunks,
+    series_mul, series_recip_unit,
 )
 
 from oracles import generalized_factorial, padd, pmul, pneg, poly_mul_2d, pstrip
@@ -251,6 +253,66 @@ def test_every_route_stores_the_canonical_form(scalars, row, den, p, q, c, x):
     _assert_stored_form(lambda_poly_from_ascii(lambda_poly_to_ascii(p)), p.coeffs)
     for got, want in zip(xpoly_from_ascii(xpoly_to_ascii(x)).coeffs, x.coeffs):
         _assert_stored_form(got, want.coeffs)
+
+
+def _assert_xstored(p):
+    """p stores a tuple of LambdaPolys in their canonical form with no trailing zero
+    polynomial, and equals and hashes as the public constructor's XPoly of them."""
+    assert type(p) is XPoly and type(p.coeffs) is tuple
+    assert not p.coeffs or not p.coeffs[-1].is_zero
+    for c in p.coeffs:
+        _assert_stored_form(c, c.coeffs)
+    same = XPoly(p.coeffs)
+    assert p == same and hash(p) == hash(same)
+
+
+def _assert_sstored(s):
+    """s stores exactly order + 1 XPolys, each as _assert_xstored asks, and equals and
+    hashes as the public constructor's Series of them."""
+    assert type(s) is Series and type(s.coeffs) is tuple and len(s.coeffs) == s.order + 1
+    for c in s.coeffs:
+        _assert_xstored(c)
+    same = Series(s.coeffs, order=s.order)
+    assert s == same and hash(s) == hash(same)
+
+
+x_plus_lambda = XPoly((LP_LAMBDA, LP_ONE))
+
+
+@given(mixed_xpolys, mixed_xpolys, exact_scalars.filter(bool), mixed_lpolys)
+@example(x_plus_lambda, -x_plus_lambda, 2, LP_LAMBDA)  # the sum cancels to XP_ZERO
+@example(XPoly((1, 0, 1)), XPoly((0, 0, 1)), Fraction(-1, 3), LP_ZERO)  # the difference is 1
+def test_every_xpoly_and_series_route_stores_the_canonical_form(p, q, c, lam):
+    """Products (and so the kernel), sums, differences, negation, scalar multiples,
+    XPoly.const and sum_of_products, and every series route built on them, store
+    the canonical form that the public constructors make of the same parts."""
+    for r in (p * q, p + q, p - q, p - p, -p, p * c, p * lam, c * p, XPoly.const(c),
+              XPoly.const(lam), sum_of_products([(c, p, q), (-1, q, lam)])):
+        _assert_xstored(r)
+    assert x_plus_lambda + (-x_plus_lambda) == XP_ZERO
+    assert (XPoly((1, 0, 1)) - XPoly((0, 0, 1))).degree == 0
+    a, b = Series((p, q, lam), order=2), Series((q, c), order=1)
+    for s in (series_mul(a, b), series_combination([(p, a), (lam, a), (-p, a)], 2),
+              series_exp(Series((0, p, q), order=2)), series_recip_unit(Series((c, p))),
+              egf([p, q, lam, c]), egf([0, 0]), a.truncate(1), a + b, a - b, a - a):
+        _assert_sstored(s)
+    assert egf([0, 0]) == Series((), order=1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 30])
+def test_bell_rows_are_stored_in_the_canonical_form(n):
+    _assert_xstored(bell_deg(n))
+
+
+def test_a_shifted_operator_expression_is_stored_as_its_constructor_makes_it():
+    e = ExpExpr.from_xpoly(XPoly((1, LP_LAMBDA, 0, Fraction(1, 2))), x_lam=1, exp_coeff=2)
+    e = e + ExpExpr.exp_x(-1, 2) + ExpExpr.monomial(3, -2, LambdaPoly((1, 1)))
+    shifted = e.mul_monomial(2, -3)
+    same = ExpExpr(shifted.terms)
+    assert type(shifted.terms) is tuple
+    assert shifted.terms == same.terms and hash(shifted) == hash(same)
+    assert [shape for shape, _ in shifted.terms] == sorted(
+        (a, p, m + 2, k - 3) for (a, p, m, k), _ in e.terms)
 
 
 # ----------------------------------------------------------------------

@@ -376,26 +376,39 @@ def _interrupt_at_line(stop, code, run):
     return False
 
 
+def _grow_classical(n):
+    numbers._first_rows(n)
+    numbers._second_columns(n)
+
+
 def test_an_interrupted_column_growth_leaves_every_column_a_correct_prefix(monkeypatch):
-    """Interrupt the classical growth from row 4 to row 9 at every line it runs, in
-    turn: each s row stays whole, and each S column is a correct prefix S(k,k), S(k+1,k), …
-    that a later growth completes."""
+    """Interrupt each classical growth, of the s rows and of the S columns, from row 4
+    to row 9 at every line it runs, in turn: each s row stays whole, and each S column
+    is a correct prefix S(k,k), S(k+1,k), … that a later growth completes."""
     s, S = classical_stirling(9)
-    stop = 0
-    interrupted = True
-    while interrupted:
-        stop += 1
-        _fresh_tables(monkeypatch)
-        numbers._classical(4)
-        interrupted = _interrupt_at_line(
-            stop, numbers._classical.__code__, lambda: numbers._classical(9))
-        assert numbers._FIRST == s[:len(numbers._FIRST)], stop
-        for k, column in enumerate(numbers._SECOND):
-            assert column == [S[l][k] for l in range(k, k + len(column))], (stop, k)
-        numbers._classical(9)
-        assert numbers._FIRST == s
-        assert [len(column) for column in numbers._SECOND] == [10 - k for k in range(10)]
-    assert stop > 50  # the growth ran line by line
+    for grow, lines in ((numbers._first_rows, 10), (numbers._second_columns, 40)):
+        stop = 0
+        interrupted = True
+        while interrupted:
+            stop += 1
+            _fresh_tables(monkeypatch)
+            _grow_classical(4)
+            interrupted = _interrupt_at_line(stop, grow.__code__, lambda: grow(9))
+            assert numbers._FIRST == s[:len(numbers._FIRST)], (grow, stop)
+            for k, column in enumerate(numbers._SECOND):
+                assert column == [S[l][k] for l in range(k, k + len(column))], (grow, stop, k)
+            _grow_classical(9)
+            assert numbers._FIRST == s
+            assert [len(column) for column in numbers._SECOND] == [10 - k for k in range(10)]
+        assert stop > lines, grow  # the growth ran line by line
+
+
+def test_bernoulli_grows_only_the_first_kind_rows(monkeypatch):
+    """β reads the s rows alone, so a cold β_30 leaves the S columns unbuilt."""
+    _fresh_tables(monkeypatch)
+    bernoulli_deg(30)
+    assert len(numbers._FIRST) == 31
+    assert numbers._SECOND == [[1]]
 
 
 def test_basis_expand_round_trips():

@@ -13,10 +13,14 @@ than spot checks.  Public surface:
 * :mod:`degenbell.cli` -- the ``degenbell`` command-line tool.
 
 The package namespace re-exports the core types, ``Series`` and the family
-builders.  ``opcalc`` and ``identities`` are imported as submodules
+builders.  ``Series`` resolves on first use, so ``import degenbell`` loads
+``core`` and ``numbers`` and not the series engine.  ``opcalc`` and
+``identities`` are imported as submodules
 (``from degenbell.identities import verify``), so ``import degenbell`` and
 the ``table``, ``eval`` and ``series`` commands do not load them.
 """
+
+from typing import TYPE_CHECKING
 
 from .core import (
     LambdaPoly,
@@ -34,7 +38,9 @@ from .numbers import (
     stirling1_deg,
     stirling2_deg,
 )
-from .series import Series
+
+if TYPE_CHECKING:
+    from .series import Series
 
 __all__ = [
     "LambdaPoly",
@@ -53,3 +59,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """``degenbell.Series``, loading the series engine on first use."""
+    if name == "Series":
+        from .series import Series
+        return Series
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,18 +15,20 @@ exactly), except ``series --format json`` which emits the series-engine
 JSON schema understood by :func:`degenbell.series.series_from_json`.
 
 Each command loads only what it uses: the identity harness (and with it
-the operator calculus) is imported inside ``verify``.
+the operator calculus and the series engine) is imported inside
+``verify``, the series engine inside ``series``, and ``json`` only for
+``--format json``.  ``table`` and ``eval`` run on the core types and the
+family tables alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 from fractions import Fraction
-from typing import Iterator, NoReturn
+from typing import TYPE_CHECKING, Iterator, NoReturn
 
 from . import __version__
 from .core import (
@@ -41,13 +43,15 @@ from .core import (
 )
 from .numbers import (MAX_INDEX, bell_deg, bell_dobinski_numeric, bell_gf, bernoulli_deg,
                       bernoulli_gf, bracket_deg, stirling1_deg, stirling2_deg)
-from .series import DEFAULT_ORDER, Series, e_lambda_series, log_lambda_series, series_json_chunks
+
+if TYPE_CHECKING:
+    from .series import Series
 
 FORMATS = ("pretty", "csv", "json")
 TRIANGULAR = {"stirling1": stirling1_deg, "stirling2": stirling2_deg, "bracket": bracket_deg}
 LINEAR = {"bernoulli": bernoulli_deg, "bell": lambda n: bell_deg(n).eval_x(1)}
-SERIES = {"elam": lambda order: e_lambda_series(1, order), "loglam": log_lambda_series,
-          "bellgf": bell_gf, "bernoulligf": bernoulli_gf}
+SERIES = ("elam", "loglam", "bellgf", "bernoulligf")
+DEFAULT_ORDER = 16  # the series command's truncation order
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 # A quoted or bare word of more than 40 characters, such as a long argument in a refusal.
 _LONG_WORD_RE = re.compile(
@@ -129,6 +133,7 @@ def _csv_row(*cells: object) -> str:
 
 
 def _echo_json(payload) -> None:
+    import json  # only --format json needs it
     print(json.dumps(payload, indent=2))
 
 
@@ -209,7 +214,6 @@ def verify_cmd(identity: str, n_max: int, order: int | None, fmt: str) -> bool:
     _require_index(n_max, "--n-max", MAX_INDEX // 2)  # the grids read rows up to 2·n_max
     if order is not None:
         _require_index(order, "--order")  # the t^n/n! coefficient is row n of a family
-    from dataclasses import asdict  # the harness loads dataclasses anyway
     from .identities import verify, verify_all  # only this command needs the harness
 
     try:
@@ -229,7 +233,7 @@ def verify_cmd(identity: str, n_max: int, order: int | None, fmt: str) -> bool:
                 *(["", "", ""] if ce is None else ["; ".join(ce.params), ce.lhs, ce.rhs]),
             ))
     elif fmt == "json":
-        _echo_json([asdict(r) for r in reports])
+        _echo_json([r.as_dict() for r in reports])
     else:
         for r in reports:
             print(f"{r.status.upper():<5} {r.identity:<16} [{r.grid}]")
@@ -269,7 +273,9 @@ def series_cmd(which: str, order: int, fmt: str) -> None:
     bernoulligf = t/(e_λ(t)-1).
     """
     _require_index(order, "--order")  # the t^n/n! coefficient is row n of a family
-    s = SERIES[which](order)
+    from .series import e_lambda_series, log_lambda_series, series_json_chunks
+    s = {"elam": lambda n: e_lambda_series(1, n), "loglam": log_lambda_series,
+         "bellgf": bell_gf, "bernoulligf": bernoulli_gf}[which](order)
     if fmt == "json":
         for chunk in series_json_chunks(s):
             sys.stdout.write(chunk)
@@ -331,7 +337,7 @@ def _parser() -> _Parser:
     sub.add_argument("--order", type=_index(0), help="Series truncation order for "
                      "series-based identities (default: n_max + 6).")
     sub = command("series", series_cmd)
-    sub.add_argument("which", choices=list(SERIES))
+    sub.add_argument("which", choices=SERIES)
     sub.add_argument("--order", type=_index(0), default=DEFAULT_ORDER,
                      help="Truncation order (default: %(default)s).")
     for sub in commands.choices.values():

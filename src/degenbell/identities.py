@@ -28,11 +28,10 @@ report with a rendered counterexample, not a silent pass).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .core import (
     LP_LAMBDA,
@@ -46,6 +45,7 @@ from .core import (
     XLike,
     XPoly,
     _require_nonneg,
+    _xstored,
     factorials,
     lambda_poly_pretty,
     sum_of_products,
@@ -73,6 +73,7 @@ from .opcalc import (
 )
 from .series import (
     Series,
+    _sstored,
     e_lambda_series,
     egf,
     log_lambda_series,
@@ -99,19 +100,23 @@ DOUBLE_INDEX_CAP = 8
 # Report plumbing
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     params: tuple[str, ...]
     lhs: str
     rhs: str
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     identity: str
     grid: str
     status: str  # "pass" | "fail"
     counterexample: Optional[Counterexample]
+
+    def as_dict(self) -> dict:
+        """The report as a dict with its counterexample as a nested dict (or None), as
+        ``verify --format json`` writes it."""
+        ce = self.counterexample
+        return {**self._asdict(), "counterexample": None if ce is None else ce._asdict()}
 
 
 def _show(value: LambdaPoly | XPoly | ExpExpr | Series) -> str:
@@ -179,8 +184,8 @@ class FamilyTables:
     def bell_neg(self, n: int) -> XPoly:
         """Bel_{n,λ}(-x)."""
         if n not in self._bell_neg:
-            self._bell_neg[n] = XPoly(
-                c if j % 2 == 0 else -c for j, c in enumerate(self.bell(n).coeffs)
+            self._bell_neg[n] = _xstored(
+                [c if j % 2 == 0 else -c for j, c in enumerate(self.bell(n).coeffs)]
             )
         return self._bell_neg[n]
 
@@ -255,12 +260,12 @@ def _bell_gf_by_exp(order: int) -> Series:
 
 def _x_derivative(p: XPoly) -> XPoly:
     """Formal d/dx."""
-    return XPoly([c * j for j, c in enumerate(p.coeffs) if j])
+    return _xstored([c * j for j, c in enumerate(p.coeffs) if j])
 
 
 def _x_antiderivative(p: XPoly) -> XPoly:
     """Formal antiderivative in x with zero constant term."""
-    return XPoly([LP_ZERO] + [c * Fraction(1, j + 1) for j, c in enumerate(p.coeffs)])
+    return _xstored([LP_ZERO] + [c * Fraction(1, j + 1) for j, c in enumerate(p.coeffs)])
 
 
 # ----------------------------------------------------------------------
@@ -361,10 +366,10 @@ def _thm8(n_max: int, order: int, tb: FamilyTables) -> Cases:
     has y^j coefficient Σ_i S_{2,λ}(n,i+j)·C(i+j,i)·xⁱ, and the right side is one
     combination of the Bel_{n-l,λ}(y) with the constants C(n,l)·Bel_{l,λ}(x)."""
     for n in range(n_max + 1):
-        lhs = Series(
-            (XPoly(tb.stirling2(n, i + j) * comb(i + j, i) for i in range(n - j + 1))
-             for j in range(n + 1)),
-            order=n,
+        lhs = _sstored(
+            [_xstored([tb.stirling2(n, i + j) * comb(i + j, i) for i in range(n - j + 1)])
+             for j in range(n + 1)],
+            n,
         )
         rhs = series_combination(
             ((tb.bell(l) * comb(n, l), Series(tb.bell(n - l).coeffs, order=n))
@@ -434,8 +439,9 @@ def _thm12_rhs(bell_egf: Series, m: int, weighted: list[tuple[int, XLike]]) -> S
     is a polynomial.
     """
     cap = bell_egf.order
+    falls = {j: factorials(LambdaPoly((j, -m)), -LP_LAMBDA, cap) for j, _ in weighted}
     prefixes = series_combination(
-        ((w, Series(factorials(LambdaPoly((j, -m)), -LP_LAMBDA, cap))) for j, w in weighted), cap
+        ((w, _sstored([_xstored((c,)) for c in falls[j]], cap)) for j, w in weighted), cap
     )
     return series_mul(bell_egf, egf(prefixes.coeffs))
 
@@ -447,7 +453,7 @@ def _thm12(n_max: int, order: int, tb: FamilyTables) -> Cases:
     bell_egf = egf(tb.bell(k) for k in range(cap + 1))
     for m in range(cap + 1):
         rhs = _thm12_rhs(bell_egf, m, [
-            (j, XPoly((0,) * j + (s2,)))
+            (j, _xstored((LP_ZERO,) * j + (s2,)))
             for j in range(m + 1)
             if not (s2 := tb.stirling2(m, j)).is_zero
         ])
@@ -480,7 +486,7 @@ def _thm13(n_max: int, order: int, tb: FamilyTables) -> Cases:
             for s in range(cap + 1)
         ]
         for n in range(cap + 1):
-            lhs = XPoly(tb.stirling2(m, k) * falls[k][n] for k in range(m + 1))
+            lhs = _xstored([tb.stirling2(m, k) * falls[k][n] for k in range(m + 1)])
             rhs = sum_of_products((comb(n, k), tb.bell(m + k), g[n - k]) for k in range(n + 1))
             yield {"m": m, "n": n}, lhs, rhs
 
@@ -497,7 +503,7 @@ def _lemma1(n_max: int, order: int, tb: FamilyTables) -> Cases:
     e = e_lambda_series(1, order)
     for a in A_GRID:
         # f = exp(a·(e_λ(t) - 1)); the constant terms a·1 - a cancel
-        f = series_exp(Series([XP_ZERO] + [c * a for c in e.coeffs[1:]], order=order))
+        f = series_exp(_sstored([XP_ZERO] + [c * a for c in e.coeffs[1:]], order))
         powers_f = [f]  # e_λ(t)ᵏ·f is read from n = k on, so to order - k
         for k in range(1, n_max + 1):
             powers_f.append(series_mul(powers_f[-1], e.truncate(order - k)))
@@ -511,7 +517,7 @@ def _lemma1(n_max: int, order: int, tb: FamilyTables) -> Cases:
                 d = [c * k for k, c in enumerate(lhs.coeffs) if k]  # gₙ′
                 o = lhs.order - 1
                 lhs = series_combination(
-                    ((1, Series(d, order=o)), (LP_LAMBDA, Series([XP_ZERO] + d, order=o)),
+                    ((1, _sstored(d, o)), (LP_LAMBDA, _sstored([XP_ZERO] + d[:-1], o)),
                      (LP_LAMBDA * -n, lhs)),
                     o,
                 )
@@ -617,7 +623,7 @@ def _eq58(n_max: int, order: int, tb: FamilyTables) -> Cases:
 @_identity("eq59", "Bell GF composed with log_λ gives e^(xt)",
            "series order {order} (symbolic x)", series=True)
 def _eq59(n_max: int, order: int, tb: FamilyTables) -> Cases:
-    lhs = egf(XPoly((0,) * n + (1,)) for n in range(order + 1))  # e^{xt}
+    lhs = egf(_xstored((LP_ZERO,) * n + (LP_ONE,)) for n in range(order + 1))  # e^{xt}
     yield {"order": order}, lhs, series_compose(bell_gf(order), log_lambda_series(order))
 
 
@@ -627,7 +633,7 @@ def _eq60(n_max: int, order: int, tb: FamilyTables) -> Cases:
         rhs = sum_of_products(
             ((-1) ** (n - k), tb.bell(k), bracket_deg(n, k)) for k in range(n + 1)
         )
-        yield {"n": n}, XPoly((0,) * n + (1,)), rhs
+        yield {"n": n}, _xstored((LP_ZERO,) * n + (LP_ONE,)), rhs
 
 
 @_identity("eq61", "bracket triangular recurrence", "n=0..{n_max}, k=0..n+1")

@@ -19,7 +19,8 @@ Everything here is a polynomial identity in the deformation parameter λ:
 * ``bell_deg`` -- Bel_{n,λ}(x) = Σ_k S_{2,λ}(n,k)x^k, and ``bell_gf``, its
   generating function e^{x(e_λ(t)-1)}, read from the S₂ table as
   Σ_n Bel_{n,λ}(x)tⁿ/n!, the egf of its rows; plus the certified
-  Dobinski-style numeric evaluator.
+  Dobinski-style numeric evaluator.  The two generating functions load
+  :mod:`degenbell.series` when called; the tables need none of it.
 
 Each table has one route.  s and S are the classical Stirling numbers, s of
 the first kind (signed) and S of the second, kept as int triangles: s by rows,
@@ -50,7 +51,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, isfinite, lcm, prod
 from operator import mul
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .core import (
     LP_LAMBDA,
@@ -66,7 +67,9 @@ from .core import (
     _xstored,
     factorials,
 )
-from .series import Series, egf
+
+if TYPE_CHECKING:
+    from .series import Series
 
 
 # ----------------------------------------------------------------------
@@ -228,6 +231,7 @@ def bernoulli_deg(n: int) -> LambdaPoly:
 def bernoulli_gf(order: int) -> Series:
     """t/(e_λ(t)-1) truncated at the given order, read from the β table."""
     _require_nonneg(order, "order")
+    from .series import egf  # the tables themselves need no series
     return egf(bernoulli_deg(n) for n in range(order + 1))
 
 
@@ -238,6 +242,7 @@ def bell_gf(order: int) -> Series:
     Bel_{n,λ}(x).
     """
     _require_nonneg(order, "order")
+    from .series import egf
     return egf(bell_deg(n) for n in range(order + 1))
 
 

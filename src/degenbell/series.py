@@ -32,7 +32,6 @@ built by ``_sstored``, as :mod:`degenbell.core` stores its results.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import factorial
 from typing import Iterable, Iterator
@@ -52,8 +51,6 @@ from .core import (
     sum_of_products,
     to_nested_lists,
 )
-
-DEFAULT_ORDER = 16
 
 
 class Series:
@@ -262,6 +259,7 @@ def series_json_chunks(s: Series) -> Iterator[str]:
     The chunks join to exactly ``json.dumps`` of that object, but only one
     coefficient's nested list of rational strings exists at a time.
     """
+    import json  # only the JSON interchange needs it
     yield f'{{"order": {s.order}, "coeffs": ['
     for n, c in enumerate(s.coeffs):
         yield (", " if n else "") + json.dumps(to_nested_lists(c))
@@ -275,6 +273,7 @@ def series_from_json(text: str) -> Series:
     ``coeffs``, exactly ``order + 1`` coefficients, each a list of lists of
     rational strings (one inner list of λ-coefficients per x-power).
     """
+    import json
     try:
         payload = json.loads(text)
     except RecursionError:

@@ -486,30 +486,53 @@ def test_output_does_not_depend_on_the_hash_seed(args):
     assert outputs[0] == outputs[1]
 
 
-def test_cli_import_leaves_the_harness_unloaded():
-    """Only ``verify`` needs the identity harness and the operator calculus.
-
-    Nor does the CLI load any third-party module: every module that ``import
-    degenbell.cli`` adds is degenbell's own or the standard library's.
-    """
+def _modules_added_by(statement: str) -> set[str]:
+    """The modules a fresh interpreter loads while it runs ``statement``."""
     code = (
-        "import sys; before = set(sys.modules); import degenbell.cli; "
-        "print(*sorted(set(sys.modules) - before))"
+        f"import sys; before = set(sys.modules); {statement}; "
+        "print(*sorted(set(sys.modules) - before), file=sys.stderr)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env=_subprocess_env(), capture_output=True, text=True, timeout=120, check=True,
     )
-    loaded = proc.stdout.split()
+    return set(proc.stderr.split())
+
+
+def test_cli_import_leaves_the_harness_unloaded():
+    """Each command loads only what it runs.
+
+    Only ``verify`` needs the identity harness and the operator calculus, and
+    only it and ``series`` the series engine; ``json`` loads for ``--format
+    json`` alone.  The harness's report records need no ``dataclasses`` (nor
+    the ``inspect`` it would bring).  Nor does the CLI load any third-party
+    module: every module that ``import degenbell.cli`` adds is degenbell's own
+    or the standard library's.
+    """
+    loaded = _modules_added_by("import degenbell.cli")
     assert "degenbell.cli" in loaded
-    assert "degenbell.identities" not in loaded
-    assert "degenbell.opcalc" not in loaded
-    assert "click" not in loaded
+    unneeded = {"degenbell.identities", "degenbell.opcalc", "degenbell.series", "json",
+                "dataclasses", "click"}
+    assert not loaded & unneeded
     third_party = [
         m for m in loaded
         if m.partition(".")[0] not in sys.stdlib_module_names | {"degenbell"}
     ]
     assert not third_party
+
+    harness = _modules_added_by("import degenbell.identities")
+    assert "degenbell.identities" in harness
+    assert not harness & {"dataclasses", "inspect"}
+    assert "degenbell.series" in _modules_added_by(
+        "from degenbell import Series; assert Series.__module__ == 'degenbell.series'")
+
+    for command in (["table", "bell", "--n-max", "3"], ["eval", "3", "--lambda", "1/2"]):
+        for fmt in FORMATS:
+            argv = [*command, "--format", fmt]
+            loaded = _modules_added_by(f"from degenbell.cli import main; main({argv!r})")
+            assert "degenbell.cli" in loaded
+            assert "degenbell.series" not in loaded, argv
+            assert ("json" in loaded) == (fmt == "json"), argv
 
 
 def test_a_closed_stdout_exits_1_without_a_traceback():

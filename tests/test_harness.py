@@ -4,7 +4,6 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import asdict
 from fractions import Fraction
 from math import comb, factorial
 
@@ -160,7 +159,7 @@ def test_bump_reports_match_recorded_digest(bump_reports):
     them failing), so a rewrite of any check that changes a grid, a parameter or a
     rendered side of a counterexample fails here.
     """
-    reports = [asdict(r) for _, _, r in bump_reports]
+    reports = [r.as_dict() for _, _, r in bump_reports]
     assert len(reports) == 21 * 29
     assert sum(r["status"] == "fail" for r in reports) == 420
     digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
@@ -284,7 +283,7 @@ def test_report_json_round_trip():
     passing = verify("thm2", 3)
     failing = verify("eq39", 6, tables=FamilyTables.with_bump(2, 1))
     for report in (passing, failing):
-        data = json.loads(json.dumps(asdict(report)))
+        data = json.loads(json.dumps(report.as_dict()))
         ce = report.counterexample
         assert data == {
             "identity": report.identity,
@@ -304,7 +303,7 @@ def test_report_shapes():
         status="fail",
         counterexample=Counterexample(params=("n=1",), lhs="a", rhs="b"),
     )
-    d = json.loads(json.dumps(asdict(r)))
+    d = json.loads(json.dumps(r.as_dict()))
     assert d == {
         "identity": "x",
         "grid": "g",

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degenbell.cli import DEFAULT_ORDER
 from degenbell.core import LP_LAMBDA, LP_ONE, XP_X, XP_ZERO, LambdaPoly, XPoly, to_nested_lists
 from degenbell.identities import binomial_power_series, rising_classical
 from degenbell.numbers import bell_gf, stirling2_deg
 from degenbell.series import (
-    DEFAULT_ORDER,
     Series,
     e_lambda_series,
     egf,

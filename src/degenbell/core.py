@@ -34,12 +34,16 @@ by their one gcd.  ``LambdaPoly``, ``XPoly`` and series products
 (``series_mul``) are its one-term case; :func:`sum_of_products` is the
 weighted sum that series recurrences and the identity harness use instead
 of adding products one at a time.  Sums, negations and scalar multiples
-work on the stored ints too, with one lcm and one gcd at most; a constant
-λ-polynomial multiplies as the scalar it holds, so a constant factor never
-reaches the kernel.  Evaluation runs Horner over ``.coeffs``.  The types
-carry no calculus: d/dx, the antiderivative and λ → c·λ serve only the
-identity harness and live beside their callers in
-:mod:`degenbell.identities` and :mod:`degenbell.opcalc`.
+work on the stored ints too, with one lcm and one gcd at most.  A
+λ-polynomial factor of degree ≤ 1, (a + bλ)/d, never reaches the kernel:
+the other factor's numerators nᵢ become a·nᵢ + b·nᵢ₋₁ in one pass, over its
+denominator times d, with one gcd (a constant is the case b = 0).  So the
+generalized factorials, d/dx's (m + kλ) and the triangular recurrences'
+(k − nλ) multiply without packing; only two λ-polynomials of degree ≥ 2,
+``XPoly`` × ``XPoly`` and series products use the kernel.  Evaluation runs
+Horner over ``.coeffs``.  The types carry no calculus: d/dx, the
+antiderivative and λ → c·λ serve only the identity harness and live beside
+their callers in :mod:`degenbell.identities` and :mod:`degenbell.opcalc`.
 
 The paper's first building block, the generalized factorial
 w(w+s)···(w+(n-1)s), has one builder, :func:`factorials`, which returns the
@@ -58,9 +62,12 @@ trailing zero polynomials and coerces nothing: the kernel's outputs (and so
 ``XPoly`` and series products), sums, negations, scalar multiples,
 ``XPoly.const`` and the S₂ rows.  :mod:`degenbell.series` does the same for
 ``Series`` with ``_sstored``.  The forms are canonical, so ``==`` and ``hash``
-compare what is stored and never build a view.  ``LambdaPoly(...)``,
-``XPoly(...)`` and ``Series(...)`` keep full coercion and validation for
-input from outside: the parsers, the harness's literals and users.
+compare what is stored and never build a view.  Equal values hash alike: a
+``LambdaPoly`` of degree ≤ 0 hashes as the scalar it equals and an ``XPoly``
+of x-degree ≤ 0 as its one coefficient, so ``{1, LP_ONE, XP_ONE}`` holds one
+element.  ``LambdaPoly(...)``, ``XPoly(...)`` and ``Series(...)`` keep full
+coercion and validation for input from outside: the parsers, the harness's
+literals and users.
 
 Polynomials print in two notations by one renderer per type: the unicode
 display form (``*_pretty``, e.g. ``2λ² - (1/2)λ``) and the ASCII form of csv
@@ -213,11 +220,24 @@ def _from_ints(numerators: Sequence[int], den: int = 1) -> "LambdaPoly":
     return _stored(tuple(num), den)
 
 
-def _scaled(p: "LambdaPoly", n: int, d: int) -> "LambdaPoly":
-    """p·(n/d) for a nonzero n/d in lowest terms with d ≥ 1."""
-    if n == 1 and d == 1:
-        return p
-    return _from_ints([c * n for c in p._num], p._den * d)
+def _scaled(p: "LambdaPoly", factor: Sequence[int], d: int) -> "LambdaPoly":
+    """p·(a + bλ)/d for the numerators ``factor`` = (a,) or (a, b) of a nonzero
+    factor in lowest terms over d ≥ 1.
+
+    One pass over p's numerators nᵢ makes cᵢ = a·nᵢ + b·nᵢ₋₁, stored over p's
+    denominator times d, stripped and divided by their one gcd."""
+    if len(factor) == 1:
+        a = factor[0]
+        if a == 1 and d == 1:
+            return p
+        return _from_ints([c * a for c in p._num], p._den * d)
+    a, b = factor
+    out, prev = [], 0
+    for c in p._num:
+        out.append(a * c + b * prev)
+        prev = c
+    out.append(b * prev)
+    return _from_ints(out, p._den * d)
 
 
 class LambdaPoly:
@@ -300,7 +320,13 @@ class LambdaPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("LambdaPoly", self._num, self._den))
+        """A polynomial of degree ≤ 0 hashes as the scalar it equals (zero as 0)."""
+        num = self._num
+        if len(num) > 1:
+            return hash((num, self._den))
+        if not num:
+            return 0
+        return hash(num[0] if self._den == 1 else Fraction(num[0], self._den))
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -335,17 +361,15 @@ class LambdaPoly:
 
     def __mul__(self, other: "LambdaLike") -> "LambdaPoly":
         if isinstance(other, LambdaPoly):
-            if len(self._num) == 1:
+            if len(other._num) > 2:
+                if len(self._num) > 2:
+                    size = len(self._num) + len(other._num) - 1
+                    return _multiply_accumulate([(1, [(0, self)], [(0, other)])], size, size)[0]
                 self, other = other, self
-            if len(other._num) == 1:
-                return _scaled(self, other._num[0], other._den)
-            if not self._num or not other._num:
-                return LP_ZERO
-            size = len(self._num) + len(other._num) - 1
-            return _multiply_accumulate([(1, [(0, self)], [(0, other)])], size, size)[0]
+            return _scaled(self, other._num, other._den) if other._num else LP_ZERO
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
-            return _scaled(self, c.numerator, c.denominator) if c else LP_ZERO
+            return _scaled(self, (c.numerator,), c.denominator) if c else LP_ZERO
         return NotImplemented
 
     __rmul__ = __mul__
@@ -421,7 +445,11 @@ class XPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("XPoly", self.coeffs))
+        """An XPoly of x-degree ≤ 0 hashes as its one coefficient (zero as 0)."""
+        cs = self.coeffs
+        if len(cs) > 1:
+            return hash(cs)
+        return hash(cs[0]) if cs else 0
 
     def __bool__(self) -> bool:
         return not self.is_zero

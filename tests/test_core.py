@@ -12,6 +12,7 @@ from degenbell.core import (
     LP_LAMBDA,
     LP_ONE,
     LP_ZERO,
+    XP_ONE,
     XP_X,
     XP_ZERO,
     LambdaPoly,
@@ -116,6 +117,21 @@ def test_products_that_cancel_store_canonical_coefficients():
     product = p6 * q6
     assert [lp.coeffs for lp in product.coeffs] == [(0, 0, Fraction(-1, 100)), (), (Fraction(1, 36),)]
     assert _as_2d(product) == poly_mul_2d(_as_2d(p6), _as_2d(q6))
+
+
+@given(rationals, lpolys)
+@example(Fraction(0), LP_ZERO)
+@example(Fraction(1), LP_ONE)
+def test_equal_values_hash_alike(c, q):
+    """An int, a Fraction, a LambdaPoly and an XPoly that are equal hash alike, so a
+    set or a dict holds them once."""
+    equal = [c, LambdaPoly.const(c), LambdaPoly([c]), XPoly.const(c), XPoly([[c]])]
+    if c.denominator == 1:
+        equal.append(c.numerator)
+    assert all(u == v for u in equal for v in equal)
+    assert len({hash(v) for v in equal}) == 1 and len(set(equal)) == 1
+    assert XPoly([q]) == q and hash(XPoly([q])) == hash(q)
+    assert len({LP_ONE, XP_ONE, 1}) == 1 and len({LP_ZERO, XP_ZERO, 0, Fraction(0)}) == 1
 
 
 def test_trailing_zeros_are_normalized():
@@ -242,6 +258,8 @@ def test_every_route_stores_the_canonical_form(scalars, row, den, p, q, c, x):
     _assert_stored_form(_from_ints(row, den), pstrip(Fraction(v, den) for v in row))
     pq = pmul(p.coeffs, q.coeffs)
     _assert_stored_form(p * q, pq)
+    cancelling = LambdaPoly([Fraction(1, 2), Fraction(1, 2)]) * LambdaPoly([0, 2])
+    assert cancelling._num == (0, 1, 1) and cancelling._den == 1
     _assert_stored_form(
         sum_of_products([(c, p, q), (-1, q, LambdaPoly([1, 1]))]).coeff(0),
         padd(tuple(Fraction(c) * v for v in pq), pneg(pmul(q.coeffs, (1, 1)))),
@@ -452,18 +470,37 @@ def test_sum_of_products_that_cancel_is_the_zero_polynomial(terms):
     assert hash(total) == hash(XP_ZERO)
 
 
-def test_constant_factors_never_reach_the_kernel(monkeypatch):
+def test_linear_factors_never_reach_the_kernel(monkeypatch):
+    """A factor of λ-degree ≤ 1 on either side scales in one pass; degree 2 × degree 2
+    is the kernel's."""
     calls = []
     kernel = core._multiply_accumulate
     monkeypatch.setattr(core, "_multiply_accumulate", lambda *a: calls.append(a) or kernel(*a))
     p = XPoly([[1, Fraction(2, 3)], [], [Fraction(-5, 7), 0, 4]])
     s = Series([p, p * p, XPoly([0, 0, 0, LP_LAMBDA])])
     q, five = LambdaPoly((1, 2, 3)), LambdaPoly.const(5)
+    m, k = 3, -2  # d/dx multiplies by (m + kλ)
+    linear = [LP_LAMBDA, LambdaPoly((1, -1)), LambdaPoly((Fraction(3, 5), Fraction(-2, 5))),
+              LambdaPoly((m, k))]
     calls.clear()
     results = [p * 3, p * Fraction(1, 2), 3 * p, p * five, q * five, five * q, s.egf_coeff(2)]
+    results += [f for r in linear for f in (q * r, r * q, r * r, p * r, r * p)]
     assert all(results) and calls == []
-    LambdaPoly((1, 2)) * LambdaPoly((3, 4))
+    LambdaPoly((1, 2, 3)) * LambdaPoly((4, 5, 6))
     assert len(calls) == 1
+
+
+@given(lpolys, rationals, rationals)
+@example(LambdaPoly((1, 2, 3)), Fraction(0), Fraction(2))
+@example(LambdaPoly((1, 2, 3)), Fraction(2), Fraction(0))
+@example(LambdaPoly((1, 2, 3)), Fraction(0), Fraction(0))
+@example(LambdaPoly((Fraction(1, 2), Fraction(1, 2))), Fraction(0), Fraction(2))
+def test_linear_factors_match_the_kernel(p, a, b):
+    """p·(a + bλ) by the one-pass route, on either side, is the kernel's product and
+    the oracle's."""
+    q = LambdaPoly((a, b))
+    assert p * q == q * p == sum_of_products([(1, p, q)]).coeff(0)
+    assert (p * q).coeffs == pmul(p.coeffs, q.coeffs)
 
 
 @given(xpolys, rationals, lpolys, lpolys)

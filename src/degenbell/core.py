@@ -23,24 +23,28 @@ once.  The zero polynomial is the empty coefficient sequence; nonzero
 polynomials never store a trailing zero coefficient, which makes equality
 structural.
 
-Products and sums of products run on the stored numerators in one
-multiply-accumulate kernel that computes Σ wᵢ·aᵢ·bᵢ: each operand's
-polynomials, each placed at an offset, are brought over the operand's one
-common denominator (one lcm), each scalar weight wᵢ becomes an integer
-multiplier and a factor of that term's denominator, all terms are brought
-to one common denominator D (the lcm of theirs) and convolved into one int
-buffer, and each output polynomial is its numerators over D divided through
-by their one gcd.  ``LambdaPoly``, ``XPoly`` and series products
-(``series_mul``) are its one-term case; :func:`sum_of_products` is the
-weighted sum that series recurrences and the identity harness use instead
-of adding products one at a time.  Sums, negations and scalar multiples
-work on the stored ints too, with one lcm and one gcd at most.  A
-λ-polynomial factor of degree ≤ 1, (a + bλ)/d, never reaches the kernel:
-the other factor's numerators nᵢ become a·nᵢ + b·nᵢ₋₁ in one pass, over its
-denominator times d, with one gcd (a constant is the case b = 0).  So the
-generalized factorials, d/dx's (m + kλ) and the triangular recurrences'
-(k − nλ) multiply without packing; only two λ-polynomials of degree ≥ 2,
-``XPoly`` × ``XPoly`` and series products use the kernel.  Evaluation runs
+Products and sums of products run on the stored numerators in one block
+kernel for Σ wᵢ·aᵢ·bᵢ over truncated t-sequences of ``XPoly``: ``XPoly``
+and series products (``series_mul``) are its one-term case, and
+:func:`sum_of_products` is the weighted sum that series recurrences and the
+identity harness use instead of adding products one at a time.  Packing
+walks each operand once and makes each nonzero λ-polynomial of tⁿ·xʳ a
+block (n, r, numerators over the operand's one lcm).  Each weight becomes
+an integer multiplier and a factor of its term's denominator, and all terms
+go over one common denominator D, the lcm of theirs.  The product loops
+over block pairs with the operand of fewer blocks outside, its rows taking
+the multiplier, and stops each inner scan at the first block past the
+truncation.  Each pair's numerator rows are convolved into one int buffer
+at block (n_a + n_b, r_a + r_b), whose rows are as wide as the widest
+product row, so no block spills into another.  An all-zero output block is
+``LP_ZERO``; any other is its numerators over D divided by their one gcd.
+Two λ-polynomials of degree ≥ 2 multiply by the same inner convolution.  A
+λ-factor of degree ≤ 1, (a + bλ)/d, never reaches it: the other factor's
+numerators nᵢ become a·nᵢ + b·nᵢ₋₁ in one pass, over its denominator times
+d, with one gcd (a constant is the case b = 0).  So the generalized
+factorials, d/dx's (m + kλ) and the triangular recurrences' (k − nλ)
+multiply without packing.  Sums, negations and scalar multiples work on
+the stored ints too, with one lcm and one gcd at most.  Evaluation runs
 Horner over ``.coeffs``.  The types carry no calculus: d/dx, the
 antiderivative and λ → c·λ serve only the identity harness and live beside
 their callers in :mod:`degenbell.identities` and :mod:`degenbell.opcalc`.
@@ -134,7 +138,7 @@ def _as_fraction(value: ScalarLike) -> ScalarLike:
     raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
 
 
-# -- the integer multiply-accumulate kernel ---------------------------
+# -- the integer product kernel ----------------------------------------
 
 def _over(p: "LambdaPoly", d: int) -> Sequence[int]:
     """The numerators of p over d, a multiple of its denominator."""
@@ -144,51 +148,15 @@ def _over(p: "LambdaPoly", d: int) -> Sequence[int]:
     return [c * m for c in p._num]
 
 
-def _numerators(operand: list[tuple[int, "LambdaPoly"]]) -> tuple[list[tuple[int, int]], int]:
-    """The nonzero (index, numerator) pairs of an operand over its one common denominator.
-
-    The operand lists (offset, LambdaPoly) pairs: coefficient i of the
-    polynomial sits at index offset + i."""
-    d = lcm(*[p._den for _, p in operand])
-    pairs = []
-    for offset, p in operand:
-        for i, c in enumerate(_over(p, d)):
-            if c:
-                pairs.append((offset + i, c))
-    return pairs, d
-
-
-def _multiply_accumulate(terms: list, size: int, stride: int) -> list["LambdaPoly"]:
-    """Exact Σ w·a·b over ``(w, a, b)`` terms, cut to ``size`` indices.
-
-    Each operand a or b is a list of (offset, LambdaPoly) pairs in
-    increasing index order, the weight w an int or a Fraction.  Each
-    operand's stored numerators are brought over its one common
-    denominator; w's numerator becomes an integer multiplier and its
-    denominator joins the term's.  All terms are brought to one common
-    denominator D, the lcm of theirs, their numerators are convolved into
-    one int buffer, and each output polynomial is its numerators over D,
-    divided through by their one gcd.  Returns one LambdaPoly per
-    ``stride`` indices.
-    """
-    scaled, dens = [], []
-    for w, a, b in terms:
-        na, da = _numerators(a)
-        nb, db = _numerators(b)
-        scaled.append((w.numerator, na, nb))
-        dens.append(w.denominator * da * db)
-    d = lcm(*dens)
-    out = [0] * size
-    for (wp, na, nb), den in zip(scaled, dens):
-        m = wp * (d // den)
-        for i, x in na:
-            x *= m
-            for j, y in nb:
-                k = i + j
-                if k >= size:
-                    break
+def _convolve(out: list[int], k0: int, a: Sequence[int], b: Sequence[int]) -> None:
+    """out[k0 + i + j] += a[i]·b[j] for every i, j."""
+    for x in a:
+        if x:
+            k = k0
+            for y in b:
                 out[k] += x * y
-    return [_from_ints(out[start : start + stride], d) for start in range(0, size, stride)]
+                k += 1
+        k0 += 1
 
 
 # -- the stored form: int numerators over one denominator -------------
@@ -363,8 +331,9 @@ class LambdaPoly:
         if isinstance(other, LambdaPoly):
             if len(other._num) > 2:
                 if len(self._num) > 2:
-                    size = len(self._num) + len(other._num) - 1
-                    return _multiply_accumulate([(1, [(0, self)], [(0, other)])], size, size)[0]
+                    out = [0] * (len(self._num) + len(other._num) - 1)
+                    _convolve(out, 0, self._num, other._num)
+                    return _from_ints(out, self._den * other._den)
                 self, other = other, self
             return _scaled(self, other._num, other._den) if other._num else LP_ZERO
         if isinstance(other, (int, Fraction)):
@@ -531,34 +500,65 @@ def _xpoly_products(terms: Sequence[tuple], count: int) -> list[XPoly]:
     """Σ_i w_i·Σ_{j+k=n} a_i[j]·b_i[k] for n = 0 … count-1, over ``(w_i, a_i, b_i)``.
 
     Each term is a scalar weight and two sequences of XPoly: the truncated
-    Cauchy products of the pairs, weighted and summed.  One kernel call for
-    the whole sum.  Term t^n·x^r·λ^i of an operand is packed at index
-    n·block + r·stride + i, where stride and block/stride are the largest λ-
-    and x-widths of a product, so packed indices add exactly as the
-    exponents do and no term spills into another block.
+    Cauchy products of the pairs, weighted and summed, by the block kernel
+    of the module docstring.
     """
+    packed, dens = [], []
     stride = rows = 0
-    packed = []
     for w, a, b in terms:
-        a, b = a[:count], b[:count]
-        wa = _width(p._num for q in a for p in q.coeffs)
-        wb = _width(p._num for q in b for p in q.coeffs)
-        if w and wa and wb:
-            stride = max(stride, wa + wb - 1)
-            rows = max(rows, max(len(q.coeffs) for q in a) + max(len(q.coeffs) for q in b) - 1)
-            packed.append((w, a, b))
+        if w:
+            blocks_a, da, wa, ra = _blocks(a, count)
+            blocks_b, db, wb, rb = _blocks(b, count)
+            if blocks_a and blocks_b:
+                stride = max(stride, wa + wb - 1)
+                rows = max(rows, ra + rb - 1)
+                if len(blocks_a) > len(blocks_b):
+                    blocks_a, blocks_b = blocks_b, blocks_a
+                packed.append((w.numerator, blocks_a, blocks_b))
+                dens.append(w.denominator * da * db)
     if not packed:
         return [XP_ZERO] * count
+    d = lcm(*dens)
     block = rows * stride
-    operands = [(w, _placed(a, block, stride), _placed(b, block, stride)) for w, a, b in packed]
-    polys = _multiply_accumulate(operands, count * block, stride)
+    out = [0] * (count * block)
+    for (wp, blocks_a, blocks_b), den in zip(packed, dens):
+        m = wp * (d // den)
+        for na, ra, x in blocks_a:
+            if m != 1:
+                x = [c * m for c in x]
+            room = count - na
+            base = na * block + ra * stride
+            for nb, rb, y in blocks_b:
+                if nb >= room:
+                    break
+                _convolve(out, base + nb * block + rb * stride, x, y)
+    polys = []
+    for k in range(0, len(out), stride):
+        chunk = out[k : k + stride]
+        polys.append(_from_ints(chunk, d) if any(chunk) else LP_ZERO)
     return [_xstored(polys[n * rows : (n + 1) * rows]) for n in range(count)]
 
 
-def _placed(operand: Sequence[XPoly], block: int, stride: int) -> list[tuple[int, LambdaPoly]]:
-    """The λ-polynomial of each t^n·x^r, each at offset n·block + r·stride."""
-    return [(n * block + r * stride, p) for n, q in enumerate(operand)
-            for r, p in enumerate(q.coeffs)]
+def _blocks(operand: Sequence[XPoly], count: int) -> tuple[list, int, int, int]:
+    """The nonzero λ-polynomials of an operand's first ``count`` t-coefficients as
+    (n, r, numerators) for tⁿ·xʳ over their one lcm, in increasing n; then that
+    lcm, the longest numerator row and the most x-rows."""
+    found, dens, width, rows = [], [], 0, 0
+    for n, q in enumerate(operand[:count]):
+        cs = q.coeffs
+        rows = max(rows, len(cs))
+        for r, p in enumerate(cs):
+            num = p._num
+            if num:
+                found.append((n, r, num))
+                dens.append(p._den)
+                if len(num) > width:
+                    width = len(num)
+    d = lcm(*dens)
+    if dens.count(d) != len(dens):
+        found = [(n, r, num if e == d else [c * (d // e) for c in num])
+                 for (n, r, num), e in zip(found, dens)]
+    return found, d, width, rows
 
 
 def sum_of_products(terms: Iterable[tuple[ScalarLike, XLike, XLike]]) -> XPoly:
@@ -570,11 +570,6 @@ def sum_of_products(terms: Iterable[tuple[ScalarLike, XLike, XLike]]) -> XPoly:
     return _xpoly_products(
         [(w, (XPoly.coerce(a),), (XPoly.coerce(b),)) for w, a, b in terms], 1
     )[0]
-
-
-def _width(tuples: Iterable[tuple]) -> int:
-    """The longest of ``tuples`` (0 if there are none)."""
-    return max(map(len, tuples), default=0)
 
 
 # -- the generalized factorials w(w+s)···(w+(n-1)s) ------------------

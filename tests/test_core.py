@@ -440,8 +440,20 @@ def _oracle_rows(terms) -> list[tuple]:
     return rows
 
 
+def _operand(rows):
+    return rows, XPoly(rows)
+
+
 @settings(max_examples=200)
 @given(st.lists(st.tuples(weights, operands, operands), max_size=6))
+# The block kernel's edge cases: a zero weight beside live terms, leading and inner
+# zero x-coefficients, and inner zero λ-numerators on either side.
+@example([
+    (0, _operand([[1, 2, 3]]), _operand([[4, 5, 6]])),
+    (Fraction(3, 7), _operand([[], [], [1, 0, 3]]), _operand([[2], [], [0, 0, 5]])),
+    (-2, _operand([[Fraction(1, 2), 0, 1], [], [1]]), _operand([[0, 0, 1], [1, 0, 0, 2]])),
+])
+@example([(0, _operand([[1, 2, 3]]), _operand([[4, 5, 6]]))])
 def test_sum_of_products_matches_oracle(terms):
     total = sum_of_products((w, a, b) for w, (_, a), (_, b) in terms)
     expected = _oracle_rows(terms)
@@ -472,10 +484,10 @@ def test_sum_of_products_that_cancel_is_the_zero_polynomial(terms):
 
 def test_linear_factors_never_reach_the_kernel(monkeypatch):
     """A factor of λ-degree ≤ 1 on either side scales in one pass; degree 2 × degree 2
-    is the kernel's."""
+    is one call of the kernel's inner convolution."""
     calls = []
-    kernel = core._multiply_accumulate
-    monkeypatch.setattr(core, "_multiply_accumulate", lambda *a: calls.append(a) or kernel(*a))
+    convolve = core._convolve
+    monkeypatch.setattr(core, "_convolve", lambda *a: calls.append(a) or convolve(*a))
     p = XPoly([[1, Fraction(2, 3)], [], [Fraction(-5, 7), 0, 4]])
     s = Series([p, p * p, XPoly([0, 0, 0, LP_LAMBDA])])
     q, five = LambdaPoly((1, 2, 3)), LambdaPoly.const(5)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degenbell.cli import DEFAULT_ORDER
@@ -89,6 +89,13 @@ def _as_2d(p: XPoly) -> dict:
 
 
 @given(xpoly_series, xpoly_series)
+# The block kernel's edge cases: leading all-zero t-coefficients, an inner zero
+# x-coefficient, inner zero λ-numerators, and an operand longer than the product.
+@example(
+    [XP_ZERO, XP_ZERO, XPoly([[1, 0, 3], [], [2]])],
+    [XPoly([[0, 1]]), XPoly([[], [1, 0, 0, 1]]), XPoly([[2]]), XPoly([[7, 0, 1]])],
+)
+@example([XPoly([[1, 0, 0, 1]])], [XP_ZERO, XPoly([[5]])])
 def test_mul_with_x_coefficients_matches_oracle(a, b):
     order = min(len(a), len(b)) - 1
     expect = []
@@ -378,6 +385,14 @@ def test_lambda_series_combination_matches_oracle(case):
 
 
 @given(combinations(x_rows))
+# The block kernel's edge cases: leading all-zero t-coefficients, an inner zero
+# x-coefficient, inner zero λ-numerators, a series longer than the order, and a
+# zero constant (a term of zero weight) beside a live one.
+@example((2, [
+    ([[1, 0, 2], [], [3]], [[], [], [[0, 1], [], [1, 0, 4]], [[5]]]),
+    ([], [[[1]], [[2]], [[3]]]),
+]))
+@example((0, [([], [[[1, 2]]]), ([[0, 0, 1]], [[[], [3]], [[4]]])]))
 def test_series_combination_matches_oracle(case):
     order, pairs = case
     total = _combine(order, pairs)

@@ -55,23 +55,18 @@ whole prefix k = 0 … n, each product the one before times one linear factor.
 The deformed and classical falling and rising bases, the powers sⁿ and the
 coefficients of e_λ and log_λ are all its prefixes.
 
-Results skip the normalising public constructors and are stored as built.
-A ``LambdaPoly`` result is stored from its ints by :func:`_stored`: kernel
-outputs, the :mod:`degenbell.numbers` table rows, sums and scalar multiples
-are stripped on the numerators and divided by one gcd when the denominator
-exceeds 1, and a negation is stored as it comes, since ``-c`` makes no zero
-and keeps the gcd.  An ``XPoly`` result, already a sequence of stored
-``LambdaPoly`` values, is stored by :func:`_xstored`, which strips its
-trailing zero polynomials and coerces nothing: the kernel's outputs (and so
-``XPoly`` and series products), sums, negations, scalar multiples,
-``XPoly.const`` and the S₂ rows.  :mod:`degenbell.series` does the same for
-``Series`` with ``_sstored``.  The forms are canonical, so ``==`` and ``hash``
-compare what is stored and never build a view.  Equal values hash alike: a
-``LambdaPoly`` of degree ≤ 0 hashes as the scalar it equals and an ``XPoly``
-of x-degree ≤ 0 as its one coefficient, so ``{1, LP_ONE, XP_ONE}`` holds one
-element.  ``LambdaPoly(...)``, ``XPoly(...)`` and ``Series(...)`` keep full
-coercion and validation for input from outside: the parsers, the harness's
-literals and users.
+Each value type has one stored route, the one place it is allocated:
+:func:`_stored` for ``LambdaPoly`` (through :func:`_from_ints` where the ints
+need stripping or a gcd), :func:`_xstored` for ``XPoly``, which strips
+trailing zero polynomials, and ``_sstored`` and ``_estored`` in
+:mod:`degenbell.series` and :mod:`degenbell.opcalc`.  Results built from
+stored parts go there directly.  The public constructor and ``coerce`` are
+the check in front of it: they coerce and validate input from outside (the
+parsers, the harness's literals and users) and hand on the canonical parts.
+The forms are canonical, so ``==`` and ``hash`` compare what is stored and
+never build a view.  Equal values hash alike: a ``LambdaPoly`` of degree ≤ 0 hashes as the
+scalar it equals and an ``XPoly`` of x-degree ≤ 0 as its one coefficient, so
+``{1, LP_ONE, XP_ONE}`` holds one element.
 
 Polynomials print in two notations by one renderer per type: the unicode
 display form (``*_pretty``, e.g. ``2λ² - (1/2)λ``) and the ASCII form of csv
@@ -115,12 +110,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {text!r}") from None
-
-
-def _parse_stored(text: str) -> ScalarLike:
-    """``parse_rational``'s value as it is stored: an int when it is integral."""
-    q = parse_rational(text)
-    return q.numerator if q.denominator == 1 else q
 
 
 def format_rational(value: ScalarLike) -> str:
@@ -226,30 +215,9 @@ class LambdaPoly:
     _view: tuple[ScalarLike, ...] | None
 
     def __new__(cls, coeffs: Iterable[ScalarLike] = ()):
-        # One pass reads each coefficient as an int or a reduced Fraction and
-        # takes the lcm d of the denominators; all-int input is stored as read.
-        cs, d = [], 1
-        for c in coeffs:
-            if type(c) is not int:
-                c = _as_fraction(c)
-                if c.denominator == 1:
-                    c = c.numerator
-                else:
-                    d = lcm(d, c.denominator)
-            cs.append(c)
-        while cs and not cs[-1]:
-            cs.pop()
-        if d == 1:
-            return _stored(tuple(cs), 1)
-        # Over the lcm of reduced Fractions' denominators the numerators are coprime to it.
-        return _stored(tuple([c.numerator * (d // c.denominator) for c in cs]), d)
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def const(cls, value: ScalarLike) -> "LambdaPoly":
-        c = _as_fraction(value)
-        return _from_ints([c.numerator], c.denominator)
+        cs = [_as_fraction(c) for c in coeffs]
+        d = lcm(*[c.denominator for c in cs])
+        return _from_ints([c.numerator * (d // c.denominator) for c in cs], d)
 
     @classmethod
     def coerce(cls, value: "LambdaLike") -> "LambdaPoly":
@@ -257,7 +225,8 @@ class LambdaPoly:
             return value
         if isinstance(value, (list, tuple)):
             return cls(value)
-        return cls.const(value)
+        c = _as_fraction(value)
+        return _from_ints([c.numerator], c.denominator)
 
     # -- structure ----------------------------------------------------
 
@@ -368,26 +337,17 @@ class XPoly:
 
     coeffs: tuple[LambdaPoly, ...]
 
-    def __init__(self, coeffs: Iterable["CoeffLike"] = ()):
-        cs = [LambdaPoly.coerce(c) for c in coeffs]
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __new__(cls, coeffs: Iterable[LambdaLike] = ()):
+        return _xstored([LambdaPoly.coerce(c) for c in coeffs])
 
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
+    def __setattr__(self, name, value):
         raise AttributeError("XPoly is immutable")
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def const(cls, value: "CoeffLike") -> "XPoly":
-        return _xstored((LambdaPoly.coerce(value),))
 
     @classmethod
     def coerce(cls, value: "XLike") -> "XPoly":
         if isinstance(value, XPoly):
             return value
-        return cls.const(value)
+        return _xstored((LambdaPoly.coerce(value),))
 
     # -- structure ----------------------------------------------------
 
@@ -476,7 +436,6 @@ class XPoly:
         return acc
 
 
-CoeffLike = Union[LambdaPoly, int, Fraction]
 XLike = Union[XPoly, LambdaPoly, int, Fraction]
 
 
@@ -607,7 +566,7 @@ def to_nested_lists(p: XPoly) -> list[list[str]]:
 
 
 def from_nested_lists(data: Sequence[Sequence[str]]) -> XPoly:
-    return XPoly(LambdaPoly(_parse_stored(s) for s in row) for row in data)
+    return XPoly(LambdaPoly(parse_rational(s) for s in row) for row in data)
 
 
 # -- the two text forms: one renderer, two notations, one monomial grammar --
@@ -727,7 +686,7 @@ def _read_monomial(term: str, var: str) -> tuple[ScalarLike, int]:
     m = _MONOMIAL[var].fullmatch(term)
     if m is None:
         raise ValueError(f"cannot parse term {term!r} as a monomial in {var}")
-    value = _parse_stored(m["num"]) if m["num"] else 1
+    value = parse_rational(m["num"]) if m["num"] else 1
     return value, _ascii_exponent(m["pow"], 1 if m["var"] else 0)
 
 
@@ -794,6 +753,6 @@ def xpoly_from_ascii(text: str) -> XPoly:
             degree = _ascii_exponent(m.group("pow"), 1 if term.endswith("*x") else 0)
         else:
             value, degree = _read_monomial(term, "x")
-            coeff = LambdaPoly.const(value)
+            coeff = LambdaPoly.coerce(value)
         acc[degree] = acc.get(degree, LP_ZERO) + sign * coeff
     return XPoly(tuple(acc.get(j, LP_ZERO) for j in range(max(acc) + 1)))

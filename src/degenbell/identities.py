@@ -417,7 +417,7 @@ def _thm11_exp(n_max: int, order: int, tb: FamilyTables) -> Cases:
         derivs.append(d_dx(derivs[-1]))
     lhs = ExpExpr.exp_x(1, 1)
     for n in range(n_max + 1):
-        acc = ExpExpr.zero()
+        acc = ExpExpr()
         for k in range(n + 1):
             s = tb.stirling2(n, k)
             if not s.is_zero:

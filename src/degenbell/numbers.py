@@ -30,11 +30,9 @@ Row n of S₂ is built alone from them.  That row is the one λ-triangle:
 ``bell_deg`` builds it once and returns it as the XPoly Bel_{n,λ}(x),
 ``stirling2_deg`` reads its x^k coefficient, and S₁ and the brackets read that
 coefficient backwards in λ.
-Every entry is an integer λ-coefficient list (β_n over one denominator) that
-becomes a LambdaPoly once, from its ints (see :mod:`.core`).  An S₂ entry, and
-an S₁ or bracket entry made from it on each read, is already canonical and is
-stored as built; β_n is stripped and reduced once.  Only β's coefficients read
-as Fractions.  Indices above ``MAX_INDEX`` raise ValueError before anything is
+An S₂ entry, and an S₁ or bracket entry made from it on each read, is an int
+list stored as built; β_n, whose coefficients alone read as Fractions, goes
+through the ``LambdaPoly`` constructor (see :mod:`.core`).  Indices above ``MAX_INDEX`` raise ValueError before anything is
 built.  Each S₂ row, each β_n and each s row is built in locals and committed
 whole, and each S column grows by one commit at a time in increasing k, so a
 build that raises, even by KeyboardInterrupt, leaves every row store as it was
@@ -61,7 +59,6 @@ from .core import (
     XP_X,
     LambdaPoly,
     XPoly,
-    _from_ints,
     _require_nonneg,
     _stored,
     _xstored,
@@ -221,10 +218,8 @@ def bernoulli_deg(n: int) -> LambdaPoly:
         terms = [bs[l] * Fraction(m * prev[l - 1], l) for l in range(m, 0, -1)]
         common = lcm(*range(1, m + 2))
         terms.append(Fraction(sum(c * (common // (k + 1)) for k, c in enumerate(row)), common))
-        den = lcm(*(c.denominator for c in terms))
-        num = [c.numerator * (den // c.denominator) for c in terms]
         # One append commits β_m whole.
-        _BETA.append((bs[m], _from_ints(num, den)))
+        _BETA.append((bs[m], LambdaPoly(terms)))
     return _BETA[n][1]
 
 

@@ -17,9 +17,9 @@ application stays polynomial — no rational functions ever appear.
 ``LambdaPoly`` coefficient, held as a tuple of ``(shape, coeff)`` pairs:
 merged per shape, free of zero coefficients and sorted by shape, which
 makes equality structural and rendering deterministic.  A zero
-exponential is stored as p = 1.  ``ExpExpr(...)`` merges and sorts the terms
-it is given; :meth:`ExpExpr.mul_monomial`, whose shift keeps the shapes
-distinct and in order, stores its terms as built by ``_estored``.
+exponential is stored as p = 1.  ``ExpExpr(...)`` merges and sorts its terms
+for ``_estored``, the one stored route (see :mod:`degenbell.core`), which
+:meth:`ExpExpr.mul_monomial`'s shift, keeping the shapes in order, uses directly.
 """
 
 from __future__ import annotations
@@ -52,21 +52,16 @@ class ExpExpr:
 
     terms: tuple[tuple[Shape, LambdaPoly], ...]
 
-    def __init__(self, terms: Iterable[tuple[Shape, LambdaPoly]] = ()):
+    def __new__(cls, terms: Iterable[tuple[Shape, LambdaPoly]] = ()):
         merged: dict[Shape, LambdaPoly] = {}
         for shape, coeff in terms:
             merged[shape] = merged[shape] + coeff if shape in merged else coeff
-        canon = sorted(item for item in merged.items() if not item[1].is_zero)
-        object.__setattr__(self, "terms", tuple(canon))
+        return _estored(tuple(sorted(item for item in merged.items() if not item[1].is_zero)))
 
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
+    def __setattr__(self, name, value):
         raise AttributeError("ExpExpr is immutable")
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "ExpExpr":
-        return cls(())
 
     @classmethod
     def exp_x(cls, a: ScalarLike = 1, p: int = 1) -> "ExpExpr":

@@ -24,10 +24,8 @@ identity harness (:mod:`degenbell.identities`), as do d/dt and the
 substitution t → -t, which it builds from the coefficients.  A weighted sum
 Σ cᵢ·Sᵢ with t-free constants cᵢ is one :func:`series_combination`.
 
-``Series(...)`` coerces and pads its coefficients, for input from outside.
-A result built here from parts already stored (the products, sums,
-combinations, exp and reciprocal, truncations and :func:`egf`) is stored as
-built by ``_sstored``, as :mod:`degenbell.core` stores its results.
+``Series(...)`` coerces, truncates or pads its coefficients for ``_sstored``,
+the one stored route (see :mod:`degenbell.core`), which results use directly.
 """
 
 from __future__ import annotations
@@ -61,7 +59,7 @@ class Series:
     order: int
     coeffs: tuple[XPoly, ...]
 
-    def __init__(self, coeffs: Iterable[XLike], order: int | None = None):
+    def __new__(cls, coeffs: Iterable[XLike], order: int | None = None):
         cs = [XPoly.coerce(c) for c in coeffs]
         if order is None:
             if not cs:
@@ -69,17 +67,10 @@ class Series:
             order = len(cs) - 1
         if order < 0:
             raise ValueError("series order must be nonnegative")
-        if len(cs) > order + 1:
-            cs = cs[: order + 1]
-        while len(cs) < order + 1:
-            cs.append(XP_ZERO)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        return _sstored(cs[: order + 1] + [XP_ZERO] * (order + 1 - len(cs)), order)
 
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
+    def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
-
-    # -- constructors -------------------------------------------------
 
     @classmethod
     def one(cls, order: int) -> "Series":
@@ -168,7 +159,7 @@ def _unit_constant(a: Series) -> int | Fraction:
 def series_recip_unit(a: Series) -> Series:
     """Multiplicative inverse of a series whose constant term is an invertible rational."""
     inv0 = Fraction(1, _unit_constant(a))  # exact: 1 / an int constant would be a float
-    out = [XPoly.const(inv0)]
+    out = [XPoly.coerce(inv0)]
     for n in range(1, a.order + 1):
         out.append(sum_of_products((-inv0, a.coeffs[k], out[n - k]) for k in range(1, n + 1)))
     return _sstored(out, a.order)

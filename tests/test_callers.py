@@ -124,3 +124,38 @@ def test_library_holds_no_harness_only_route():
         "library names whose only callers are identities or opcalc (move them there): "
         + ", ".join(harness_only)
     )
+
+
+#: The value types; each is allocated in one stored route, and its public
+#: constructor is a ``__new__`` that checks its input and returns through that route.
+VALUE_TYPES = ("LambdaPoly", "XPoly", "Series", "ExpExpr")
+
+
+def _allocations(node: ast.AST, where: str, found: dict[str, list[str]]) -> None:
+    """Add to ``found[T]`` the enclosing function of every ``object.__new__(T)`` under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            _allocations(child, child.name, found)
+            continue
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "__new__" and isinstance(child.func.value, ast.Name)
+                and child.func.value.id == "object" and child.args
+                and isinstance(child.args[0], ast.Name) and child.args[0].id in found):
+            found[child.args[0].id].append(where)
+        _allocations(child, where, found)
+
+
+def test_each_value_type_has_one_stored_route_and_no_init():
+    found = {name: [] for name in VALUE_TYPES}
+    inits = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        _allocations(tree, f"{path.name} (module level)", found)
+        inits += [
+            f"{path.name}:{node.lineno} {node.name}.__init__"
+            for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name in VALUE_TYPES
+            and any(isinstance(f, ast.FunctionDef) and f.name == "__init__" for f in node.body)
+        ]
+    assert {name: len(sites) for name, sites in found.items()} == dict.fromkeys(VALUE_TYPES, 1), found
+    assert not inits, "value types that define __init__: " + ", ".join(inits)

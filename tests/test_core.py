@@ -73,10 +73,18 @@ def test_lambda_eval_is_ring_homomorphism(p, q, lam):
     assert (p * q).eval(lam) == p.eval(lam) * q.eval(lam)
 
 
-def test_lambda_poly_is_immutable():
-    p = LambdaPoly((1, 2))
+@pytest.mark.parametrize("value, name", [
+    pytest.param(LambdaPoly((1, 2)), "coeffs", id="LambdaPoly-coeffs"),
+    pytest.param(XPoly((1, 2)), "coeffs", id="XPoly-coeffs"),
+    pytest.param(Series((1, 2)), "order", id="Series-order"),
+    pytest.param(Series((1, 2)), "coeffs", id="Series-coeffs"),
+    pytest.param(ExpExpr.exp_x(), "terms", id="ExpExpr-terms"),
+])
+def test_values_are_immutable(value, name):
+    before = getattr(value, name)
     with pytest.raises(AttributeError):
-        p.coeffs = (3,)
+        setattr(value, name, before[:1] if isinstance(before, tuple) else 0)
+    assert getattr(value, name) == before
 
 
 # Denominators from 1 to 16! mixed within one polynomial, and zeros between
@@ -125,7 +133,7 @@ def test_products_that_cancel_store_canonical_coefficients():
 def test_equal_values_hash_alike(c, q):
     """An int, a Fraction, a LambdaPoly and an XPoly that are equal hash alike, so a
     set or a dict holds them once."""
-    equal = [c, LambdaPoly.const(c), LambdaPoly([c]), XPoly.const(c), XPoly([[c]])]
+    equal = [c, LambdaPoly.coerce(c), LambdaPoly([c]), XPoly.coerce(c), XPoly([[c]])]
     if c.denominator == 1:
         equal.append(c.numerator)
     assert all(u == v for u in equal for v in equal)
@@ -302,17 +310,21 @@ x_plus_lambda = XPoly((LP_LAMBDA, LP_ONE))
 @example(XPoly((1, 0, 1)), XPoly((0, 0, 1)), Fraction(-1, 3), LP_ZERO)  # the difference is 1
 def test_every_xpoly_and_series_route_stores_the_canonical_form(p, q, c, lam):
     """Products (and so the kernel), sums, differences, negation, scalar multiples,
-    XPoly.const and sum_of_products, and every series route built on them, store
-    the canonical form that the public constructors make of the same parts."""
-    for r in (p * q, p + q, p - q, p - p, -p, p * c, p * lam, c * p, XPoly.const(c),
-              XPoly.const(lam), sum_of_products([(c, p, q), (-1, q, lam)])):
+    XPoly.coerce and sum_of_products, and every series route built on them, store
+    the canonical form that the public constructors make of the same parts; so do
+    the public constructors, padding, truncating and parsing."""
+    for r in (p * q, p + q, p - q, p - p, -p, p * c, p * lam, c * p, XPoly.coerce(c),
+              XPoly.coerce(lam), sum_of_products([(c, p, q), (-1, q, lam)]),
+              XPoly((1, 0, [0], LP_ZERO))):
         _assert_xstored(r)
     assert x_plus_lambda + (-x_plus_lambda) == XP_ZERO
     assert (XPoly((1, 0, 1)) - XPoly((0, 0, 1))).degree == 0
     a, b = Series((p, q, lam), order=2), Series((q, c), order=1)
     for s in (series_mul(a, b), series_combination([(p, a), (lam, a), (-p, a)], 2),
               series_exp(Series((0, p, q), order=2)), series_recip_unit(Series((c, p))),
-              egf([p, q, lam, c]), egf([0, 0]), a.truncate(1), a + b, a - b, a - a):
+              egf([p, q, lam, c]), egf([0, 0]), a.truncate(1), a + b, a - b, a - a,
+              Series((p,), order=3), Series((p, q, lam), order=1),
+              series_from_json("".join(series_json_chunks(a)))):
         _assert_sstored(s)
     assert egf([0, 0]) == Series((), order=1)
 
@@ -490,7 +502,7 @@ def test_linear_factors_never_reach_the_kernel(monkeypatch):
     monkeypatch.setattr(core, "_convolve", lambda *a: calls.append(a) or convolve(*a))
     p = XPoly([[1, Fraction(2, 3)], [], [Fraction(-5, 7), 0, 4]])
     s = Series([p, p * p, XPoly([0, 0, 0, LP_LAMBDA])])
-    q, five = LambdaPoly((1, 2, 3)), LambdaPoly.const(5)
+    q, five = LambdaPoly((1, 2, 3)), LambdaPoly.coerce(5)
     m, k = 3, -2  # d/dx multiplies by (m + kλ)
     linear = [LP_LAMBDA, LambdaPoly((1, -1)), LambdaPoly((Fraction(3, 5), Fraction(-2, 5))),
               LambdaPoly((m, k))]
@@ -518,7 +530,7 @@ def test_linear_factors_match_the_kernel(p, a, b):
 @given(xpolys, rationals, lpolys, lpolys)
 def test_constant_factors_match_the_kernel(p, c, q, r):
     """The scalar route gives what sum_of_products, the kernel route, gives."""
-    const = LambdaPoly.const(c)
+    const = LambdaPoly.coerce(c)
     assert p * c == 3 * (p * Fraction(c, 3)) == sum_of_products([(1, p, c)])
     assert p * const == sum_of_products([(1, p, const)])
     assert q * const == const * q == sum_of_products([(1, q, const)]).coeff(0)

@@ -115,7 +115,7 @@ def test_factorial_builders_need_no_recursion_depth():
     for result, (_, args, w0, shift) in zip(built, cases):
         n = args[-1]
         if isinstance(result, list):
-            result = XPoly.const(result[n])
+            result = XPoly.coerce(result[n])
         elif isinstance(result, Series):
             result = result.egf_coeff(n)
         expect = Fraction(1)
@@ -309,7 +309,8 @@ def test_a_row_is_built_alone_by_its_closed_form(monkeypatch, build):
 
 def _raise_on_entry(monkeypatch, nth):
     """Make the nth LambdaPoly a builder makes raise KeyboardInterrupt: through
-    _stored, which stores each S₂ entry as built, or _from_ints, which makes β_n."""
+    _stored, which stores each S₂ entry as built, or the LambdaPoly constructor,
+    which makes β_n."""
     calls = []
 
     def flaky(real):
@@ -320,7 +321,7 @@ def _raise_on_entry(monkeypatch, nth):
             return real(*args)
         return constructor
 
-    for name in ("_stored", "_from_ints"):
+    for name in ("_stored", "LambdaPoly"):
         monkeypatch.setattr(numbers, name, flaky(getattr(numbers, name)))
 
 
@@ -415,7 +416,7 @@ def test_basis_expand_round_trips():
     p = falling_deg(5) * falling_deg(2) + falling_deg(3)
     for basis in (falling_classical, falling_deg, rising_classical, rising_deg):
         coeffs = basis_expand(p, basis)
-        rebuilt = XPoly.const(0)
+        rebuilt = XPoly.coerce(0)
         for k, c in enumerate(coeffs):
             rebuilt = rebuilt + basis(k) * c
         assert rebuilt == p, basis.__name__
@@ -504,7 +505,7 @@ def test_bernoulli_builds_cold_to_the_cap_within_budget(monkeypatch):
     top = bernoulli_deg(MAX_INDEX)
     gf = bernoulli_gf(MAX_INDEX)
     elapsed = time.perf_counter() - t0
-    assert gf.egf_coeff(MAX_INDEX) == XPoly.const(top)
+    assert gf.egf_coeff(MAX_INDEX) == XPoly.coerce(top)
     assert top.eval(0) == classical_bernoulli(MAX_INDEX)[MAX_INDEX]
     assert elapsed < 5.0
 

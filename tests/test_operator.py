@@ -165,7 +165,7 @@ def test_rendering_is_deterministic_and_sorted():
         "(2λ² - 3λ + 1) * x^(1-3·λ) * exp(1·x^1) + "
         "(3 - 3λ) * x^(2-3·λ) * exp(1·x^1) + 1 * x^(3-3·λ) * exp(1·x^1)"
     )
-    assert render(ExpExpr.zero()) == "0"
+    assert render(ExpExpr()) == "0"
 
 
 def test_derivative_of_plain_monomial():

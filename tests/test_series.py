@@ -31,10 +31,10 @@ from oracles import cauchy, conv_trunc, padd, pfalling, poly_mul_2d, pstrip, rev
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 scalar_series = st.lists(rationals, min_size=1, max_size=7).map(
-    lambda cs: Series((XPoly.const(c) for c in cs), order=len(cs) - 1)
+    lambda cs: Series((XPoly.coerce(c) for c in cs), order=len(cs) - 1)
 )
 nilpotent_series = st.lists(rationals, min_size=1, max_size=6).map(
-    lambda cs: Series((XPoly.const(c) for c in [0] + cs), order=len(cs))
+    lambda cs: Series((XPoly.coerce(c) for c in [0] + cs), order=len(cs))
 )
 
 
@@ -78,8 +78,8 @@ xpoly_series = st.lists(xpoly_coeffs, min_size=1, max_size=5)
 def test_mul_with_lambda_coefficients_matches_oracle(a, b):
     order = min(len(a), len(b)) - 1
     product = series_mul(
-        Series((XPoly.const(LambdaPoly(c)) for c in a), order=len(a) - 1),
-        Series((XPoly.const(LambdaPoly(c)) for c in b), order=len(b) - 1),
+        Series((XPoly.coerce(LambdaPoly(c)) for c in a), order=len(a) - 1),
+        Series((XPoly.coerce(LambdaPoly(c)) for c in b), order=len(b) - 1),
     )
     assert [c.coeff(0).coeffs for c in product.coeffs] == conv_trunc(a, b, order)
 
@@ -175,7 +175,7 @@ def test_mul_t_div_t_round_trip(a):
 
 egf_values = st.lists(
     st.one_of(
-        rationals.map(LambdaPoly.const),
+        rationals.map(LambdaPoly.coerce),
         st.lists(st.lists(rationals, max_size=3), max_size=3).map(XPoly),
     ),
     min_size=1,
@@ -198,7 +198,7 @@ def test_e_lambda_coefficients_are_falling_factorials():
     w = LambdaPoly((0, 3))  # 3λ as a symbolic exponent
     s = e_lambda_series(w, 8)
     for k in range(9):
-        assert s.egf_coeff(k) == XPoly.const(LambdaPoly(pfalling((0, 3), k)))
+        assert s.egf_coeff(k) == XPoly.coerce(LambdaPoly(pfalling((0, 3), k)))
 
 
 def test_e_lambda_at_lambda_zero_is_classical_exp():
@@ -247,7 +247,7 @@ def test_stirling2_generating_function():
     for k in range(order + 1):
         gf = Series([c * Fraction(1, factorial(k)) for c in power.coeffs])
         for n in range(order + 1):
-            assert gf.egf_coeff(n) == XPoly.const(stirling2_deg(n, k)), (n, k)
+            assert gf.egf_coeff(n) == XPoly.coerce(stirling2_deg(n, k)), (n, k)
         power = series_mul(power, e1)
 
 
@@ -281,7 +281,7 @@ def test_binomial_power_series_against_binomials():
     t = binomial_power_series(LP_LAMBDA, -2, 6)  # (1+λt)^{-2}
     for n in range(7):
         expect = LambdaPoly([0] * n + [(n + 1) * (-1) ** n])  # (n+1)(-λ)^n
-        assert t.coeff(n) == XPoly.const(expect), n
+        assert t.coeff(n) == XPoly.coerce(expect), n
 
 
 def test_symbolic_exponent_binomial_series():

@@ -73,12 +73,14 @@ display form (``*_pretty``, e.g. ``2λ² - (1/2)λ``) and the ASCII form of csv
 and json cells (``*_to_ascii``, e.g. ``2*lambda^2 - 1/2*lambda``).  A
 notation record gives the spelling of λ, of a power, of a fraction and of
 the coefficient–power product; everything else, term order and signs
-included, is shared.  Both ASCII parsers (``*_from_ascii``) split terms at
-the top-level `` + `` and `` - `` (``1 + -v`` is refused), read each with one
-monomial grammar, ``c``, ``c*v^k`` or ``v^k``, store an integral coefficient
-they read as an int and round-trip the ASCII form exactly, as the nested lists
-of the series JSON schema and ``repr`` (``to_nested_lists`` /
-``from_nested_lists``) do.
+included, is shared.  Both ASCII parsers (``*_from_ascii``) are one reader:
+one scan over the text's parentheses and separators splits it at the
+top-level `` + `` and `` - `` (``1 + -v`` is refused), in time linear in the
+text, and then the form's term reader reads each term by one monomial
+grammar, ``c``, ``c*v^k`` or ``v^k``, whose c in x may also be a λ-form in
+parentheses.  They store an integral coefficient they read as an int and
+round-trip the ASCII form exactly, as the nested lists of the series JSON
+schema and ``repr`` (``to_nested_lists`` / ``from_nested_lists``) do.
 """
 
 from __future__ import annotations
@@ -343,6 +345,9 @@ class XPoly:
     def __setattr__(self, name, value):
         raise AttributeError("XPoly is immutable")
 
+    def __reduce__(self):
+        return (XPoly, (self.coeffs,))
+
     @classmethod
     def coerce(cls, value: "XLike") -> "XPoly":
         if isinstance(value, XPoly):
@@ -569,7 +574,7 @@ def from_nested_lists(data: Sequence[Sequence[str]]) -> XPoly:
     return XPoly(LambdaPoly(parse_rational(s) for s in row) for row in data)
 
 
-# -- the two text forms: one renderer, two notations, one monomial grammar --
+# -- the two text forms: one renderer, two notations; one scan, a term reader per form --
 
 _SUPERSCRIPTS = str.maketrans("0123456789-", "⁰¹²³⁴⁵⁶⁷⁸⁹⁻")
 
@@ -674,14 +679,15 @@ def _ascii_exponent(digits: str | None, default: int) -> int:
 
 
 #: One unsigned monomial in v: ``c``, ``c*v^k`` or ``v^k``, where c is p or p/q
-#: and ``^k`` may be left out; the ``*`` comes exactly when c precedes v.
+#: and ``^k`` may be left out; the ``*`` comes exactly when c precedes v.  An
+#: x-term's c may also be a λ-form in parentheses, ``(1 - lambda)*x^2``.
 _MONOMIAL = {
-    v: re.compile(rf"(?=.)(?P<num>[0-9]+(?:/[0-9]+)?)?(?:(?(num)\*)(?P<var>{v})(?:\^(?P<pow>[0-9]+))?)?")
-    for v in ("lambda", "x")
+    v: re.compile(rf"(?=.)(?P<num>[0-9]+(?:/[0-9]+)?{c})?(?:(?(num)\*)(?P<var>{v})(?:\^(?P<pow>[0-9]+))?)?")
+    for v, c in (("lambda", ""), ("x", r"|\([^()]*\)"))
 }
 
 
-def _read_monomial(term: str, var: str) -> tuple[ScalarLike, int]:
+def _read_monomial(term: str, var: str = "lambda") -> tuple[ScalarLike, int]:
     """The (coefficient, power) of one unsigned monomial term in ``var``."""
     m = _MONOMIAL[var].fullmatch(term)
     if m is None:
@@ -690,69 +696,52 @@ def _read_monomial(term: str, var: str) -> tuple[ScalarLike, int]:
     return value, _ascii_exponent(m["pow"], 1 if m["var"] else 0)
 
 
-def lambda_poly_from_ascii(text: str) -> LambdaPoly:
-    """Parse the :func:`lambda_poly_to_ascii` form (tolerant of term order)."""
+def _read_x_term(term: str) -> tuple[LambdaLike, int]:
+    """The (coefficient, power) of one term in x: a monomial, or a λ-form in
+    parentheses as ``(p)``, ``(p)*x`` or ``(p)*x^k``."""
+    m = term.startswith("(") and _MONOMIAL["x"].fullmatch(term)
+    if not m:
+        return _read_monomial(term, "x")
+    return lambda_poly_from_ascii(m["num"][1:-1]), _ascii_exponent(m["pow"], 1 if m["var"] else 0)
+
+
+#: What the one scan stops at: a parenthesis, or `` + `` / `` - `` between terms.
+_ASCII_TOKEN = re.compile(r"[()]| [+-] ")
+
+
+def _read_sum(text: str, what: str, read_term: Callable[[str], tuple]) -> list:
+    """The coefficients, power by power, of the signed sum of terms in ``text``:
+    the whole text is split and its parentheses checked before ``read_term``
+    reads any term as (coefficient, power)."""
     s = text.strip()
     if not s:
-        raise ValueError("empty λ-polynomial expression")
-    if s == "0":
-        return LP_ZERO
-    acc: dict[int, ScalarLike] = {}
-    for sign, term in _split_ascii_terms(s):
-        value, power = _read_monomial(term, "lambda")
-        acc[power] = acc.get(power, 0) + sign * value
-    return LambdaPoly(tuple(acc.get(i, 0) for i in range(max(acc) + 1)))
-
-
-def _split_ascii_terms(s: str) -> list[tuple[int, str]]:
-    """Split on top-level `` + `` / `` - `` into (sign, term) pairs."""
-    out: list[tuple[int, str]] = []
-    depth = 0
-    sign = 1
-    start = 0
-    if s.startswith("-"):
-        sign = -1
-        start = 1
-    i = start
-    while i < len(s):
-        ch = s[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
+        raise ValueError(f"empty {what} expression")
+    negative = s.startswith("-")
+    pieces, start, depth = [], int(negative), 0
+    for m in _ASCII_TOKEN.finditer(s):
+        token = m[0]
+        if token in "()":
+            depth += 1 if token == "(" else -1
             if depth < 0:
-                raise ValueError(f"unbalanced parentheses in {s!r}")
-        elif depth == 0 and s.startswith(" + ", i):
-            out.append((sign, s[start:i].strip()))
-            sign, start, i = 1, i + 3, i + 2
-        elif depth == 0 and s.startswith(" - ", i):
-            out.append((sign, s[start:i].strip()))
-            sign, start, i = -1, i + 3, i + 2
-        i += 1
-    if depth != 0:
+                break
+        elif not depth:
+            pieces.append((negative, s[start : m.start()]))
+            negative, start = token == " - ", m.end()
+    if depth:
         raise ValueError(f"unbalanced parentheses in {s!r}")
-    out.append((sign, s[start:].strip()))
-    return out
+    pieces.append((negative, s[start:]))
+    acc: dict = {}
+    for negative, term in pieces:
+        value, power = read_term(term.strip())
+        acc[power] = acc.get(power, 0) + (-value if negative else value)
+    return [acc.get(i, 0) for i in range(max(acc) + 1)]
 
 
-_ASCII_X_PAREN = re.compile(r"\((?P<poly>[^()]*)\)(?:\*x(?:\^(?P<pow>[0-9]+))?)?$")
+def lambda_poly_from_ascii(text: str) -> LambdaPoly:
+    """Parse the :func:`lambda_poly_to_ascii` form (tolerant of term order)."""
+    return LambdaPoly(_read_sum(text, "λ-polynomial", _read_monomial))
 
 
 def xpoly_from_ascii(text: str) -> XPoly:
     """Parse the :func:`xpoly_to_ascii` form (tolerant of term order)."""
-    s = text.strip()
-    if not s:
-        raise ValueError("empty x-polynomial expression")
-    if s == "0":
-        return XP_ZERO
-    acc: dict[int, LambdaPoly] = {}
-    for sign, term in _split_ascii_terms(s):
-        m = _ASCII_X_PAREN.fullmatch(term)
-        if m is not None:
-            coeff = lambda_poly_from_ascii(m.group("poly"))
-            degree = _ascii_exponent(m.group("pow"), 1 if term.endswith("*x") else 0)
-        else:
-            value, degree = _read_monomial(term, "x")
-            coeff = LambdaPoly.coerce(value)
-        acc[degree] = acc.get(degree, LP_ZERO) + sign * coeff
-    return XPoly(tuple(acc.get(j, LP_ZERO) for j in range(max(acc) + 1)))
+    return XPoly(_read_sum(text, "x-polynomial", _read_x_term))

@@ -17,9 +17,10 @@ application stays polynomial — no rational functions ever appear.
 ``LambdaPoly`` coefficient, held as a tuple of ``(shape, coeff)`` pairs:
 merged per shape, free of zero coefficients and sorted by shape, which
 makes equality structural and rendering deterministic.  A zero
-exponential is stored as p = 1.  ``ExpExpr(...)`` merges and sorts its terms
-for ``_estored``, the one stored route (see :mod:`degenbell.core`), which
-:meth:`ExpExpr.mul_monomial`'s shift, keeping the shapes in order, uses directly.
+exponential is stored as p = 1.  ``ExpExpr(...)`` checks each shape and coerces
+each coefficient; it and the code that builds valid terms merge and sort them
+by ``_merged`` for ``_estored``, the one stored route (see :mod:`degenbell.core`),
+which :meth:`ExpExpr.mul_monomial`'s shift, keeping the shapes in order, uses directly.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ Shape = tuple[Fraction, int, int, int]  # (a, p, m, k): x^(m + kλ) · e^(a·x^p
 
 def _shape(a: ScalarLike, p: int, m: int, k: int) -> Shape:
     a = _as_fraction(a)
+    if not all(isinstance(v, int) for v in (p, m, k)):
+        raise TypeError("exp_power and the powers of x must be ints")
     if a == 0:
         p = 1
     if p < 1:
@@ -52,33 +55,33 @@ class ExpExpr:
 
     terms: tuple[tuple[Shape, LambdaPoly], ...]
 
-    def __new__(cls, terms: Iterable[tuple[Shape, LambdaPoly]] = ()):
-        merged: dict[Shape, LambdaPoly] = {}
-        for shape, coeff in terms:
-            merged[shape] = merged[shape] + coeff if shape in merged else coeff
-        return _estored(tuple(sorted(item for item in merged.items() if not item[1].is_zero)))
+    def __new__(cls, terms: Iterable[tuple[Shape, LambdaLike]] = ()):
+        return _merged((_shape(*shape), LambdaPoly.coerce(c)) for shape, c in terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExpExpr is immutable")
+
+    def __reduce__(self):
+        return (ExpExpr, (self.terms,))
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def exp_x(cls, a: ScalarLike = 1, p: int = 1) -> "ExpExpr":
         """e^(a·x^p) as a single term."""
-        return cls(((_shape(a, p, 0, 0), LP_ONE),))
+        return _merged(((_shape(a, p, 0, 0), LP_ONE),))
 
     @classmethod
     def monomial(cls, m: int, k: int = 0, coeff: LambdaLike = 1) -> "ExpExpr":
         """coeff·x^(m + kλ)."""
-        return cls(((_shape(0, 1, m, k), LambdaPoly.coerce(coeff)),))
+        return _merged(((_shape(0, 1, m, k), LambdaPoly.coerce(coeff)),))
 
     @classmethod
     def from_xpoly(
         cls, p: XPoly, x_lam: int = 0, exp_coeff: ScalarLike = 0, exp_power: int = 1
     ) -> "ExpExpr":
         """p(x) · x^(x_lam·λ) · e^(exp_coeff·x^exp_power)."""
-        return cls(
+        return _merged(
             (_shape(exp_coeff, exp_power, j, x_lam), c) for j, c in enumerate(p.coeffs)
         )
 
@@ -104,11 +107,11 @@ class ExpExpr:
     def __add__(self, other: "ExpExpr") -> "ExpExpr":
         if not isinstance(other, ExpExpr):
             return NotImplemented
-        return ExpExpr(self.terms + other.terms)
+        return _merged(self.terms + other.terms)
 
     def scale(self, factor: LambdaLike) -> "ExpExpr":
         f = LambdaPoly.coerce(factor)
-        return ExpExpr((shape, c * f) for shape, c in self.terms)
+        return _merged((shape, c * f) for shape, c in self.terms)
 
     def mul_monomial(self, m: int, k: int = 0) -> "ExpExpr":
         """Multiply by x^(m + kλ)."""
@@ -125,7 +128,15 @@ class ExpExpr:
                 s = a + b
                 power = (p if a else q) if s else 1  # e^0 is stored with power 1
                 out.append(((s, power, m + i, k + j), c * d))
-        return ExpExpr(out)
+        return _merged(out)
+
+
+def _merged(terms: Iterable[tuple[Shape, LambdaPoly]]) -> ExpExpr:
+    """The ExpExpr of checked terms: merged per shape, free of zeros and sorted."""
+    merged: dict[Shape, LambdaPoly] = {}
+    for shape, coeff in terms:
+        merged[shape] = merged[shape] + coeff if shape in merged else coeff
+    return _estored(tuple(sorted(item for item in merged.items() if not item[1].is_zero)))
 
 
 def _estored(terms: tuple[tuple[Shape, LambdaPoly], ...]) -> ExpExpr:
@@ -147,7 +158,7 @@ def d_dx(e: ExpExpr) -> ExpExpr:
             out.append(((a, p, m - 1, k), c * LambdaPoly((m, k))))  # (m + kλ)·x^(m-1+kλ)
         if a:
             out.append(((a, p, m + p - 1, k), c * (a * p)))
-    return ExpExpr(out)
+    return _merged(out)
 
 
 def op_apply(e: ExpExpr) -> ExpExpr:
@@ -180,7 +191,7 @@ def prop10_rhs(n: int, a: ScalarLike, p: int) -> ExpExpr:
         ak = a.numerator**k
         row = [c * ak * p ** (n - i) for i, c in enumerate(s2._num)]
         terms.append(((a, p, p * k, -n), _from_ints(row, s2._den * a.denominator**k)))
-    return ExpExpr(terms)
+    return _merged(terms)
 
 
 def theorem11_apply_monomial(n: int, r: int) -> ExpExpr:

@@ -72,6 +72,9 @@ class Series:
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
 
+    def __reduce__(self):
+        return (Series, (self.coeffs, self.order))
+
     @classmethod
     def one(cls, order: int) -> "Series":
         return cls((XP_ONE,), order=order)

@@ -1,6 +1,8 @@
 """Ring axioms, evaluation homomorphisms, and text round-trips for the
 exact polynomial layer."""
 
+import copy
+import pickle
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -85,6 +87,22 @@ def test_values_are_immutable(value, name):
     with pytest.raises(AttributeError):
         setattr(value, name, before[:1] if isinstance(before, tuple) else 0)
     assert getattr(value, name) == before
+
+
+@pytest.mark.parametrize("value", [
+    pytest.param(LambdaPoly((1, Fraction(-1, 2))), id="LambdaPoly"),
+    pytest.param(XPoly((Fraction(1, 3), LP_LAMBDA, 2)), id="XPoly"),
+    pytest.param(Series((1, XP_X, LambdaPoly((0, Fraction(1, 2)))), order=4), id="Series"),
+    pytest.param(ExpExpr.exp_x(Fraction(-1, 2), 2) + ExpExpr.monomial(3, -1, LP_LAMBDA), id="ExpExpr"),
+])
+@pytest.mark.parametrize("round_trip", [
+    copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_values_survive_copy_deepcopy_and_pickle(value, round_trip):
+    again = round_trip(value)
+    assert type(again) is type(value)
+    assert again == value
+    assert hash(again) == hash(value)
 
 
 # Denominators from 1 to 16! mixed within one polynomial, and zeros between
@@ -587,6 +605,10 @@ def test_ascii_forms_are_plain():
 def test_ascii_parser_accepts_any_term_order():
     assert lambda_poly_from_ascii("5 - 6*lambda + 2*lambda^2") == LambdaPoly((5, -6, 2))
     assert xpoly_from_ascii("(1 - lambda)*x + x^2") == XPoly([[0], [1, -1], [1]])
+    assert xpoly_from_ascii("(1 - lambda) - (2)") == XPoly([[-1, -1]])
+    assert xpoly_from_ascii("- (1)*x") == -XP_X
+    for text in ("(0)*x^3", "0 + 0", "-0"):
+        assert xpoly_from_ascii(text) == XP_ZERO
 
 
 def test_ascii_parser_rejects_garbage():
@@ -600,6 +622,11 @@ def test_ascii_parser_rejects_garbage():
         lambda_poly_from_ascii("1/0")
     with pytest.raises(ValueError):
         xpoly_from_ascii("(1/0)*x")
+    for text in ("(1 - lambda", "1 - lambda)", ")(", "()", "()*x", "((1))*x", "(1 - lambda)*x - (2"):
+        with pytest.raises(ValueError):
+            lambda_poly_from_ascii(text)
+        with pytest.raises(ValueError):
+            xpoly_from_ascii(text)
     # digits are ASCII only: Arabic-Indic ٣ and ٢ are not 3 and 2
     for text in ("٣*lambda^٢", "lambda^٢", "٣"):
         with pytest.raises(ValueError):

@@ -183,6 +183,14 @@ def test_exponential_scale_must_be_exact(scalar):
         prop10_rhs(1, scalar, 1)
 
 
+def test_constructor_checks_and_coerces_each_term():
+    assert ExpExpr([((0, 1, 0, 0), 3)]) == ExpExpr.monomial(0, 0, 3)
+    with pytest.raises(ValueError, match="exp_power must be ≥ 1"):
+        ExpExpr([((1, 0, 0, 0), LP_ONE)])
+    with pytest.raises(TypeError, match="must be ints"):
+        ExpExpr.exp_x(1, 1.5)
+
+
 def test_operator_renders_match_recorded_digest():
     """Pins the renders no harness report shows: prop10, eq17 and thm11-monomial never
     read the family tables, so the bump digest in test_harness cannot see them."""

@@ -25,18 +25,19 @@ Everything here is a polynomial identity in the deformation parameter λ:
 Each table has one route.  s and S are the classical Stirling numbers, s of
 the first kind (signed) and S of the second, kept as int triangles: s by rows,
 which β and the S₂ rows read, and S by columns, which only the S₂ rows read, so
-β grows the s rows alone.
+β grows the s rows alone.  Both grow by whole rows, exactly to the row asked for.
 Row n of S₂ is built alone from them.  That row is the one λ-triangle:
 ``bell_deg`` builds it once and returns it as the XPoly Bel_{n,λ}(x),
 ``stirling2_deg`` reads its x^k coefficient, and S₁ and the brackets read that
 coefficient backwards in λ.
 An S₂ entry, and an S₁ or bracket entry made from it on each read, is an int
-list stored as built; β_n, whose coefficients alone read as Fractions, goes
-through the ``LambdaPoly`` constructor (see :mod:`.core`).  Indices above ``MAX_INDEX`` raise ValueError before anything is
-built.  Each S₂ row, each β_n and each s row is built in locals and committed
-whole, and each S column grows by one commit at a time in increasing k, so a
-build that raises, even by KeyboardInterrupt, leaves every row store as it was
-after the last complete row and every S column a correct prefix.
+list stored as built; β_n, whose coefficients alone are fractions, is built as
+ints over one denominator and reduced once as it is stored (see :mod:`.core`).
+Indices above ``MAX_INDEX`` raise ValueError before anything is built.  Each S₂
+row, each β_n and each s row is built in locals and committed whole, and each S
+row is appended to the columns one entry at a time in increasing k, so a build
+that raises, even by KeyboardInterrupt, leaves every row store as it was after
+the last complete row and every S column a correct prefix.
 Second routes that cross-check the tables live in :mod:`degenbell.identities`,
 except ``basis_expand``, which the benchmark's layer rows wrap by this name.
 
@@ -48,7 +49,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, isfinite, lcm, prod
-from operator import mul
+from itertools import repeat
+from operator import add, getitem, mul, sub
 from typing import TYPE_CHECKING, Callable
 
 from .core import (
@@ -59,6 +61,7 @@ from .core import (
     XP_X,
     LambdaPoly,
     XPoly,
+    _from_ints,
     _require_nonneg,
     _stored,
     _xstored,
@@ -133,26 +136,25 @@ _SECOND: list[list[int]] = [[1]]
 
 
 def _first_rows(n: int) -> None:
-    """Grow the s rows to row n, one append per row."""
+    """Grow the s rows to row n, each row m in one pass over row m-1, one append."""
     for m in range(len(_FIRST), n + 1):
-        s = _FIRST[-1] + [0]
-        _FIRST.append([(s[k - 1] if k else 0) - (m - 1) * s[k] for k in range(m + 1)])
+        s = _FIRST[-1]
+        _FIRST.append(list(map(sub, [0, *s], map(mul, repeat(m - 1), [*s, 0]))))
 
 
 def _second_columns(n: int) -> None:
-    """Grow every S column k ≤ n down to row n, in increasing k by
-    S(l,k) = S(l-1,k-1) + k·S(l-1,k), one ``+=`` per column."""
-    for k in range(n + 1):
-        if k == len(_SECOND):
-            _SECOND.append([1])
-        column = _SECOND[k]
-        have, need = len(column), n - k + 1
-        tail, acc = [], column[-1]
-        # Column -1 is zero: S(l,0) = 0 below row 0.
-        for left in (_SECOND[k - 1][have:need] if k else [0] * (need - have)):
-            acc = left + k * acc
-            tail.append(acc)
-        column += tail
+    """Grow the S columns to row n, one row l at a time: row l is made in one pass
+    over row l-1 by S(l,k) = S(l-1,k-1) + k·S(l-1,k) and appended in increasing k,
+    S(l,l) = 1 last as the new column l."""
+    for l in range(len(_SECOND), n + 1):
+        # S(l-1,k) is read by its row, at index l-1-k of column k, so a row that an
+        # interrupted growth left half appended is read and completed the same way.
+        prev = list(map(getitem, _SECOND, range(l - 1, -1, -1)))
+        row = map(add, [0, *prev], map(mul, range(l), prev))
+        for foot, column, entry in zip(range(l, 0, -1), _SECOND, row):
+            if len(column) == foot:
+                column.append(entry)
+        _SECOND.append([1])
 
 
 # Row n of S_{2,λ}, kept as the XPoly Bel_{n,λ}(x) whose x^k coefficient is
@@ -214,12 +216,16 @@ def bernoulli_deg(n: int) -> LambdaPoly:
     for m in range(len(_BETA), n + 1):
         prev, row = _FIRST[m - 1], _FIRST[m]
         bs = [entry[0] for entry in _BETA]
-        bs.append(-sum(comb(m + 1, k) * b for k, b in enumerate(bs)) / (m + 1))
-        terms = [bs[l] * Fraction(m * prev[l - 1], l) for l in range(m, 0, -1)]
-        common = lcm(*range(1, m + 2))
-        terms.append(Fraction(sum(c * (common // (k + 1)) for k, c in enumerate(row)), common))
+        d = lcm(*[b.denominator for b in bs])
+        bs.append(Fraction(-sum(comb(m + 1, k) * b.numerator * (d // b.denominator)
+                                for k, b in enumerate(bs)), (m + 1) * d))
+        # Each l·den(B_l) and each k + 1 divides lcm(1…m+1)·lcm(den(B_0)…den(B_m)).
+        common = lcm(*range(1, m + 2)) * lcm(d, bs[m].denominator)
+        terms = [m * prev[l - 1] * bs[l].numerator * (common // (l * bs[l].denominator))
+                 for l in range(m, 0, -1)]
+        terms.append(sum(c * (common // (k + 1)) for k, c in enumerate(row)))
         # One append commits β_m whole.
-        _BETA.append((bs[m], LambdaPoly(terms)))
+        _BETA.append((bs[m], _from_ints(terms, common)))
     return _BETA[n][1]
 
 

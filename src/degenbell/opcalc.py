@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import perm
 from typing import Iterable
 
-from .core import (LP_ONE, LP_ZERO, LambdaLike, LambdaPoly, ScalarLike, XPoly, _as_fraction,
+from .core import (LP_ONE, LP_ZERO, LambdaLike, LambdaPoly, ScalarLike, XLike, XPoly, _as_fraction,
                    _from_ints)
 from .core import lambda_poly_pretty
 from .numbers import bell_deg, stirling2_deg
@@ -78,11 +78,12 @@ class ExpExpr:
 
     @classmethod
     def from_xpoly(
-        cls, p: XPoly, x_lam: int = 0, exp_coeff: ScalarLike = 0, exp_power: int = 1
+        cls, p: XLike, x_lam: int = 0, exp_coeff: ScalarLike = 0, exp_power: int = 1
     ) -> "ExpExpr":
         """p(x) · x^(x_lam·λ) · e^(exp_coeff·x^exp_power)."""
         return _merged(
-            (_shape(exp_coeff, exp_power, j, x_lam), c) for j, c in enumerate(p.coeffs)
+            (_shape(exp_coeff, exp_power, j, x_lam), c)
+            for j, c in enumerate(XPoly.coerce(p).coeffs)
         )
 
     # -- structure ----------------------------------------------------

@@ -65,8 +65,8 @@ class Series:
             if not cs:
                 raise ValueError("empty series needs an explicit order")
             order = len(cs) - 1
-        if order < 0:
-            raise ValueError("series order must be nonnegative")
+        if type(order) is not int or order < 0:
+            raise ValueError(f"series order must be an integer ≥ 0, got {order!r}")
         return _sstored(cs[: order + 1] + [XP_ZERO] * (order + 1 - len(cs)), order)
 
     def __setattr__(self, name, value):

@@ -309,8 +309,8 @@ def test_a_row_is_built_alone_by_its_closed_form(monkeypatch, build):
 
 def _raise_on_entry(monkeypatch, nth):
     """Make the nth LambdaPoly a builder makes raise KeyboardInterrupt: through
-    _stored, which stores each S₂ entry as built, or the LambdaPoly constructor,
-    which makes β_n."""
+    _stored, which stores each S₂ entry as built, or _from_ints, which reduces
+    and stores β_n."""
     calls = []
 
     def flaky(real):
@@ -321,7 +321,7 @@ def _raise_on_entry(monkeypatch, nth):
             return real(*args)
         return constructor
 
-    for name in ("_stored", "LambdaPoly"):
+    for name in ("_stored", "_from_ints"):
         monkeypatch.setattr(numbers, name, flaky(getattr(numbers, name)))
 
 
@@ -404,6 +404,20 @@ def test_an_interrupted_column_growth_leaves_every_column_a_correct_prefix(monke
         assert stop > lines, grow  # the growth ran line by line
 
 
+def test_an_interrupted_column_growth_is_completed_to_the_columns_of_s(monkeypatch):
+    """Interrupt the growth of the S columns from row 4 to row 9 at every line it runs,
+    in turn: the next growth completes every column to its values, not only its length."""
+    _, S = classical_stirling(9)
+    grow, stop, interrupted = numbers._second_columns, 0, True
+    while interrupted:
+        stop += 1
+        _fresh_tables(monkeypatch)
+        _grow_classical(4)
+        interrupted = _interrupt_at_line(stop, grow.__code__, lambda: grow(9))
+        grow(9)
+        assert numbers._SECOND == [[S[l][k] for l in range(k, 10)] for k in range(10)], stop
+
+
 def test_bernoulli_grows_only_the_first_kind_rows(monkeypatch):
     """β reads the s rows alone, so a cold β_30 leaves the S columns unbuilt."""
     _fresh_tables(monkeypatch)
@@ -427,15 +441,15 @@ def test_basis_expand_round_trips():
 # ----------------------------------------------------------------------
 
 def test_bernoulli_reduces_to_classical_at_lambda_zero():
-    classical = classical_bernoulli(12)
-    for n in range(13):
+    classical = classical_bernoulli(MAX_INDEX)
+    for n in range(MAX_INDEX + 1):
         assert bernoulli_deg(n).eval(0) == classical[n], n
 
 
 def test_bernoulli_at_lambda_one_collapses():
     """e_1(t) = 1 + t makes t/(e_1(t)-1) the constant series 1."""
-    for n in range(9):
-        assert bernoulli_deg(n).eval(1) == (1 if n == 0 else 0)
+    for n in range(MAX_INDEX + 1):
+        assert bernoulli_deg(n).eval(1) == (1 if n == 0 else 0), n
 
 
 def _e_lambda_minus_one_over_t(order):

@@ -189,6 +189,9 @@ def test_constructor_checks_and_coerces_each_term():
         ExpExpr([((1, 0, 0, 0), LP_ONE)])
     with pytest.raises(TypeError, match="must be ints"):
         ExpExpr.exp_x(1, 1.5)
+    # from_xpoly coerces p: a λ-polynomial or a scalar is a constant in x.
+    assert ExpExpr.from_xpoly(LambdaPoly((1, 2))) == ExpExpr.monomial(0, 0, LambdaPoly((1, 2)))
+    assert ExpExpr.from_xpoly(Fraction(1, 2), 1) == ExpExpr.monomial(0, 1, Fraction(1, 2))
 
 
 def test_operator_renders_match_recorded_digest():

@@ -310,6 +310,12 @@ def test_compose_rejects_nonzero_inner_constant():
         series_compose(Series((0, 1), order=4), Series.one(4))
 
 
+@pytest.mark.parametrize("order", [True, 1.5, "2", -1])
+def test_constructor_refuses_an_order_that_is_not_an_integer_at_least_zero(order):
+    with pytest.raises(ValueError, match=f"series order must be an integer ≥ 0, got {order!r}"):
+        Series((1,), order=order)
+
+
 def test_coeff_out_of_range_raises():
     with pytest.raises(IndexError):
         Series.one(3).coeff(4)

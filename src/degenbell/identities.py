@@ -6,18 +6,21 @@ Identities in one symbolic variable are compared as XPoly values, which
 proves them for all x and λ at once; nothing is ever sampled numerically.
 Each entry is a generator that yields its (params, lhs, rhs) cases in grid
 order, registered with ``_identity``; one shared checker compares the two
-sides and reports the first mismatch.  A factor that does not change across
-a check's grid (a falling-factorial prefix, an EGF of Bell polynomials) is
-built once per check call and kept local to it.  The routes that only the
-checks use (classical factorial bases, S₂ by alternating sums, binomial
-series) are defined here, beside their callers.  Like the library, they
-build every factorial prefix with :func:`~degenbell.core.factorials` and
-every Σ aₙtⁿ/n! with :func:`~degenbell.series.egf`; no check compares a
-builder's result with itself, only prefixes of different (w, step) pairs or
-a prefix with a table.  The calculus of the paper's proofs lives here too:
-d/dx and the antiderivative of an XPoly are private functions, and lemma1's
-d/dt, eq57's t → -t and the monomials xⁿ are built from coefficients where
-they are used.
+sides and reports the first mismatch.  A factor that does not change
+across a check's grid (a falling-factorial prefix, a list of Bell
+polynomials) is built once per check call and kept local to it.  Each
+binomial convolution Σ_k C(n,k)·a_k·b_{n-k} that a check sums for one n at
+a time is one call of :func:`_binomial_convolution`; thm8 and eq39 combine
+whole series instead.  The routes that only the checks use (classical
+factorial bases, S₂ by alternating sums, binomial series) are defined
+here, beside their callers.  Like the library, they build every factorial
+prefix with :func:`~degenbell.core.factorials` and every Σ aₙtⁿ/n! with
+:func:`~degenbell.series.egf`; no check compares a builder's result with
+itself, only prefixes of different (w, step) pairs or a prefix with a
+table.  The calculus of the paper's proofs lives here too: d/dx and the
+antiderivative of an XPoly are private functions, and lemma1's d/dt,
+eq57's t → -t and the monomials xⁿ are built from coefficients where they
+are used.
 
 Checks draw their Stirling/Bell values from a :class:`FamilyTables`
 context.  The default context is the library itself; a context with a
@@ -31,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
     LP_LAMBDA,
@@ -147,6 +150,9 @@ class FamilyTables:
     routes.  ``stirling2_overrides`` replaces individual S_{2,λ}(n,k)
     entries; the Bell polynomials are then rebuilt from the overridden
     table so the perturbation propagates exactly the way a bug would.
+    Bel_n sums S_{2,λ}(n,k)·xᵏ up to k = n or the largest k overridden in
+    row n, so a bump above the diagonal, where the library's entry is zero,
+    reaches Bel_n too.
     """
 
     def __init__(
@@ -172,7 +178,8 @@ class FamilyTables:
         if not self._overrides:
             return bell_deg(n)
         if n not in self._bell:
-            self._bell[n] = XPoly(self.stirling2(n, k) for k in range(n + 1))
+            top = max([n] + [k for row, k in self._overrides if row == n])
+            self._bell[n] = XPoly(self.stirling2(n, k) for k in range(top + 1))
         return self._bell[n]
 
     def bell_at_one(self, n: int) -> LambdaPoly:
@@ -243,12 +250,12 @@ def binomial_power_series(base_shift: LambdaLike, exponent: XLike, order: int) -
     return egf(f * p for f, p in zip(falls, powers))
 
 
-_ONE_FALLS: list[LambdaPoly] = [LP_ONE]
+def _binomial_convolution(n: int, a: Sequence[XLike], b: Sequence[XLike]) -> XPoly:
+    """Σ_k C(n,k)·a_k·b_{n-k}, k = 0 … n, in one ``sum_of_products`` call.
 
-
-def _one_fall(j: int) -> LambdaPoly:
-    """(1)_{j,λ} = 1·(1-λ)···(1-(j-1)λ), from one growing list."""
-    return factorials(1, -LP_LAMBDA, j, _ONE_FALLS)[j]
+    A sum that leaves out the k = 0 or the k = n term passes a zero for a₀ or b₀.
+    """
+    return sum_of_products((comb(n, k), a[k], b[n - k]) for k in range(n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -308,11 +315,10 @@ def _identity(key: str, description: str, grid: str, series: bool = False):
 
 @_identity("thm2", "Bell-number recurrence at x=1", "n=0..{n_max} (x=1)")
 def _thm2(n_max: int, order: int, tb: FamilyTables) -> Cases:
+    bells = [tb.bell_at_one(m) for m in range(n_max + 1)]
+    weights = factorials(1, -LP_LAMBDA, n_max + 1)[1:]  # (1)_{n-m+1,λ}
     for n in range(n_max + 1):
-        rhs = sum_of_products(
-            (comb(n, m), tb.bell_at_one(m), _one_fall(n - m + 1)) for m in range(n + 1)
-        )
-        yield {"n": n}, tb.bell_at_one(n + 1), rhs.coeff(0)
+        yield {"n": n}, tb.bell_at_one(n + 1), _binomial_convolution(n, bells, weights).coeff(0)
 
 
 @_identity("thm4", "three-term recurrence via derivative", "n=0..{n_max} (symbolic x)")
@@ -324,39 +330,37 @@ def _thm4(n_max: int, order: int, tb: FamilyTables) -> Cases:
 
 @_identity("thm5", "binomial recurrence with (1)_{n-m+1,λ}", "n=0..{n_max} (symbolic x)")
 def _thm5(n_max: int, order: int, tb: FamilyTables) -> Cases:
+    bells = [tb.bell(m) for m in range(n_max + 1)]
+    weights = factorials(1, -LP_LAMBDA, n_max + 1)[1:]
     for n in range(n_max + 1):
-        acc = sum_of_products(
-            (comb(n, m), tb.bell(m), _one_fall(n - m + 1)) for m in range(n + 1)
-        )
-        yield {"n": n}, tb.bell(n + 1), XP_X * acc
+        yield {"n": n}, tb.bell(n + 1), XP_X * _binomial_convolution(n, bells, weights)
 
 
 @_identity("remark6a", "combined recurrence, weight (1)_{n-m,λ}(1-(n-m)λ)",
            "n=0..{n_max} (symbolic x)")
 def _remark6a(n_max: int, order: int, tb: FamilyTables) -> Cases:
+    bells = [tb.bell(m) for m in range(n_max + 1)]
+    ones = factorials(1, -LP_LAMBDA, n_max)
+    weights = [f * (LP_ONE - LP_LAMBDA * j) for j, f in enumerate(ones)]
     for n in range(n_max + 1):
-        acc = sum_of_products(
-            (comb(n, m), tb.bell(m), _one_fall(n - m) * (LP_ONE - LP_LAMBDA * (n - m)))
-            for m in range(n + 1)
-        )
-        yield {"n": n}, tb.bell(n + 1), XP_X * acc
+        yield {"n": n}, tb.bell(n + 1), XP_X * _binomial_convolution(n, bells, weights)
 
 
 @_identity("remark6b", "n·Bel identity with weight (n-m)(1)_{n-m,λ}",
            "n=0..{n_max} (symbolic x)")
 def _remark6b(n_max: int, order: int, tb: FamilyTables) -> Cases:
+    bells = [tb.bell(m) for m in range(n_max + 1)]
+    weights = [f * j for j, f in enumerate(factorials(1, -LP_LAMBDA, n_max))]
     for n in range(n_max + 1):
-        acc = sum_of_products(
-            (comb(n, m) * (n - m), tb.bell(m), _one_fall(n - m)) for m in range(n + 1)
-        )
-        yield {"n": n}, tb.bell(n) * n, XP_X * acc
+        yield {"n": n}, tb.bell(n) * n, XP_X * _binomial_convolution(n, bells, weights)
 
 
 @_identity("cor7", "x·dBel/dx expansion", "n=1..{n_max} (symbolic x)")
 def _cor7(n_max: int, order: int, tb: FamilyTables) -> Cases:
+    bells = [tb.bell(m) for m in range(n_max + 1)]
+    weights = [LP_ZERO] + factorials(1, -LP_LAMBDA, n_max + 1)[2:]  # m < n: no (1)_{1,λ}
     for n in range(1, n_max + 1):
-        acc = sum_of_products((comb(n, m), tb.bell(m), _one_fall(n + 1 - m)) for m in range(n))
-        rhs = XP_X * acc + tb.bell(n) * (LP_LAMBDA * n)
+        rhs = XP_X * _binomial_convolution(n, bells, weights) + tb.bell(n) * (LP_LAMBDA * n)
         yield {"n": n}, XP_X * _x_derivative(tb.bell(n)), rhs
 
 
@@ -381,11 +385,10 @@ def _thm8(n_max: int, order: int, tb: FamilyTables) -> Cases:
 
 @_identity("thm9", "antiderivative via Bernoulli convolution", "n=0..{n_max} (symbolic x)")
 def _thm9(n_max: int, order: int, tb: FamilyTables) -> Cases:
+    bells = [XP_ZERO] + [tb.bell(k) for k in range(1, n_max + 2)]  # k ≥ 1: no Bel_0
+    betas = [tb.bernoulli(k) for k in range(n_max + 2)]
     for n in range(n_max + 1):
-        rhs = sum_of_products(
-            (Fraction(comb(n + 1, k), n + 1), tb.bell(k), tb.bernoulli(n + 1 - k))
-            for k in range(1, n + 2)
-        )
+        rhs = _binomial_convolution(n + 1, bells, betas) * Fraction(1, n + 1)
         yield {"n": n}, _x_antiderivative(tb.bell(n)), rhs
 
 
@@ -426,69 +429,62 @@ def _thm11_exp(n_max: int, order: int, tb: FamilyTables) -> Cases:
         lhs = op_apply(lhs)
 
 
-def _thm12_rhs(bell_egf: Series, m: int, weighted: list[tuple[int, XLike]]) -> Series:
-    """Σ_j w_j·Σ_k C(n,k)·Bel_k·Π_{i=m}^{m+n-k-1}(j - iλ) for every n, as an EGF in n.
+def _thm12_prefix(m: int, weighted: list[tuple[int, XLike]], cap: int) -> tuple[XPoly, ...]:
+    """Σ_j w_j·(j - mλ)_{s,λ} for s = 0 … cap, over the (j, w_j) pairs of ``weighted``.
 
-    ``bell_egf`` is Σ_k Bel_k·t^k/k! and ``weighted`` holds the (j, w_j) pairs.
-    The binomial k-sum is the Cauchy product of ``bell_egf`` with the EGF of
-    the telescoped (j)_{m+s,λ}/(j)_{m,λ} = (j - mλ)_{s,λ}.  The product is
-    bilinear, so the j-sum of those EGFs is one combination, taken first on
-    the plain prefixes and scaled by 1/s! once, and ``bell_egf`` multiplies
-    it once.  The quotient is kept as a product on purpose — an actual
-    division would be undefined at the j = iλ roots even though the quotient
-    is a polynomial.
+    The right side Σ_j w_j·Σ_k C(n,k)·Bel_k·Π_{i=m}^{m+n-k-1}(j - iλ) is one
+    binomial convolution of Bel with this prefix: the product telescopes to
+    (j)_{m+s,λ}/(j)_{m,λ} = (j - mλ)_{s,λ}, and the convolution is linear, so
+    the j-sum is taken first, as one combination.  The quotient is kept as a
+    product on purpose — an actual division would be undefined at the j = iλ
+    roots even though the quotient is a polynomial.
     """
-    cap = bell_egf.order
     falls = {j: factorials(LambdaPoly((j, -m)), -LP_LAMBDA, cap) for j, _ in weighted}
-    prefixes = series_combination(
+    return series_combination(
         ((w, _sstored([_xstored((c,)) for c in falls[j]], cap)) for j, w in weighted), cap
-    )
-    return series_mul(bell_egf, egf(prefixes.coeffs))
+    ).coeffs
 
 
 @_identity("thm12", "double-sum recurrence with telescoped factorial quotient",
            "m,n=0..{cap} (symbolic x)")
 def _thm12(n_max: int, order: int, tb: FamilyTables) -> Cases:
     cap = min(n_max, DOUBLE_INDEX_CAP)
-    bell_egf = egf(tb.bell(k) for k in range(cap + 1))
+    bells = [tb.bell(k) for k in range(cap + 1)]
     for m in range(cap + 1):
-        rhs = _thm12_rhs(bell_egf, m, [
+        prefix = _thm12_prefix(m, [
             (j, _xstored((LP_ZERO,) * j + (s2,)))
             for j in range(m + 1)
             if not (s2 := tb.stirling2(m, j)).is_zero
-        ])
+        ], cap)
         for n in range(cap + 1):
-            yield {"m": m, "n": n}, tb.bell(n + m), rhs.egf_coeff(n)
+            yield {"m": m, "n": n}, tb.bell(n + m), _binomial_convolution(n, bells, prefix)
 
 
 @_identity("thm12-x1", "x=1 specialization of the double-sum recurrence", "m,n=0..{n_max} (x=1)")
 def _thm12_x1(n_max: int, order: int, tb: FamilyTables) -> Cases:
-    bell_egf = egf(tb.bell_at_one(k) for k in range(n_max + 1))
+    bells = [tb.bell_at_one(k) for k in range(n_max + 1)]
     for m in range(n_max + 1):
-        rhs = _thm12_rhs(bell_egf, m, [
+        prefix = _thm12_prefix(m, [
             (j, s2) for j in range(m + 1) if not (s2 := tb.stirling2(m, j)).is_zero
-        ])
+        ], n_max)
         for n in range(n_max + 1):
-            yield {"m": m, "n": n}, tb.bell_at_one(n + m), rhs.egf_coeff(n).coeff(0)
+            rhs = _binomial_convolution(n, bells, prefix).coeff(0)
+            yield {"m": m, "n": n}, tb.bell_at_one(n + m), rhs
 
 
 @_identity("thm13", "Bel(x)/Bel(-x) convolution identity", "m,n=0..{cap} (symbolic x)")
 def _thm13(n_max: int, order: int, tb: FamilyTables) -> Cases:
     cap = min(n_max, DOUBLE_INDEX_CAP)
     falls = [factorials(k, -LP_LAMBDA, cap) for k in range(cap + 1)]  # (k)_{n,λ}
+    bells = [tb.bell(k) for k in range(2 * cap + 1)]
+    bells_neg = [tb.bell_neg(s) for s in range(cap + 1)]
     for m in range(cap + 1):
-        # G(s) = Σ_j C(s,j)·(mλ)_{j,λ}·Bel_{s-j,λ}(-x); (mλ)_{j,λ} = λ^j·m(m-1)···
-        m_falls = factorials(LP_LAMBDA * m, -LP_LAMBDA, m)
-        g = [
-            sum_of_products(
-                (comb(s, j), tb.bell_neg(s - j), m_falls[j]) for j in range(min(s, m) + 1)
-            )
-            for s in range(cap + 1)
-        ]
+        # G(s) = Σ_j C(s,j)·(mλ)_{j,λ}·Bel_{s-j,λ}(-x); (mλ)_{j,λ} = λ^j·m(m-1)···, 0 for j > m
+        m_falls = factorials(LP_LAMBDA * m, -LP_LAMBDA, cap)
+        g = [_binomial_convolution(s, m_falls, bells_neg) for s in range(cap + 1)]
         for n in range(cap + 1):
             lhs = _xstored([tb.stirling2(m, k) * falls[k][n] for k in range(m + 1)])
-            rhs = sum_of_products((comb(n, k), tb.bell(m + k), g[n - k]) for k in range(n + 1))
-            yield {"m": m, "n": n}, lhs, rhs
+            yield {"m": m, "n": n}, lhs, _binomial_convolution(n, bells[m:], g)
 
 
 @_identity("lemma1", "n-th t-derivative of e^(a·e_λ(t))",
@@ -542,9 +538,10 @@ def _eq23(n_max: int, order: int, tb: FamilyTables) -> Cases:
 
 @_identity("eq29", "derivative of Bel as binomial sum", "n=1..{n_max} (symbolic x)")
 def _eq29(n_max: int, order: int, tb: FamilyTables) -> Cases:
+    bells = [tb.bell(m) for m in range(n_max + 1)]
+    weights = [LP_ZERO] + factorials(1, -LP_LAMBDA, n_max)[1:]  # m < n: no (1)_{0,λ}
     for n in range(1, n_max + 1):
-        rhs = sum_of_products((comb(n, m), tb.bell(m), _one_fall(n - m)) for m in range(n))
-        yield {"n": n}, _x_derivative(tb.bell(n)), rhs
+        yield {"n": n}, _x_derivative(tb.bell(n)), _binomial_convolution(n, bells, weights)
 
 
 @_identity("eq34", "one-step promotion of x^(-nλ)Bel_n(x)e^x", "n=0..{n_max}")

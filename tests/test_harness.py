@@ -5,7 +5,7 @@ import hashlib
 import io
 import json
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 import pytest
 
@@ -20,7 +20,8 @@ from degenbell.identities import (
     VerifyReport,
     _lemma1,
     _thm8,
-    _thm12_rhs,
+    _binomial_convolution,
+    _thm12_prefix,
     binomial_power_series,
     verify,
     verify_all,
@@ -29,12 +30,11 @@ from degenbell.numbers import stirling2_deg
 from degenbell.series import (
     Series,
     e_lambda_series,
-    series_combination,
     series_exp,
     series_mul,
 )
 
-from oracles import stirling2_deg_rows
+from oracles import padd, pmul, stirling2_deg_rows
 
 
 def test_catalog_has_the_full_roster():
@@ -217,30 +217,48 @@ def test_thm8_sides_match_the_recurrence_oracle():
     assert n == 6
 
 
-def _thm12_rhs_per_j(bell_egf: Series, m: int, weighted: list) -> Series:
-    """Σ_j w_j·(bell_egf·EGF of (j - mλ)_{s,λ}), one product per j."""
-    cap = bell_egf.order
-    products = []
+def _thm12_rhs_per_j(bells: list, m: int, weighted: list, n: int) -> XPoly:
+    """Σ_j w_j·Σ_k C(n,k)·Bel_k·(j - mλ)_{n-k,λ}, one binomial convolution per j."""
+    total = XPoly(())
     for j, w in weighted:
-        prefix = factorials(LambdaPoly((j, -m)), -LP_LAMBDA, cap)
-        egf = Series(v * Fraction(1, factorial(s)) for s, v in enumerate(prefix))
-        products.append((w, series_mul(bell_egf, egf)))
-    return series_combination(products, cap)
+        prefix = factorials(LambdaPoly((j, -m)), -LP_LAMBDA, n)
+        total = total + _binomial_convolution(n, bells, prefix) * w
+    return total
 
 
 def test_thm12_rhs_matches_the_per_j_sum():
+    """One convolution of the j-combined prefix equals the per-j convolutions summed."""
     tb = FamilyTables()
     cap = 6
     for bell, weight in (
         (tb.bell, lambda j, s2: XPoly((0,) * j + (s2,))),
         (tb.bell_at_one, lambda j, s2: s2),
     ):
-        bell_egf = Series(bell(k) * Fraction(1, factorial(k)) for k in range(cap + 1))
+        bells = [bell(k) for k in range(cap + 1)]
         for m in range(cap + 1):
             weighted = [
                 (j, weight(j, s2)) for j in range(m + 1) if (s2 := tb.stirling2(m, j))
             ]
-            assert _thm12_rhs(bell_egf, m, weighted) == _thm12_rhs_per_j(bell_egf, m, weighted)
+            prefix = _thm12_prefix(m, weighted, cap)
+            for n in range(cap + 1):
+                assert _binomial_convolution(n, bells, prefix) == _thm12_rhs_per_j(
+                    bells, m, weighted, n
+                ), (m, n)
+
+
+def test_binomial_convolution_matches_the_oracle():
+    """Σ_k C(n,k)·a_k·b_{n-k} on λ-polynomials, against a plain sum of ``pmul`` products,
+    in full and with b₀ = 0 for the sum over k < n."""
+    a = [LambdaPoly((k, -1, Fraction(1, k + 1))) for k in range(7)]
+    b = [LambdaPoly((Fraction(1, j + 2), j)) for j in range(7)]
+    b_open = [LambdaPoly(())] + b[1:]
+    for n in range(7):
+        for top, bs in ((n + 1, b), (n, b_open)):
+            expected = ()
+            for k in range(top):
+                expected = padd(expected, tuple(c * comb(n, k) for c in pmul(
+                    a[k].coeffs, b[n - k].coeffs)))
+            assert _binomial_convolution(n, a, bs).coeff(0).coeffs == expected, (n, top)
 
 
 def test_counterexamples_render_both_sides():
@@ -262,6 +280,14 @@ def test_mutation_propagates_into_derived_bell_identities():
         if verify(key, 5, tables=tables).status == "fail"
     ]
     assert failures, "perturbed Bell table should break a Bell identity"
+
+
+def test_a_bump_above_the_diagonal_reaches_bell():
+    """S_{2,λ}(3,5) is zero in the library; bumped to 1 it is Bel_3's x⁵ coefficient,
+    and the recurrence of thm4 sees it."""
+    tables = FamilyTables.with_bump(3, 5)
+    assert tables.bell(3).coeff(5) == 1
+    assert verify("thm4", 5, tables=tables).status == "fail"
 
 
 def test_family_tables_defaults_delegate_to_the_library():

@@ -253,9 +253,10 @@ def binomial_power_series(base_shift: LambdaLike, exponent: XLike, order: int) -
 def _binomial_convolution(n: int, a: Sequence[XLike], b: Sequence[XLike]) -> XPoly:
     """Σ_k C(n,k)·a_k·b_{n-k}, k = 0 … n, in one ``sum_of_products`` call.
 
-    A sum that leaves out the k = 0 or the k = n term passes a zero for a₀ or b₀.
+    Terms with a zero factor are left out, so a sum that drops the k = 0 or
+    the k = n term passes a zero for a₀ or b₀, and a zero tail costs nothing.
     """
-    return sum_of_products((comb(n, k), a[k], b[n - k]) for k in range(n + 1))
+    return sum_of_products((comb(n, k), a[k], b[n - k]) for k in range(n + 1) if a[k] and b[n - k])
 
 
 @lru_cache(maxsize=None)
@@ -480,7 +481,7 @@ def _thm13(n_max: int, order: int, tb: FamilyTables) -> Cases:
     bells_neg = [tb.bell_neg(s) for s in range(cap + 1)]
     for m in range(cap + 1):
         # G(s) = Σ_j C(s,j)·(mλ)_{j,λ}·Bel_{s-j,λ}(-x); (mλ)_{j,λ} = λ^j·m(m-1)···, 0 for j > m
-        m_falls = factorials(LP_LAMBDA * m, -LP_LAMBDA, cap)
+        m_falls = factorials(LP_LAMBDA * m, -LP_LAMBDA, m) + [LP_ZERO] * (cap - m)
         g = [_binomial_convolution(s, m_falls, bells_neg) for s in range(cap + 1)]
         for n in range(cap + 1):
             lhs = _xstored([tb.stirling2(m, k) * falls[k][n] for k in range(m + 1)])

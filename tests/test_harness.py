@@ -9,8 +9,9 @@ from math import comb
 
 import pytest
 
+from degenbell import identities
 from degenbell.cli import _csv_row
-from degenbell.core import LP_LAMBDA, LambdaPoly, XPoly, factorials
+from degenbell.core import LP_LAMBDA, LambdaPoly, XPoly, factorials, sum_of_products
 from degenbell.identities import (
     A_GRID,
     CATALOG,
@@ -246,19 +247,32 @@ def test_thm12_rhs_matches_the_per_j_sum():
                 ), (m, n)
 
 
-def test_binomial_convolution_matches_the_oracle():
+def test_binomial_convolution_matches_the_oracle(monkeypatch):
     """Σ_k C(n,k)·a_k·b_{n-k} on λ-polynomials, against a plain sum of ``pmul`` products,
-    in full and with b₀ = 0 for the sum over k < n."""
+    in full, with b₀ = 0 for the sum over k < n and with a zero past a₂ for k ≤ 2;
+    no term with a zero factor reaches ``sum_of_products``."""
+    passed = []
+
+    def spy(terms):
+        terms = list(terms)
+        passed.extend(terms)
+        return sum_of_products(terms)
+
+    monkeypatch.setattr(identities, "sum_of_products", spy)
     a = [LambdaPoly((k, -1, Fraction(1, k + 1))) for k in range(7)]
     b = [LambdaPoly((Fraction(1, j + 2), j)) for j in range(7)]
     b_open = [LambdaPoly(())] + b[1:]
+    a_tail = a[:3] + [LambdaPoly(())] * 4
     for n in range(7):
-        for top, bs in ((n + 1, b), (n, b_open)):
+        for ks, as_, bs in (
+            (range(n + 1), a, b), (range(n), a, b_open), (range(min(n, 2) + 1), a_tail, b)
+        ):
             expected = ()
-            for k in range(top):
+            for k in ks:
                 expected = padd(expected, tuple(c * comb(n, k) for c in pmul(
                     a[k].coeffs, b[n - k].coeffs)))
-            assert _binomial_convolution(n, a, bs).coeff(0).coeffs == expected, (n, top)
+            assert _binomial_convolution(n, as_, bs).coeff(0).coeffs == expected, (n, ks)
+    assert passed and all(x and y for _, x, y in passed)
 
 
 def test_counterexamples_render_both_sides():

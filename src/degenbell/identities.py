@@ -671,6 +671,7 @@ def _checked_order(n_max: int, order: int | None, series_based: bool) -> int:
         raise ValueError(f"n_max must be ≥ 1, got {n_max}")
     if order is None:
         order = n_max + DEFAULT_ORDER_MARGIN
+    _require_nonneg(order, "order")
     if series_based and order < n_max + 2:
         raise ValueError(
             f"order must be ≥ n_max + 2 for series-based identities, got {order}"

@@ -41,6 +41,7 @@ def _shape(a: ScalarLike, p: int, m: int, k: int) -> Shape:
     a = _as_fraction(a)
     if not all(isinstance(v, int) for v in (p, m, k)):
         raise TypeError("exp_power and the powers of x must be ints")
+    p, m, k = int(p), int(m), int(k)  # a bool becomes its int, as in core
     if a == 0:
         p = 1
     if p < 1:
@@ -118,19 +119,6 @@ class ExpExpr:
         """Multiply by x^(m + kλ)."""
         return _estored(tuple([((a, p, i + m, j + k), c) for (a, p, i, j), c in self.terms]))
 
-    def __mul__(self, other: "ExpExpr") -> "ExpExpr":
-        if not isinstance(other, ExpExpr):
-            return NotImplemented
-        out = []
-        for (a, p, m, k), c in self.terms:
-            for (b, q, i, j), d in other.terms:
-                if a and b and p != q:
-                    raise ValueError("cannot multiply exponentials with different powers")
-                s = a + b
-                power = (p if a else q) if s else 1  # e^0 is stored with power 1
-                out.append(((s, power, m + i, k + j), c * d))
-        return _merged(out)
-
 
 def _merged(terms: Iterable[tuple[Shape, LambdaPoly]]) -> ExpExpr:
     """The ExpExpr of checked terms: merged per shape, free of zeros and sorted."""
@@ -167,22 +155,11 @@ def op_apply(e: ExpExpr) -> ExpExpr:
     return d_dx(e).mul_monomial(1, -1)
 
 
-def op_power(e: ExpExpr, n: int) -> ExpExpr:
-    """n-fold application; n = 0 is the identity."""
-    if n < 0:
-        raise ValueError(f"operator power must be nonnegative, got {n}")
-    for _ in range(n):
-        e = op_apply(e)
-    return e
-
-
 def prop10_rhs(n: int, a: ScalarLike, p: int) -> ExpExpr:
     """p^n · Σ_k S_{2,λ/p}(n,k)·a^k · x^(pk - nλ) · e^(a·x^p)."""
     if n < 0:
         raise ValueError(f"power must be nonnegative, got {n}")
-    if p < 1:
-        raise ValueError(f"exponent power must be ≥ 1, got {p}")
-    a = _as_fraction(a)
+    a, p, _, _ = _shape(a, p, 0, 0)
     if a == 0:
         raise ValueError("degenerate exponential argument")
     # p^n·S_{2,λ/p}(n,k)·a^k has λ^i coefficient p^(n-i)·[λ^i]S_{2,λ}(n,k)·a^k, i ≤ n - k:

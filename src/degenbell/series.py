@@ -111,12 +111,6 @@ class Series:
 
     # -- linear arithmetic --------------------------------------------
 
-    def __add__(self, other: "Series") -> "Series":
-        if not isinstance(other, Series):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return _sstored([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)], n)
-
     def __sub__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented

@@ -340,7 +340,7 @@ def test_every_xpoly_and_series_route_stores_the_canonical_form(p, q, c, lam):
     a, b = Series((p, q, lam), order=2), Series((q, c), order=1)
     for s in (series_mul(a, b), series_combination([(p, a), (lam, a), (-p, a)], 2),
               series_exp(Series((0, p, q), order=2)), series_recip_unit(Series((c, p))),
-              egf([p, q, lam, c]), egf([0, 0]), a.truncate(1), a + b, a - b, a - a,
+              egf([p, q, lam, c]), egf([0, 0]), a.truncate(1), a - b, a - a,
               Series((p,), order=3), Series((p, q, lam), order=1),
               series_from_json("".join(series_json_chunks(a)))):
         _assert_sstored(s)

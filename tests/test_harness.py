@@ -90,6 +90,15 @@ class _UnreadTables(FamilyTables):
         raise AssertionError("an identity ran before the arguments were checked")
 
 
+def test_every_identity_refuses_a_negative_order():
+    """One ValueError for every id, series-based or not, as verify_all gives."""
+    for key in CATALOG:
+        with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
+            verify(key, 3, -1, tables=_UnreadTables())
+    with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
+        verify_all(3, -1, tables=_UnreadTables())
+
+
 def test_verify_all_refuses_before_any_identity_runs():
     with pytest.raises(ValueError, match="order must be ≥ n_max \\+ 2"):
         verify_all(28, 5, tables=_UnreadTables())

@@ -14,7 +14,6 @@ from degenbell.opcalc import (
     d_dx,
     eval_at_x1_in_e_units,
     op_apply,
-    op_power,
     prop10_rhs,
     render,
     theorem11_apply_monomial,
@@ -26,16 +25,12 @@ from oracles import pfalling
 def test_first_powers_on_exp_are_the_known_expansions():
     e = ExpExpr.exp_x(1, 1)
     assert render(op_apply(e)) == "1 * x^(1-1·λ) * exp(1·x^1)"
-    two = op_power(e, 2)
+    two = op_apply(op_apply(e))
     assert render(two) == "(1 - λ) * x^(1-2·λ) * exp(1·x^1) + 1 * x^(2-2·λ) * exp(1·x^1)"
     # third application follows the second-kind Stirling row (1-3λ)(1-λ), 3-3λ, 1
-    three = op_power(e, 3)
-    expect = (
-        ExpExpr.monomial(1, -3, stirling2_deg(3, 1))
-        + ExpExpr.monomial(2, -3, stirling2_deg(3, 2))
-        + ExpExpr.monomial(3, -3, stirling2_deg(3, 3))
-    ) * ExpExpr.exp_x(1, 1)
-    assert three == expect
+    three = op_apply(two)
+    row = XPoly([stirling2_deg(3, k) for k in range(4)])
+    assert three == ExpExpr.from_xpoly(row, x_lam=-3, exp_coeff=1)
 
 
 def test_monomial_powers_pick_up_deformed_falling_factorials():
@@ -48,14 +43,6 @@ def test_monomial_powers_pick_up_deformed_falling_factorials():
                 expect = ExpExpr.monomial(m, k - n, expect_coeff)
                 assert expr == expect, (m, k, n)
                 expr = op_apply(expr)
-
-
-def test_operator_power_composes():
-    e = ExpExpr.exp_x(2, 1)
-    assert op_power(e, 5) == op_apply(op_power(e, 4))
-    assert op_power(e, 0) == e
-    with pytest.raises(ValueError):
-        op_power(e, -1)
 
 
 def test_scaled_exponential_closed_form():
@@ -97,14 +84,24 @@ def test_monomial_closed_form_route():
             expr = op_apply(expr)
 
 
+def _times(f, g):
+    """f·g term by term, for factors of which at most one carries an exponential."""
+    out = []
+    for (a, p, m, k), c in f.terms:
+        for (b, q, i, j), d in g.terms:
+            assert not (a and b)
+            out.append(((a + b, p if a else q, m + i, k + j), c * d))
+    return ExpExpr(out)
+
+
 def test_leibniz_rule_through_the_operator():
     """op(f·g) = op(f)·g + f·op(g) − exercised with exponential factors."""
-    f = ExpExpr.monomial(0, 2).scale(LambdaPoly((3,))) * ExpExpr.exp_x(-1, 1)
+    f = ExpExpr([((-1, 1, 0, 2), 3)])  # 3·x^(2λ)·e^(-x)
     g = ExpExpr.monomial(2)
     for n in range(1, 5):
-        product = f * g
+        product = _times(f, g)
         lhs = op_apply(product)
-        rhs = op_apply(f) * g + f * op_apply(g)
+        rhs = _times(op_apply(f), g) + _times(f, op_apply(g))
         assert lhs == rhs
         f = op_apply(f)  # vary the operands as n grows
 
@@ -137,16 +134,6 @@ def test_eval_at_one_rejects_impure_expressions():
         eval_at_x1_in_e_units(ExpExpr.exp_x(1, 2))
 
 
-def test_exponential_merge_rules():
-    a = ExpExpr.exp_x(1, 2)
-    b = ExpExpr.exp_x(-1, 2)
-    assert a * b == ExpExpr.monomial(0)  # exponents cancel to e^0 = 1
-    with pytest.raises(ValueError, match="different powers"):
-        _ = a * ExpExpr.exp_x(1, 3)
-    plain = ExpExpr.monomial(2)
-    assert plain * a == a * plain  # pure monomials attach to any exponential
-
-
 def test_zero_scale_degenerate_exponential_rejected():
     with pytest.raises(ValueError):
         prop10_rhs(2, 0, 1)
@@ -156,10 +143,20 @@ def test_zero_scale_degenerate_exponential_rejected():
         prop10_rhs(2, 1, 0)
 
 
+def test_a_bool_power_is_stored_and_printed_as_its_int():
+    """isinstance(True, int) holds, so a bool passes the int check; the shape keeps 1, not True."""
+    for e, same in ((ExpExpr.exp_x(1, True), ExpExpr.exp_x(1, 1)),
+                    (ExpExpr.monomial(True, False), ExpExpr.monomial(1, 0)),
+                    (prop10_rhs(2, 1, True), prop10_rhs(2, 1, 1))):
+        assert render(e) == render(same)
+        assert all(type(v) is int for (_, *powers), _ in e.terms for v in powers)
+    assert render(ExpExpr.exp_x(1, True)) == "1 * x^(0+0·λ) * exp(1·x^1)"
+    with pytest.raises(TypeError, match="must be ints"):
+        prop10_rhs(2, 1, 1.5)
+
+
 def test_rendering_is_deterministic_and_sorted():
-    e = op_power(ExpExpr.exp_x(1, 1), 3)
-    once = render(e)
-    again = render(op_power(ExpExpr.exp_x(1, 1), 3))
+    once, again = (render(op_apply(op_apply(op_apply(ExpExpr.exp_x(1, 1))))) for _ in range(2))
     assert once == again
     assert once == (
         "(2λ² - 3λ + 1) * x^(1-3·λ) * exp(1·x^1) + "
@@ -200,8 +197,10 @@ def test_operator_renders_match_recorded_digest():
     renders = []
     for a in (1, -1, 2, Fraction(1, 2), Fraction(-1, 2)):
         for p in (1, 2, 3):
+            expr = ExpExpr.exp_x(a, p)
             for n in range(7):
-                renders += [render(prop10_rhs(n, a, p)), render(op_power(ExpExpr.exp_x(a, p), n))]
+                renders += [render(prop10_rhs(n, a, p)), render(expr)]
+                expr = op_apply(expr)
     renders += [render(theorem11_apply_monomial(n, r)) for n in range(7) for r in range(7)]
     mixed = ExpExpr.exp_x(-1, 1) + ExpExpr.exp_x(1, 2) + ExpExpr.exp_x(1, 1) + ExpExpr.monomial(2, -1)
     renders.append(render(mixed))
